@@ -2,11 +2,12 @@
 
 Harmonic functions on a smooth planar domain, carrying a spectral
 (Steklov) condition on part of the boundary and a zero-flux (Neumann)
-condition on the rest.  A single-layer ansatz with Kress-graded log
-quadrature turns the eigenproblem and the interior source problem into
-dense linear algebra; on top of that sits an optimizer that grows a
-zero-flux arc until a chosen eigenvalue approaches a target, amplifying
-the source field at a receiver point.
+condition on the rest.  A single-layer ansatz on equispaced nodes, with
+trigonometric product quadrature for the log singularity, turns the
+eigenproblem and the interior source problem into dense linear algebra;
+on top of that sits an optimizer that grows a zero-flux arc until a
+chosen eigenvalue approaches a target, amplifying the source field at a
+receiver point.
 
 Typical session::
 

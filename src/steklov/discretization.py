@@ -270,11 +270,13 @@ def l2_inner_product(f, g, ops: OperatorSet, mask: PartitionMask | None = None,
 
 
 def eigen_pencil(ops: OperatorSet, mask: PartitionMask) -> tuple[np.ndarray, np.ndarray]:
-    """Matrices (A, B) of the generalized eigenproblem A phi = lambda B phi.
+    """Matrices (A, B) of the mixed problem in the density: A phi = lambda B phi.
 
     A = -I/2 + adjoint_double_layer realizes the normal derivative of the
     single-layer ansatz; B row i is the completed boundary trace scaled by
-    the node's Steklov coverage fraction (zero on Neumann nodes).
+    the node's Steklov coverage fraction (zero on Neumann nodes).  The
+    source solve in :mod:`steklov.greens` factors A - lambda B; eigenvalues
+    come from the self-adjoint form in :mod:`steklov.eigensolver`.
     """
     n = ops.n_nodes
     a = -0.5 * np.eye(n) + ops.adjoint_double_layer

@@ -1,34 +1,31 @@
-"""Eigensolvers for the discretized mixed spectral problem.
+"""Eigensolver for the discretized mixed spectral problem.
 
-The pencil is A phi = lambda B phi with A = -I/2 + K (normal derivative of
-the single-layer ansatz) and B the fraction-scaled completed trace map; see
-:mod:`steklov.discretization`.
+With u = T phi the completed boundary trace of a single-layer density phi,
+the mixed problem reads H u = lambda diag(b) u: H is the weighted
+Dirichlet-to-Neumann matrix ``OperatorSet.weighted_dtn`` (symmetric) and b
+the Steklov weights, zero on Neumann nodes.  One self-adjoint solve of this
+form returns real eigenvalues, no spurious modes and an
+L2(Gamma_S)-orthonormal basis of every cluster.
 
-* :func:`solve_spectrum` -- dense QZ, the whole spectrum.  B is rank
-  deficient (Neumann rows vanish), so spurious eigenvalues are filtered and
-  minuscule imaginary parts projected away.
-* :func:`solve_spectrum_near` -- the eigenpairs nearest a target, from the
-  self-adjoint form H u = lambda diag(b) u in the trace u = T phi (H is
-  ``OperatorSet.weighted_dtn``, b the Steklov weights): no spurious modes,
-  and an L2(Gamma_S)-orthonormal basis of every cluster.  Used by the
-  optimizer loop and the resonance guard.
+* :func:`solve_spectrum_near` -- the eigenpairs nearest a target.  Used by
+  the optimizer loop and the resonance guard.
+* :func:`solve_spectrum` -- the lowest eigenpairs: the spectrum is
+  nonnegative, so these are the ones nearest 0.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 
 from . import kernels
-from .discretization import OperatorSet, PartitionMask, eigen_pencil
+from .asymptotics import verify_orthonormal
+from .discretization import OperatorSet, PartitionMask
 from .errors import ClusterError, EigenSolveError, GeometryError
 from .geometry import TWO_PI
-
-#: eigenvalues below this are treated as numerically negative garbage
-_NEGATIVE_TOL = 1e-6
 
 
 class AccuracyWarning(UserWarning):
@@ -49,22 +46,12 @@ class EigenPair:
 class SpectrumRequest:
     count: int = 10
     cluster_tol: float = 1e-6
-    spurious_cutoff: float = 1e6
 
     def __post_init__(self):
         if self.count < 1:
             raise EigenSolveError("request needs count >= 1")
         if self.cluster_tol <= 0:
             raise EigenSolveError("cluster_tol must be positive")
-
-
-def _realize_vector(v: np.ndarray) -> np.ndarray:
-    """Rotate a complex eigenvector of a real pencil onto the real axis."""
-    k = int(np.argmax(np.abs(v)))
-    pivot = v[k]
-    if pivot != 0:
-        v = v * (np.conj(pivot) / abs(pivot))
-    return np.real(v)
 
 
 def _assign_clusters(values: np.ndarray, cluster_tol: float) -> np.ndarray:
@@ -75,52 +62,10 @@ def _assign_clusters(values: np.ndarray, cluster_tol: float) -> np.ndarray:
     return ids
 
 
-def _build_pairs(values, densities, traces, mask: PartitionMask,
-                 cluster_tol: float) -> list[EigenPair]:
-    """Sort, cluster, normalize and sign-fix accepted eigenpairs."""
-    order = np.argsort(values)
-    values = np.asarray(values)[order]
-    ids = _assign_clusters(values, cluster_tol)
-    sw = mask.steklov_weights
-    pairs = []
-    for lam, i, cid in zip(values, order, ids):
-        density, trace = densities[i], traces[i]
-        norm = float(np.sqrt(np.sum(sw * trace * trace)))
-        if norm < 1e-12:  # defensive; a genuine mode cannot vanish on Gamma_S
-            norm = float(np.linalg.norm(trace)) or 1.0
-        density = density / norm
-        trace = trace / norm
-        k = int(np.argmax(np.abs(trace)))
-        if trace[k] < 0:
-            density, trace = -density, -trace
-        pairs.append(EigenPair(float(lam), density, trace, int(cid)))
-    return pairs
-
-
-def _filter_eigenvalues(w: np.ndarray, cutoff: float) -> np.ndarray:
-    """Indices of eigenvalues that represent genuine finite modes."""
-    keep = np.isfinite(w)
-    keep &= np.abs(w.imag) <= 1e-6 * (1.0 + np.abs(w.real))
-    keep &= np.abs(w.real) <= cutoff
-    keep &= w.real >= -_NEGATIVE_TOL
-    return np.nonzero(keep)[0]
-
-
 def solve_spectrum(ops: OperatorSet, mask: PartitionMask,
                    req: SpectrumRequest = SpectrumRequest()) -> list[EigenPair]:
     """Lowest eigenpairs of the mixed problem, sorted ascending and clustered."""
-    a, b = eigen_pencil(ops, mask)
-    try:
-        w, v = sla.eig(a, b, right=True)
-    except Exception as exc:  # pragma: no cover - LAPACK failure is exotic
-        raise EigenSolveError(f"generalized eigensolve failed: {exc}") from exc
-    idx = _filter_eigenvalues(w, req.spurious_cutoff)
-    if len(idx) == 0:
-        raise EigenSolveError("all eigenvalues were filtered as spurious")
-    idx = idx[np.argsort(w.real[idx])][: req.count]
-    densities = [_realize_vector(v[:, i]) for i in idx]
-    traces = [ops.trace_map @ d for d in densities]
-    return _build_pairs(w.real[idx], densities, traces, mask, req.cluster_tol)
+    return solve_spectrum_near(ops, mask, 0.0, req.count, req)
 
 
 def solve_spectrum_near(ops: OperatorSet, mask: PartitionMask, sigma: float,
@@ -133,30 +78,38 @@ def solve_spectrum_near(ops: OperatorSet, mask: PartitionMask, sigma: float,
     (D = diag(b)) in a window around sigma.  The scaling loses eps/b_min at
     nodes of small Steklov fraction (1e-6 at 1e-8), which a Rayleigh-Ritz
     pass of (H, diag(b)) on the traces restores.  Traces come back
-    L2(Gamma_S)-orthonormal; densities are T^-1 u.
+    L2(Gamma_S)-orthonormal; densities are T^-1 u.  A failed factorization
+    or eigensolve (an indefinite H_nn, say) raises EigenSolveError.
     """
     h = ops.weighted_dtn
     b = mask.steklov_weights
     on, off = b > 0, b <= 0
-    # Neumann rows read H_nn u_n + H_ns u_s = 0, so u_n = -coupling @ u_s
-    coupling = sla.solve(h[np.ix_(off, off)], h[np.ix_(off, on)], assume_a="pos")
-    scaled = h[np.ix_(on, on)] - h[np.ix_(on, off)] @ coupling
-    scale = 1.0 / np.sqrt(b[on])
-    scaled *= np.outer(scale, scale)
-    k = min(count, len(scale))
+    k = min(count, int(np.sum(on)))
     # Weyl: about |Gamma_S|/pi eigenvalues per unit of lambda, so ~2*count here
     half = count * np.pi / float(np.sum(b))
-    values, vecs = sla.eigh(scaled, subset_by_value=(sigma - half, sigma + half))
-    if len(values) < k:
-        values, vecs = sla.eigh(scaled)
-    nearest = np.sort(np.argsort(np.abs(values - sigma), kind="stable")[:k])
-    traces = np.empty((ops.n_nodes, k))
-    traces[on] = scale[:, None] * vecs[:, nearest]
-    traces[off] = -coupling @ traces[on]
-    values, rotation = sla.eigh(traces.T @ h @ traces, (traces.T * b) @ traces)
+    try:
+        # Neumann rows read H_nn u_n + H_ns u_s = 0, so u_n = -coupling @ u_s
+        coupling = sla.solve(h[np.ix_(off, off)], h[np.ix_(off, on)], assume_a="pos")
+        scaled = h[np.ix_(on, on)] - h[np.ix_(on, off)] @ coupling
+        scale = 1.0 / np.sqrt(b[on])
+        scaled *= np.outer(scale, scale)
+        values, vecs = sla.eigh(scaled, subset_by_value=(sigma - half, sigma + half))
+        if len(values) < k:
+            values, vecs = sla.eigh(scaled)
+        nearest = np.sort(np.argsort(np.abs(values - sigma), kind="stable")[:k])
+        traces = np.empty((ops.n_nodes, k))
+        traces[on] = scale[:, None] * vecs[:, nearest]
+        traces[off] = -coupling @ traces[on]
+        values, rotation = sla.eigh(traces.T @ h @ traces, (traces.T * b) @ traces)
+    except np.linalg.LinAlgError as exc:
+        raise EigenSolveError(f"self-adjoint eigensolve failed: {exc}") from exc
     traces = traces @ rotation
+    # sign convention: the largest entry of every trace is positive
+    traces *= np.copysign(1.0, traces[np.argmax(np.abs(traces), axis=0), np.arange(k)])
     densities = sla.lu_solve(ops.trace_map_lu, traces)
-    return _build_pairs(values, densities.T, traces.T, mask, req.cluster_tol)
+    ids = _assign_clusters(values, req.cluster_tol)
+    return [EigenPair(float(lam), d, t, int(c))
+            for lam, d, t, c in zip(values, densities.T, traces.T, ids)]
 
 
 def cluster_members(pairs: list[EigenPair], cluster_id: int) -> list[EigenPair]:
@@ -165,42 +118,18 @@ def cluster_members(pairs: list[EigenPair], cluster_id: int) -> list[EigenPair]:
 
 def orthonormalize_cluster(pairs: list[EigenPair], ops: OperatorSet,
                            mask: PartitionMask) -> list[EigenPair]:
-    """Modified Gram-Schmidt on the traces in the Steklov inner product.
+    """Check that ``pairs`` are an L2(Gamma_S)-orthonormal basis of one cluster.
 
-    The same combinations are applied to densities, so trace remains the
-    completed image of density for every returned pair.
+    The solvers return orthonormal traces by construction, so the pairs come
+    back unchanged; ClusterError when they span several clusters or their
+    Steklov Gram matrix is not the identity.
     """
     if not pairs:
         return []
     if len({p.cluster_id for p in pairs}) != 1:
         raise ClusterError("pairs do not share a cluster id")
-    sw = mask.steklov_weights
-
-    def dot(f, g):
-        return float(np.sum(sw * f * g))
-
-    traces = [p.trace.copy() for p in pairs]
-    densities = [p.density.copy() for p in pairs]
-    out = []
-    for i, pair in enumerate(pairs):
-        t_i, d_i = traces[i], densities[i]
-        base = np.sqrt(dot(t_i, t_i))
-        for q_t, q_d in out:
-            c = dot(t_i, q_t)
-            t_i = t_i - c * q_t
-            d_i = d_i - c * q_d
-        norm = np.sqrt(dot(t_i, t_i))
-        if norm < 1e-8 * max(base, 1.0):
-            raise ClusterError("cluster traces are numerically dependent")
-        out.append((t_i / norm, d_i / norm))
-
-    result = []
-    for pair, (t_i, d_i) in zip(pairs, out):
-        k = int(np.argmax(np.abs(t_i)))
-        if t_i[k] < 0:
-            t_i, d_i = -t_i, -d_i
-        result.append(replace(pair, density=d_i, trace=t_i))
-    return result
+    verify_orthonormal([p.trace for p in pairs], mask.steklov_weights)
+    return list(pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -27,11 +27,11 @@ class MaskError(SteklovError):
 
 
 class EigenSolveError(SteklovError):
-    """The generalized eigenvalue solve failed or produced no usable modes."""
+    """The eigenvalue solve failed, or its request was invalid."""
 
 
 class ClusterError(SteklovError):
-    """A multiplicity cluster could not be orthonormalized (rank deficiency)."""
+    """A cluster is mixed, not orthonormal, or cannot be continued."""
 
 
 class ResonanceError(SteklovError):

@@ -4,9 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from numpy.testing import assert_allclose
 
-from steklov.discretization import assemble, l2_inner_product, mask_from_partition
+from steklov import kernels
+from steklov.discretization import (
+    assemble,
+    eigen_pencil,
+    l2_inner_product,
+    mask_from_partition,
+)
 from steklov.eigensolver import (
     AccuracyWarning,
     EigenPair,
@@ -39,6 +46,47 @@ def half_neumann_setup(n):
     ops = assemble(c, n)
     part = BoundaryPartition.from_neumann_intervals(c, [(0.0, np.pi)])
     return ops, mask_from_partition(ops, part)
+
+
+def small_fraction_setup():
+    # a Neumann arc ending 1e-8 of a cell short of a node's cell edge leaves
+    # that node a Steklov fraction of 1e-8, where the D^-1/2 scaling alone
+    # is off by about 1e-7
+    c = circle()
+    ops = assemble(c, 128)
+    h = TWO_PI / 128
+    end = ops.params[32] + h / 2 - 1e-8 * h
+    mask = mask_from_partition(
+        ops, BoundaryPartition.from_neumann_intervals(c, [(0.3, end)]))
+    assert np.min(mask.steklov_fraction[mask.steklov_fraction > 0]) < 2e-8
+    return ops, mask
+
+
+def qz_reference(ops, mask):
+    """Independent reference: QZ on the non-symmetric pencil A phi = lambda B phi.
+
+    B is rank deficient (Neumann rows vanish), so infinite, complex and
+    negative garbage values are dropped.
+    """
+    w = sla.eigvals(*eigen_pencil(ops, mask))
+    w = w[np.isfinite(w) & (np.abs(w.imag) <= 1e-6 * (1.0 + np.abs(w.real)))].real
+    return np.sort(w[w >= -1e-6])
+
+
+def neumann_setup(curve, n, intervals):
+    ops = assemble(curve, n)
+    part = BoundaryPartition.from_neumann_intervals(curve, intervals)
+    return ops, mask_from_partition(ops, part)
+
+
+REFERENCE_CASES = {
+    "disk": lambda: steklov_setup(circle(), 256),
+    # the test_05 ladder's smallest arc, eps = 0.01, centred at node N/2 (t = pi)
+    "disk-arc-eps-0.01": lambda: neumann_setup(
+        circle(), 256, [(np.pi - 0.01, np.pi + 0.01)]),
+    "kite-two-arcs": lambda: neumann_setup(kite(), 256, [(0.5, 1.3), (3.8, 4.6)]),
+    "steklov-fraction-1e-8": small_fraction_setup,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -150,21 +198,32 @@ def test_shift_invert_matches_dense_near_target():
 
 
 def test_shift_invert_matches_dense_at_small_steklov_fraction():
-    # a Neumann arc ending 1e-8 of a cell short of a node's cell edge leaves
-    # that node a Steklov fraction of 1e-8, where the D^-1/2 scaling alone
-    # is off by about 1e-7
-    c = circle()
-    ops = assemble(c, 128)
-    h = TWO_PI / 128
-    end = ops.params[32] + h / 2 - 1e-8 * h
-    mask = mask_from_partition(
-        ops, BoundaryPartition.from_neumann_intervals(c, [(0.3, end)]))
-    assert np.min(mask.steklov_fraction[mask.steklov_fraction > 0]) < 2e-8
-    dense = np.array([p.value for p in solve_spectrum(
-        ops, mask, SpectrumRequest(count=12))])
+    ops, mask = small_fraction_setup()
+    dense = qz_reference(ops, mask)
     near = solve_spectrum_near(ops, mask, sigma=2.5, count=6)
     for p in near:
         assert np.min(np.abs(dense - p.value)) < 1e-10
+
+
+@pytest.mark.parametrize("case", list(REFERENCE_CASES))
+def test_solve_spectrum_matches_qz_reference(case):
+    ops, mask = REFERENCE_CASES[case]()
+    pairs = solve_spectrum(ops, mask, SpectrumRequest(count=12))
+    values = np.array([p.value for p in pairs])
+    assert_allclose(values, qz_reference(ops, mask)[:12], rtol=0, atol=1e-10)
+    traces = np.array([p.trace for p in pairs])
+    gram = (traces * mask.steklov_weights) @ traces.T
+    assert_allclose(gram, np.eye(12), atol=1e-8)
+
+
+def test_indefinite_neumann_block_raises_eigensolve_error(monkeypatch):
+    # a flipped free-space kernel makes H_nn indefinite, so the Cholesky
+    # of the Neumann-block elimination fails
+    true_gamma0 = kernels.gamma0
+    monkeypatch.setattr(kernels, "gamma0", lambda x, y: -true_gamma0(x, y))
+    ops, mask = half_neumann_setup(64)
+    with pytest.raises(EigenSolveError):
+        solve_spectrum(ops, mask)
 
 
 def test_shift_invert_is_deterministic():

@@ -9,9 +9,10 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import brentq
 
+from steklov import oracles
 from steklov.discretization import assemble, mask_from_partition
 from steklov.eigensolver import SpectrumRequest, solve_spectrum
-from steklov.errors import OracleError
+from steklov.errors import EigenSolveError, OracleError
 from steklov.geometry import BoundaryPartition, circle
 from steklov.oracles import (
     AnnulusRadialEigenvalue,
@@ -293,3 +294,17 @@ def test_validation_suite_green_across_the_board():
     assert by_name["flower k=0 rescaling (eps=0.1)"].residual <= 1e-5
     assert by_name["square matching-condition residuals"].residual <= 1e-12
     assert "mixed upper bounds (kite)" in by_name
+
+
+def test_validation_suite_fails_checks_whose_solve_raises(monkeypatch):
+    def broken(*args, **kwargs):
+        raise EigenSolveError("self-adjoint eigensolve failed")
+
+    monkeypatch.setattr(oracles, "solve_spectrum", broken)
+    by_name = {c.name: c for c in run_validation_suite(n_nodes=64)}
+    solved = [name for name in by_name
+              if name.startswith(("disk", "flower", "mixed", "third"))]
+    assert len(solved) == 6
+    for name in solved:
+        assert not by_name[name].passed and by_name[name].residual == math.inf
+    assert by_name["square matching-condition residuals"].passed

@@ -85,15 +85,17 @@ def solve_spectrum_near(ops: OperatorSet, mask: PartitionMask, sigma: float,
     b = mask.steklov_weights
     on, off = b > 0, b <= 0
     k = min(count, int(np.sum(on)))
-    # Weyl: about |Gamma_S|/pi eigenvalues per unit of lambda, so ~2*count here
+    # Weyl: about |Gamma_S|/pi eigenvalues per unit of lambda, so ~2*count in
+    # the window; none lie below 0, so near 0 it reaches up to 2*half instead
     half = count * np.pi / float(np.sum(b))
+    top = half + max(sigma, half)
     try:
         # Neumann rows read H_nn u_n + H_ns u_s = 0, so u_n = -coupling @ u_s
         coupling = sla.solve(h[np.ix_(off, off)], h[np.ix_(off, on)], assume_a="pos")
         scaled = h[np.ix_(on, on)] - h[np.ix_(on, off)] @ coupling
         scale = 1.0 / np.sqrt(b[on])
         scaled *= np.outer(scale, scale)
-        values, vecs = sla.eigh(scaled, subset_by_value=(sigma - half, sigma + half))
+        values, vecs = sla.eigh(scaled, subset_by_value=(sigma - half, top))
         if len(values) < k:
             values, vecs = sla.eigh(scaled)
         nearest = np.sort(np.argsort(np.abs(values - sigma), kind="stable")[:k])

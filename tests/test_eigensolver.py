@@ -216,6 +216,27 @@ def test_solve_spectrum_matches_qz_reference(case):
     assert_allclose(gram, np.eye(12), atol=1e-8)
 
 
+def test_lowest_spectrum_window_holds_count_values(monkeypatch):
+    # a window of half-width count*pi/|Gamma_S| around 0 holds only about
+    # count values (none lie below 0); on the kite it held fewer for several
+    # counts, and the solve fell back to a second, full eigh
+    calls = []
+    true_eigh = sla.eigh
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(kwargs)
+        return true_eigh(*args, **kwargs)
+
+    monkeypatch.setattr(sla, "eigh", counting_eigh)
+    ops, mask = steklov_setup(kite(), 128)
+    for count in range(2, 16):
+        calls.clear()
+        pairs = solve_spectrum(ops, mask, SpectrumRequest(count=count))
+        assert len(pairs) == count
+        # the windowed solve plus the Rayleigh-Ritz pass
+        assert len(calls) == 2 and "subset_by_value" in calls[0]
+
+
 def test_indefinite_neumann_block_raises_eigensolve_error(monkeypatch):
     # a flipped free-space kernel makes H_nn indefinite, so the Cholesky
     # of the Neumann-block elimination fails

@@ -201,6 +201,9 @@ class PartitionMask:
     discrete contracts; ``steklov_fraction`` refines them to the covered
     fraction of each node's quadrature cell and drives all quadrature-level
     restrictions (eigen pencil, Green's right-hand sides, inner products).
+    Both are immutable.  The mask also owns what has been solved on it:
+    ``eigenvalues``, the ascending values of its latest eigensolve (None
+    before the first), and the factored source system of :meth:`source_system`.
     """
 
     def __init__(self, ops: OperatorSet, partition: BoundaryPartition,
@@ -211,14 +214,32 @@ class PartitionMask:
         self.steklov_fraction = steklov_fraction
         for arr in (is_steklov, steklov_fraction):
             arr.setflags(write=False)
+        self.eigenvalues: np.ndarray | None = None
+        self._source: tuple | None = None
 
     @property
     def steklov_weights(self) -> np.ndarray:
         """Quadrature weights of the Steklov part: w_i * fraction_i."""
         return self.ops.weights * self.steklov_fraction
 
-    def cache_key(self) -> tuple:
-        return (id(self.ops), self.steklov_fraction.tobytes())
+    def source_system(self, lam: float) -> tuple[np.ndarray, tuple, float]:
+        """``(matrix, lu, condition)``: A - lam B of :func:`eigen_pencil`, its
+        ``scipy.linalg.lu_factor`` and its ``dgecon`` 1-norm condition
+        estimate.  Kept for the latest ``lam`` only; sources share it.
+        """
+        lam = float(lam)
+        if self._source is None or self._source[0] != lam:
+            self._source = None        # free the old system before building
+            matrix, b = eigen_pencil(self.ops, self)
+            b *= lam
+            matrix -= b        # A - lam B in place, without a third matrix
+            del b
+            anorm = np.linalg.norm(matrix, 1)
+            lu = sla.lu_factor(matrix)
+            rcond = sla.lapack.dgecon(lu[0], anorm, norm="1")[0]
+            cond = 1.0 / max(rcond, np.finfo(float).tiny)
+            self._source = (lam, matrix, lu, cond)
+        return self._source[1:]
 
 
 def mask_from_partition(ops: OperatorSet, partition: BoundaryPartition) -> PartitionMask:
@@ -231,11 +252,7 @@ def mask_from_partition(ops: OperatorSet, partition: BoundaryPartition) -> Parti
     labels = np.fromiter(
         (partition.label_at(ti) == STEKLOV for ti in t), dtype=bool, count=n
     )
-    frac = np.fromiter(
-        (partition.covered_measure(STEKLOV, ti - h / 2.0, ti + h / 2.0) / h for ti in t),
-        dtype=float,
-        count=n,
-    )
+    frac = partition.covered_measure(STEKLOV, t - h / 2.0, t + h / 2.0) / h
     frac = np.clip(frac, 0.0, 1.0)
     # snap away interval-arithmetic rounding so fully covered/uncovered cells
     # carry exact 0/1 fractions
@@ -274,9 +291,10 @@ def eigen_pencil(ops: OperatorSet, mask: PartitionMask) -> tuple[np.ndarray, np.
 
     A = -I/2 + adjoint_double_layer realizes the normal derivative of the
     single-layer ansatz; B row i is the completed boundary trace scaled by
-    the node's Steklov coverage fraction (zero on Neumann nodes).  The
-    source solve in :mod:`steklov.greens` factors A - lambda B; eigenvalues
-    come from the self-adjoint form in :mod:`steklov.eigensolver`.
+    the node's Steklov coverage fraction (zero on Neumann nodes).
+    :meth:`PartitionMask.source_system` factors A - lambda B for the source
+    solve in :mod:`steklov.greens`; eigenvalues come from the self-adjoint
+    form in :mod:`steklov.eigensolver`.
     """
     n = ops.n_nodes
     a = -0.5 * np.eye(n) + ops.adjoint_double_layer

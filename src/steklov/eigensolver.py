@@ -8,7 +8,8 @@ form returns real eigenvalues, no spurious modes and an
 L2(Gamma_S)-orthonormal basis of every cluster.
 
 * :func:`solve_spectrum_near` -- the eigenpairs nearest a target.  Used by
-  the optimizer loop and the resonance guard.
+  the optimizer loop; the resonance guard reads the values it leaves on
+  the mask.
 * :func:`solve_spectrum` -- the lowest eigenpairs: the spectrum is
   nonnegative, so these are the ones nearest 0.
 """
@@ -78,8 +79,9 @@ def solve_spectrum_near(ops: OperatorSet, mask: PartitionMask, sigma: float,
     (D = diag(b)) in a window around sigma.  The scaling loses eps/b_min at
     nodes of small Steklov fraction (1e-6 at 1e-8), which a Rayleigh-Ritz
     pass of (H, diag(b)) on the traces restores.  Traces come back
-    L2(Gamma_S)-orthonormal; densities are T^-1 u.  A failed factorization
-    or eigensolve (an indefinite H_nn, say) raises EigenSolveError.
+    L2(Gamma_S)-orthonormal; densities are T^-1 u.  The ascending values
+    are also stored as ``mask.eigenvalues``.  A failed factorization or
+    eigensolve (an indefinite H_nn, say) raises EigenSolveError.
     """
     h = ops.weighted_dtn
     b = mask.steklov_weights
@@ -105,6 +107,8 @@ def solve_spectrum_near(ops: OperatorSet, mask: PartitionMask, sigma: float,
         values, rotation = sla.eigh(traces.T @ h @ traces, (traces.T * b) @ traces)
     except np.linalg.LinAlgError as exc:
         raise EigenSolveError(f"self-adjoint eigensolve failed: {exc}") from exc
+    values.setflags(write=False)
+    mask.eigenvalues = values
     traces = traces @ rotation
     # sign convention: the largest entry of every trace is positive
     traces *= np.copysign(1.0, traces[np.argmax(np.abs(traces), axis=0), np.arange(k)])

@@ -429,17 +429,19 @@ class BoundaryPartition:
                 return arc.label
         raise PartitionError(f"no arc contains parameter {t}")
 
-    def covered_measure(self, label: str, lo: float, hi: float) -> float:
+    def covered_measure(self, label: str, lo, hi):
         """Parameter measure of `label`-arcs inside the interval [lo, hi), taken mod 2*pi.
 
         Pure interval arithmetic on arc endpoints; used for per-node coverage
-        fractions where quadrature cells straddle arc junctions.
+        fractions where quadrature cells straddle arc junctions.  Array
+        bounds give an array of measures, computed elementwise.
         """
-        width = (float(hi) - float(lo)) % TWO_PI
-        if width == 0.0 and float(hi) != float(lo):
-            width = TWO_PI
-        lo_w = float(lo) % TWO_PI
-        total = 0.0
+        lo = np.asarray(lo, dtype=float)
+        hi = np.asarray(hi, dtype=float)
+        width = (hi - lo) % TWO_PI
+        width = np.where((width == 0.0) & (hi != lo), TWO_PI, width)
+        lo_w = lo % TWO_PI
+        total = np.zeros(width.shape)
         for arc in self.arcs:
             if arc.label != label or arc.parameter_length <= 0.0:
                 continue
@@ -448,8 +450,8 @@ class BoundaryPartition:
             start = (arc.t_start - lo_w) % TWO_PI
             for s in (start, start - TWO_PI):
                 e = s + arc.parameter_length
-                total += max(0.0, min(e, width) - max(s, 0.0))
-        return total
+                total += np.maximum(0.0, np.minimum(e, width) - np.maximum(s, 0.0))
+        return float(total) if total.ndim == 0 else total
 
     def length_of(self, label: str) -> float:
         """Total arclength carrying the given label."""

@@ -2,29 +2,27 @@
 
 The field of a unit interior point source is split into the free-space
 logarithmic potential plus a harmonic correction.  The correction is
-carried by a single-layer density on the boundary; the density solves
-the masked boundary-condition system, boundary values come from the
-trace of that representation, and interior values reuse the layer
-potential.
+carried by the completed single-layer representation S[rho] + w.rho on
+every curve, the form the eigensolver also uses: the density solves the
+masked boundary-condition system, boundary values come from the trace of
+that representation, and interior values reuse the layer potential plus
+the constant w.rho.
 
-On curves whose single-layer operator annihilates some density (the
-unit circle is the standard example) constants cannot be represented
-by the layer alone, so fields carry an explicit additive constant.
-Everywhere else that constant is folded back into the density and the
-plain single-layer representation is exact.
+The factored source system and the spectrum the resonance guard reads
+belong to the :class:`~steklov.discretization.PartitionMask`; this module
+keeps no state of its own.
 """
 
 from __future__ import annotations
 
 import warnings
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 
 from . import kernels
-from .discretization import OperatorSet, PartitionMask, eigen_pencil
+from .discretization import OperatorSet, PartitionMask
 from .eigensolver import AccuracyWarning, interiority, solve_spectrum_near
 from .errors import (
     ConvergenceError,
@@ -39,7 +37,6 @@ RESONANCE_GUARD = 1e-6
 # relative linear-system residual accepted after one refinement pass
 RESIDUAL_TOL = 1e-10
 
-_CACHE_SLOTS = 8
 _SOURCE_CLEARANCE = 1e-8
 
 
@@ -56,14 +53,11 @@ class GreensField:
     steklov_fraction : ndarray, shape (N,)
         Per-node Steklov coverage of the partition the field was solved on.
     correction_density : ndarray, shape (N,)
-        Single-layer density carrying the harmonic correction.
+        Single-layer density rho carrying the harmonic correction.
     completion_constant : float
-        Additive constant of the representation.  Zero whenever the
-        single-layer operator can represent constants itself.
+        Additive constant w.rho of the completed representation.
     boundary_values : ndarray, shape (N,)
         Field values at the quadrature nodes.
-    nearest_eigenvalue : float
-        Closest eigenvalue of the partition found by the guard probe.
     residual : float
         Relative residual of the linear solve.
     condition_estimate : float
@@ -76,63 +70,22 @@ class GreensField:
     correction_density: np.ndarray
     completion_constant: float
     boundary_values: np.ndarray
-    nearest_eigenvalue: float
     residual: float
     condition_estimate: float
 
 
-# --- per-operator-set caches -------------------------------------------------
-
-def _ops_cache(ops: OperatorSet, name: str) -> OrderedDict:
-    cache = getattr(ops, name, None)
-    if cache is None:
-        cache = OrderedDict()
-        object.__setattr__(ops, name, cache)
-    return cache
-
-
-def _trim(cache: OrderedDict) -> None:
-    while len(cache) > _CACHE_SLOTS:
-        cache.popitem(last=False)
-
-
-def _plain_ones_density(ops: OperatorSet) -> np.ndarray:
-    """Density whose single-layer trace is the constant one.
-
-    Only defined away from the degenerate-capacity case; used to fold the
-    completion constant back into a plain single-layer density.
-    """
-    ones = sla.lu_solve(ops.trace_map_lu, np.ones(ops.n_nodes))
-    return ones / (1.0 - ops.weights @ ones)  # S psi = 1: T psi = (1 + w.psi) 1
-
-
 def nearest_eigenvalue(ops: OperatorSet, mask: PartitionMask, lam: float,
                        count: int = 6) -> float:
-    """Eigenvalue of the masked problem closest to ``lam`` (cached probe)."""
-    cache = _ops_cache(ops, "_greens_spectrum_cache")
-    key = (mask.cache_key(), round(float(lam), 12))
-    if key not in cache:
+    """Eigenvalue of the masked problem closest to ``lam``.
+
+    Read from ``mask.eigenvalues`` when ``lam`` lies within that contiguous
+    run of the spectrum; otherwise ``count`` eigenvalues are solved near it.
+    """
+    values = mask.eigenvalues
+    if values is None or not values[0] <= lam <= values[-1]:
         pairs = solve_spectrum_near(ops, mask, float(lam), count=count)
         values = np.array([p.value for p in pairs])
-        cache[key] = float(values[np.argmin(np.abs(values - lam))])
-        _trim(cache)
-    return cache[key]
-
-
-def _lu_bundle(ops: OperatorSet, mask: PartitionMask, lam: float):
-    """LU factorization of the masked source system, shared across sources."""
-    cache = _ops_cache(ops, "_greens_lu_cache")
-    key = (mask.cache_key(), round(float(lam), 12))
-    if key not in cache:
-        A, B = eigen_pencil(ops, mask)
-        M = A - lam * B
-        anorm = np.linalg.norm(M, 1)
-        lu = sla.lu_factor(M)
-        rcond = sla.lapack.dgecon(lu[0], anorm, norm="1")[0]
-        cond = 1.0 / max(rcond, np.finfo(float).tiny)
-        cache[key] = (lu, M, cond)
-        _trim(cache)
-    return cache[key]
+    return float(values[np.argmin(np.abs(values - lam))])
 
 
 # --- solve --------------------------------------------------------------------
@@ -184,7 +137,7 @@ def solve_greens(ops: OperatorSet, mask: PartitionMask, source, lam: float
             "spectral parameter %.12g is within the guard band of the "
             "eigenvalue %.12g" % (lam, near), nearest_eigenvalue=near)
 
-    lu, M, cond = _lu_bundle(ops, mask, lam)
+    M, lu, cond = mask.source_system(lam)
     g0 = kernels.gamma0(ops.points, source)
     g0n = kernels.gamma0_dnu(ops.points, ops.normals, source)
     rhs = lam * mask.steklov_fraction * g0 - g0n
@@ -197,53 +150,21 @@ def solve_greens(ops: OperatorSet, mask: PartitionMask, source, lam: float
             "source solve stalled at relative residual %.3e "
             "(condition estimate %.3e)" % (residual, cond))
 
-    mass = float(ops.weights @ rho)
-    if ops.capacity_degenerate:
-        density = rho
-        constant = mass
-    else:
-        density = rho + mass * _plain_ones_density(ops)
-        constant = 0.0
-    boundary = g0 + ops.single_layer @ density + constant
+    constant = float(ops.weights @ rho)
+    boundary = g0 + ops.single_layer @ rho + constant
 
     source.setflags(write=False)
-    density.setflags(write=False)
+    rho.setflags(write=False)
     boundary.setflags(write=False)
     fraction = mask.steklov_fraction.copy()
     fraction.setflags(write=False)
     return GreensField(
         source=source, lam=lam, steklov_fraction=fraction,
-        correction_density=density, completion_constant=constant,
-        boundary_values=boundary, nearest_eigenvalue=near,
-        residual=residual, condition_estimate=cond)
+        correction_density=rho, completion_constant=constant,
+        boundary_values=boundary, residual=residual, condition_estimate=cond)
 
 
 # --- evaluation ----------------------------------------------------------------
-
-def _fine_geometry(ops: OperatorSet, refine: int):
-    cache = _ops_cache(ops, "_greens_fine_cache")
-    if refine not in cache:
-        n_fine = refine * len(ops.params)
-        params = 2.0 * np.pi * np.arange(n_fine) / n_fine
-        points = ops.curve.eval(params)
-        speeds = ops.curve.speed(params)
-        weights = (2.0 * np.pi / n_fine) * speeds
-        cache[refine] = (points, weights)
-        _trim(cache)
-    return cache[refine]
-
-
-def _fine_density(field: GreensField, refine: int) -> np.ndarray:
-    cache = getattr(field, "_fine_density", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(field, "_fine_density", cache)
-    if refine not in cache:
-        rho = field.correction_density
-        n_fine = refine * len(rho)
-        cache[refine] = np.fft.irfft(np.fft.rfft(rho), n_fine) * refine
-    return cache[refine]
-
 
 def eval_greens(field: GreensField, ops: OperatorSet, y, refine: int = 1):
     """Evaluate the field at interior points.
@@ -276,12 +197,13 @@ def eval_greens(field: GreensField, ops: OperatorSet, y, refine: int = 1):
         if np.any(inside < 0.5):
             raise GeometryError("evaluation point lies outside the domain")
 
-        if refine > 1:
-            lay_pts, lay_w = _fine_geometry(ops, refine)
-            lay_rho = _fine_density(field, refine)
-        else:
-            lay_pts, lay_w = ops.points, ops.weights
-            lay_rho = field.correction_density
+        lay_pts, lay_w, lay_rho = ops.points, ops.weights, field.correction_density
+        if refine > 1:  # trigonometric interpolation onto refine*N nodes
+            n_fine = refine * ops.n_nodes
+            params = 2.0 * np.pi * np.arange(n_fine) / n_fine
+            lay_pts = ops.curve.eval(params)
+            lay_w = (2.0 * np.pi / n_fine) * ops.curve.speed(params)
+            lay_rho = np.fft.irfft(np.fft.rfft(lay_rho), n_fine) * refine
 
         sep = np.linalg.norm(sub[:, None, :] - lay_pts, axis=-1)
         spacing = lay_w[np.argmin(sep, axis=1)]

@@ -289,7 +289,9 @@ def select_insertion_point(field_x: GreensField, field_y: GreensField,
     Takes the two source fields on the uncovered boundary and their value
     ``s_xy`` at the receiver: the node is the argmax of the pointwise
     product of the boundary profiles when ``s_xy`` is nonnegative and the
-    argmin otherwise (ties resolve to the smallest index).  When ``ops``
+    argmin otherwise.  Ties resolve to the smallest index, and products
+    within 1e-12 max|profile| of the extreme count as tied, so mirror
+    nodes of a symmetric input do not compete in rounding.  When ``ops``
     is given the profiles are shifted into the mean-free reporting
     convention first; on curves without the capacity degeneracy this is a
     no-op.
@@ -301,9 +303,10 @@ def select_insertion_point(field_x: GreensField, field_y: GreensField,
         if off_x != 0.0 or off_y != 0.0:
             profile = ((field_x.boundary_values - off_x)
                        * (field_y.boundary_values - off_y))
-    if s_xy >= 0.0:
-        return int(np.argmax(profile))
-    return int(np.argmin(profile))
+    if s_xy < 0.0:
+        profile = -profile
+    tol = 1e-12 * np.max(np.abs(profile))
+    return int(np.flatnonzero(profile >= np.max(profile) - tol)[0])
 
 
 # ---------------------------------------------------------------------------

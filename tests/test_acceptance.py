@@ -284,7 +284,8 @@ def test_11_kite_tuning_matches_reference_run():
         "start value 0.0199 +- 5e-3": abs(trace.s_steklov - 0.0199) <= 5e-3,
     }
     # this run finds the level below 2.5 at 2.2737 (simple) and grows the
-    # arc near t = 4.44 -> center (-1.474, -1.446), length 0.626, start
+    # arc near t = 1.84, the first of two mirror nodes (the other is near
+    # t = 4.44) -> center (-1.474, 1.446), length 0.626, start
     # value -0.0551, end value +39.3; every reference quantity disagrees
     # coherently with a run whose level sits at 2.044 with a positive
     # profile product.  The start value is the field at the receiver on

@@ -288,6 +288,44 @@ def test_covered_measure_simple_and_straddling():
     )
 
 
+def covered_measure_reference(p, label, lo, hi):
+    """The interval arithmetic of ``covered_measure`` in plain Python floats."""
+    width = (float(hi) - float(lo)) % TWO_PI
+    if width == 0.0 and float(hi) != float(lo):
+        width = TWO_PI
+    lo_w = float(lo) % TWO_PI
+    total = 0.0
+    for arc in p.arcs:
+        if arc.label != label or arc.parameter_length <= 0.0:
+            continue
+        start = (arc.t_start - lo_w) % TWO_PI
+        for s in (start, start - TWO_PI):
+            total += max(0.0, min(s + arc.parameter_length, width) - max(s, 0.0))
+    return total
+
+
+def test_covered_measure_array_matches_scalar_calls():
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        start = rng.uniform(0.0, TWO_PI)
+        intervals = [(start, start + rng.uniform(0.05, 2.0))]
+        if rng.uniform() < 0.5:
+            lo2 = intervals[0][1] + rng.uniform(0.1, 1.0)
+            intervals.append((lo2, lo2 + rng.uniform(0.05, 1.5)))
+        p = BoundaryPartition.from_neumann_intervals(circle(), intervals)
+        n = int(rng.choice([64, 256, 768]))
+        t = TWO_PI * np.arange(n) / n
+        h = TWO_PI / n
+        for label in (STEKLOV, NEUMANN):
+            whole = p.covered_measure(label, t - h / 2.0, t + h / 2.0)
+            each = [p.covered_measure(label, ti - h / 2.0, ti + h / 2.0) for ti in t]
+            reference = [covered_measure_reference(p, label, ti - h / 2.0, ti + h / 2.0)
+                         for ti in t]
+            assert all(isinstance(v, float) for v in each)
+            assert np.array_equal(whole, np.array(each))
+            assert np.array_equal(whole, np.array(reference))
+
+
 def test_partition_validation_rejects_bad_cover():
     c = circle()
     with pytest.raises(PartitionError):

@@ -7,7 +7,7 @@ import pytest
 
 from steklov import greens, kernels
 from steklov.discretization import assemble, mask_from_partition
-from steklov.eigensolver import AccuracyWarning
+from steklov.eigensolver import AccuracyWarning, solve_spectrum_near
 from steklov.errors import (
     GeometryError,
     PartitionError,
@@ -94,15 +94,16 @@ def test_representation_invariant_disk_and_kite(disk_steklov, kite_setup):
         assert np.max(np.abs(field.boundary_values - recon)) < 1e-12
 
 
-def test_plain_density_on_nondegenerate_curve(kite_setup):
-    # the single layer can carry constants on the kite, so the explicit
-    # completion constant must be folded away
-    ops, mask = kite_setup
-    field = greens.solve_greens(ops, mask, (-1.25, 1.25), 2.5)
-    assert field.completion_constant == 0.0
-    recon = (kernels.gamma0(ops.points, field.source)
-             + ops.single_layer @ field.correction_density)
-    assert np.max(np.abs(field.boundary_values - recon)) < 1e-12
+def test_boundary_values_continuous_across_unit_capacity():
+    # the representation is the completed one on every curve, so raw values
+    # move smoothly with the radius through the capacity-one circle
+    values = []
+    for radius in (1 + 0.5e-7, 1 + 1e-7, 1 + 1.5e-7):
+        ops = assemble(circle(radius), 512)
+        mask = mask_from_partition(ops, BoundaryPartition.all_steklov(ops.curve))
+        values.append(greens.solve_greens(ops, mask, XS, LAM).boundary_values)
+    second = values[0] - 2.0 * values[1] + values[2]
+    assert np.max(np.abs(second)) <= 1e-11 * np.max(np.abs(values[1]))
 
 
 def test_solve_residual_and_condition_recorded(disk_mixed):
@@ -391,14 +392,31 @@ def test_product_profile_rejects_mismatches(disk_ops, disk_mixed):
         greens.boundary_product_profile(fx, fz)
 
 
-# --- caching --------------------------------------------------------------------------
+# --- solved state on the mask ---------------------------------------------------------
 
-def test_factorization_shared_across_sources(disk_steklov):
-    ops, mask = disk_steklov
-    greens.solve_greens(ops, mask, XS, LAM)
-    n_before = len(ops._greens_lu_cache)
-    greens.solve_greens(ops, mask, (0.3, 0.2), LAM)
-    assert len(ops._greens_lu_cache) == n_before
+def test_factorization_shared_across_sources(disk_ops):
+    mask = mask_from_partition(disk_ops, BoundaryPartition.all_steklov(disk_ops.curve))
+    greens.solve_greens(disk_ops, mask, XS, LAM)
+    lu = mask.source_system(LAM)[1]
+    greens.solve_greens(disk_ops, mask, (0.3, 0.2), LAM)
+    assert mask.source_system(LAM)[1] is lu
+    greens.solve_greens(disk_ops, mask, XS, 2.7)
+    assert mask.source_system(2.7)[1] is not lu
+    assert mask.source_system(LAM)[1] is not lu
+
+
+def test_guard_reads_the_spectrum_on_the_mask(disk_ops, monkeypatch):
+    mask = mask_from_partition(disk_ops, BoundaryPartition.all_steklov(disk_ops.curve))
+    solve_spectrum_near(disk_ops, mask, 2.0, count=12)
+    calls = []
+    monkeypatch.setattr(greens, "solve_spectrum_near",
+                        lambda *a, **k: calls.append(a) or solve_spectrum_near(*a, **k))
+    greens.solve_greens(disk_ops, mask, XS, LAM)
+    assert calls == []
+    # outside the solved run the guard solves near lam and keeps the result
+    assert greens.nearest_eigenvalue(disk_ops, mask, 40.2) == pytest.approx(40.0, abs=1e-8)
+    assert len(calls) == 1
+    assert mask.eigenvalues[0] <= 40.2 <= mask.eigenvalues[-1]
 
 
 def test_repeat_solve_is_deterministic(disk_mixed):

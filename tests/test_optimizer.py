@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from steklov import greens
 from steklov.discretization import assemble, mask_from_partition
 from steklov.eigensolver import AccuracyWarning, EigenPair
 from steklov.errors import (
@@ -143,7 +144,7 @@ def synthetic_field(values, lam=2.5):
         source=np.array([0.1, 0.0]), lam=lam,
         steklov_fraction=np.ones(n), correction_density=np.zeros(n),
         completion_constant=0.0, boundary_values=values,
-        nearest_eigenvalue=2.0, residual=0.0, condition_estimate=1.0)
+        residual=0.0, condition_estimate=1.0)
 
 
 def test_insertion_argmax_for_nonnegative_value():
@@ -163,6 +164,16 @@ def test_insertion_tie_takes_smallest_index():
     fx = synthetic_field([2.0, 1.0, 2.0, 1.0])
     fy = synthetic_field([1.0, 1.0, 1.0, 1.0])
     assert select_insertion_point(fx, fy, 1.0) == 0
+    assert select_insertion_point(fx, fy, -1.0) == 1
+
+
+def test_insertion_rounding_tie_takes_smallest_index():
+    # mirror nodes of a symmetric input differ only in the last bits
+    above = np.nextafter(3.0, 4.0)
+    fx = synthetic_field([1.0, 3.0, 0.5, above])
+    fy = synthetic_field([1.0, 1.0, 1.0, 1.0])
+    assert select_insertion_point(fx, fy, 1.0) == 1
+    fx = synthetic_field([1.0, -3.0, 0.5, -above])
     assert select_insertion_point(fx, fy, -1.0) == 1
 
 
@@ -336,6 +347,22 @@ def test_run_kite_converges_on_true_spectrum():
     assert trace.cluster_size == 1
     assert trace.s_steklov == pytest.approx(KITE_SOURCE_VALUE, abs=1e-3)
     assert trace.amplification > 50.0
+
+
+@pytest.mark.parametrize("config", [
+    disk_config(),
+    OptimizerConfig(curve=kite(), source=(-1.25, 1.25), receiver=(-1.25, -1.25),
+                    lambda_star=2.5, n_nodes=128),
+], ids=["disk", "kite"])
+def test_run_guard_reads_the_solved_spectrum(config, monkeypatch):
+    # both source solves find lambda_star inside the run of eigenvalues the
+    # optimizer already solved on their mask, so the guard solves nothing
+    calls = []
+    original = greens.solve_spectrum_near
+    monkeypatch.setattr(greens, "solve_spectrum_near",
+                        lambda *a, **k: calls.append(a) or original(*a, **k))
+    assert run(config).converged
+    assert calls == []
 
 
 def test_trace_defaults_are_inert():

@@ -249,9 +249,7 @@ def mask_from_partition(ops: OperatorSet, partition: BoundaryPartition) -> Parti
     t = ops.params
     n = len(t)
     h = TWO_PI / n
-    labels = np.fromiter(
-        (partition.label_at(ti) == STEKLOV for ti in t), dtype=bool, count=n
-    )
+    labels = partition.labels_at(t) == STEKLOV
     frac = partition.covered_measure(STEKLOV, t - h / 2.0, t + h / 2.0) / h
     frac = np.clip(frac, 0.0, 1.0)
     # snap away interval-arithmetic rounding so fully covered/uncovered cells

@@ -7,11 +7,20 @@ the Steklov weights, zero on Neumann nodes.  One self-adjoint solve of this
 form returns real eigenvalues, no spurious modes and an
 L2(Gamma_S)-orthonormal basis of every cluster.
 
-* :func:`solve_spectrum_near` -- the eigenpairs nearest a target.  Used by
-  the optimizer loop; the resonance guard reads the values it leaves on
-  the mask.
+* :func:`solve_spectrum_near` -- the eigenpairs nearest a target.  The
+  optimizer falls back to it for large arcs; the resonance guard reads the
+  values it leaves on the mask.
 * :func:`solve_spectrum` -- the lowest eigenpairs: the spectrum is
   nonnegative, so these are the ones nearest 0.
+* :func:`decompose` and :class:`ArcSpectrum` -- the tuning run's trial
+  solve.  The all-Steklov problem is decomposed once, W^-1/2 H W^-1/2 =
+  Q diag(Lambda) Q^T; a mask whose Neumann part touches m nodes differs
+  from it by a rank-m change, so its eigenvalues are the roots of an m x m
+  secular equation (Golub, SIAM Rev. 15, 1973; Bunch, Nielsen and
+  Sorensen, Numer. Math. 31, 1978), counted exactly by Haynsworth inertia
+  and polished by Newton, at O(m^2 N) per evaluation instead of an N x N
+  eigensolve.  It is the exact form of the first-order arc formula the
+  optimizer steps with.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from scipy import sparse
 
 from . import kernels
 from .asymptotics import verify_orthonormal
@@ -136,6 +146,357 @@ def orthonormalize_cluster(pairs: list[EigenPair], ops: OperatorSet,
         raise ClusterError("pairs do not share a cluster id")
     verify_orthonormal([p.trace for p in pairs], mask.steklov_weights)
     return list(pairs)
+
+
+# ---------------------------------------------------------------------------
+# small arcs: one decomposition, then a secular equation per mask
+# ---------------------------------------------------------------------------
+
+# Steklov eigenvalues this close (relatively) form one pole of the secular
+# equation; a pole direction whose arc weight is at most _DEFLATION_TOL stays
+# an eigenvalue of the mixed problem (it moves by about weight^2 * lambda)
+_POLE_MERGE_TOL = 1e-9
+_DEFLATION_TOL = 1e-7
+# Steklov eigenvalues this small (relative to the largest) are the constant mode
+_ZERO_POLE_TOL = 1e-12
+# count evaluations allowed per root before the secular solve gives up
+_MAX_EVALUATIONS = 80
+# Newton roots and the Rayleigh-Ritz values of their traces must agree
+_RITZ_AGREEMENT = 1e-9
+
+
+class SecularBreakdown(EigenSolveError):
+    """The secular solve could not certify a root; solve the mask directly."""
+
+
+def _signed_pairs(ops: OperatorSet, values: np.ndarray, traces: np.ndarray,
+                  cluster_id: int) -> list[EigenPair]:
+    # sign convention of solve_spectrum_near: the largest entry is positive
+    k = traces.shape[1]
+    traces = traces * np.copysign(1.0, traces[np.argmax(np.abs(traces), axis=0), np.arange(k)])
+    densities = sla.lu_solve(ops.trace_map_lu, traces)
+    return [EigenPair(float(lam), d, t, cluster_id)
+            for lam, d, t in zip(values, densities.T, traces.T)]
+
+
+@dataclass(frozen=True)
+class SteklovDecomposition:
+    """The all-Steklov problem in orthonormal form, decomposed once.
+
+    W^-1/2 H W^-1/2 = Q diag(values) Q^T with W = diag(weights), so the
+    all-Steklov eigenpairs are (values_j, W^-1/2 Q_j).  ``groups`` lists,
+    per group size, the index rows of values equal to ``_POLE_MERGE_TOL``.
+    """
+
+    ops: OperatorSet
+    values: np.ndarray
+    vectors: np.ndarray
+    groups: dict
+
+    def traces(self, coefficients: np.ndarray) -> np.ndarray:
+        """Boundary traces W^-1/2 Q c of coefficient columns c."""
+        return (self.vectors @ coefficients) / np.sqrt(self.ops.weights)[:, None]
+
+    def cluster_at(self, j: int, req: SpectrumRequest = SpectrumRequest()
+                   ) -> list[EigenPair]:
+        """All-Steklov pairs of the multiplicity cluster holding value j."""
+        lo = hi = j
+        v = self.values
+        while lo > 0 and v[lo] - v[lo - 1] <= req.cluster_tol * (1.0 + abs(v[lo])):
+            lo -= 1
+        while hi + 1 < len(v) and v[hi + 1] - v[hi] <= req.cluster_tol * (1.0 + abs(v[hi + 1])):
+            hi += 1
+        traces = self.vectors[:, lo:hi + 1] / np.sqrt(self.ops.weights)[:, None]
+        return _signed_pairs(self.ops, v[lo:hi + 1], traces, 0)
+
+
+def decompose(ops: OperatorSet) -> SteklovDecomposition:
+    """Decompose the all-Steklov problem of ``ops`` (one ``eigh``, driver evd)."""
+    scale = 1.0 / np.sqrt(ops.weights)
+    a = ops.weighted_dtn * scale[:, None]
+    a *= scale
+    try:
+        values, vectors = sla.eigh(a, driver="evd", overwrite_a=True,
+                                   check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise EigenSolveError(f"self-adjoint eigensolve failed: {exc}") from exc
+    starts = np.flatnonzero(np.diff(values) > _POLE_MERGE_TOL * (1.0 + np.abs(values[1:]))) + 1
+    bounds = np.concatenate(([0], starts, [len(values)]))
+    sizes = np.diff(bounds)
+    groups = {int(p): bounds[:-1][sizes == p][:, None] + np.arange(p)
+              for p in np.unique(sizes)}
+    for arr in (values, vectors, *groups.values()):
+        arr.setflags(write=False)
+    return SteklovDecomposition(ops, values, vectors, groups)
+
+
+class ArcSpectrum:
+    """Mixed spectrum of a mask from the secular equation on its arc nodes.
+
+    Let e = 1 - steklov_fraction on the m nodes the Neumann part touches,
+    F_m = diag(1 - e) and B = E^1/2 Q_m (Q_m: the decomposition's rows at
+    those nodes).  lambda > 0 is a mixed eigenvalue exactly when
+
+        G(lambda) = lambda M(lambda) = F_m + B diag(Lambda/(Lambda - lambda)) B^T
+
+    is singular (M(lambda) = I/lambda + B diag(1/(Lambda - lambda)) B^T).
+    G is nondecreasing between poles, and Haynsworth inertia additivity
+    counts the mixed eigenvalues below lambda as #{Lambda_j < lambda} minus
+    the number of negative eigenvalues of G(lambda).  The count brackets
+    each root and safeguarded Newton on the matching eigenvalue of G
+    polishes it; the root's trace is W^-1/2 Q diag(1/(Lambda - lambda)) B^T z
+    with z the null vector of G.
+
+    Equal Steklov eigenvalues are rotated so that each pole direction
+    carries its own arc weight, and directions of negligible weight are
+    deflated (Bunch, Nielsen and Sorensen): they stay mixed eigenvalues
+    with their Steklov trace.  So is the constant mode, the eigenvalue 0
+    of every mask.  Roots of the remaining *secular* problem are
+    indexed from 0 upwards; the deflated values form a second sorted list.
+    Any root the count cannot certify raises SecularBreakdown.
+    """
+
+    def __init__(self, spectrum: SteklovDecomposition, mask: PartitionMask,
+                 req: SpectrumRequest = SpectrumRequest()):
+        self.spectrum, self.mask, self.req = spectrum, mask, req
+        frac = mask.steklov_fraction
+        nodes = np.flatnonzero(frac < 1.0)
+        self.m = len(nodes)
+        self.fm = frac[nodes]
+        b = np.sqrt(1.0 - self.fm)[:, None] * spectrum.vectors[nodes]
+        # one pole direction per (group g, column q): sum_i rot[g, i, q] Q_rows[g, i]
+        values, cols, entries = [], [], []
+        for p, rows in spectrum.groups.items():
+            bj = b[:, rows].transpose(1, 0, 2)                      # (G, m, p)
+            if p == 1:
+                rot = np.ones((len(rows), 1, 1))
+            else:  # orthogonal weight directions within each group
+                rot = np.linalg.eigh(np.einsum("gmi,gmj->gij", bj, bj))[1]
+            start = sum(len(v) for v in values)
+            values.append(np.repeat(spectrum.values[rows].mean(axis=1), p))
+            cols.append((bj @ rot).transpose(0, 2, 1).reshape(-1, self.m))
+            direction = start + np.arange(rows.size).reshape(-1, p, 1)
+            entries.append(np.broadcast_arrays(rot.transpose(0, 2, 1), rows[:, None, :],
+                                               direction))
+        values, cols = np.concatenate(values), np.concatenate(cols)
+        # the constant mode (Lambda ~ 0) is an eigenpair of every mask, and
+        # lambda M(lambda) scales its pole by Lambda/(Lambda - lambda) ~ 0
+        active = ((np.linalg.norm(cols, axis=1) > _DEFLATION_TOL)
+                  & (np.abs(values) > _ZERO_POLE_TOL * np.max(np.abs(values))))
+        order = np.concatenate([np.flatnonzero(sel)[np.argsort(values[sel], kind="stable")]
+                                for sel in (active, ~active)])
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        weight, row, direction = (np.concatenate([e[i].ravel() for e in entries])
+                                  for i in range(3))
+        # decomposition coefficients of the directions: active (by pole), then deflated
+        self._lift = sparse.csr_matrix((weight, (row, rank[direction])),
+                                       shape=(len(values), len(values)))
+        na = int(np.count_nonzero(active))
+        # deflation drops a direction from G and the count, not from the
+        # traces of the secular roots, which use every direction
+        self._values, self._cols = values[order], cols[order].T
+        self.poles, self.cols = self._values[:na], self._cols[:, :na]
+        self.deflated = self._values[na:]
+        self._probes: list[tuple[float, int]] = []
+        self._roots: dict[int, tuple[float, np.ndarray]] = {}
+        # next unvisited (secular, deflated) index above (True) and below
+        self._heads: dict[bool, tuple[int, int]] = {}
+
+    # -- the secular equation --------------------------------------------------
+
+    def _evaluate(self, lam: float):
+        """(count of secular roots below lam, eigenvalues of G, eigenvectors)."""
+        if np.any(self.poles == lam):
+            lam = float(np.nextafter(lam, np.inf))
+        g = (self.cols * (self.poles / (self.poles - lam))) @ self.cols.T
+        g[np.diag_indices(self.m)] += self.fm
+        mu, z = np.linalg.eigh(g)
+        count = int(np.searchsorted(self.poles, lam)) - int(np.count_nonzero(mu < 0.0))
+        self._probes.append((lam, count))
+        return count, mu, z
+
+    def count_below(self, lam: float) -> int:
+        """Number of mixed eigenvalues strictly below lam (lam > 0)."""
+        return (self._evaluate(float(lam))[0]
+                + int(np.searchsorted(self.deflated, lam)))
+
+    def _root(self, k: int) -> tuple[float, np.ndarray]:
+        """Secular root k (ascending from 0) and its null vector z."""
+        if k in self._roots:
+            return self._roots[k]
+        poles, m = self.poles, self.m
+        if not 0 <= k < len(poles) - m:
+            raise SecularBreakdown(f"secular root {k} has no interlacing bracket")
+        # interlacing: root k lies in [poles[k], poles[k + m]]
+        lo, hi = poles[k], poles[k + m]
+        for x, c in self._probes:
+            if c <= k:
+                lo = max(lo, x)
+            else:
+                hi = min(hi, x)
+        for j, (x, _) in self._roots.items():
+            if j < k:
+                lo = max(lo, x)
+            else:
+                hi = min(hi, x)
+        for _ in range(_MAX_EVALUATIONS):
+            inside = poles[np.searchsorted(poles, lo, "right"):np.searchsorted(poles, hi)]
+            if inside.size == 0:
+                break
+            # split halfway between poles, never next to one
+            edges = np.unique(np.concatenate(([lo], inside, [hi])))
+            mids = 0.5 * (edges[:-1] + edges[1:])
+            x = float(mids[np.argmin(np.abs(mids - 0.5 * (lo + hi)))])
+            if self._evaluate(x)[0] <= k:
+                lo = x
+            else:
+                hi = x
+        else:
+            raise SecularBreakdown(f"could not isolate secular root {k}")
+        # between poles the (P - k)-th smallest eigenvalue of G crosses zero
+        # upwards exactly at root k; P counts the poles below the bracket
+        branch = int(np.searchsorted(poles, lo, "right")) - k - 1
+        if not 0 <= branch < m:
+            raise SecularBreakdown(f"secular root {k}: count and poles disagree")
+        tiny = 4.0 * np.finfo(float).eps
+        x = 0.5 * (lo + hi)
+        for _ in range(_MAX_EVALUATIONS):
+            _, mu, z = self._evaluate(x)
+            phi, vec = mu[branch], z[:, branch]
+            if phi < 0.0:
+                lo = x
+            else:
+                hi = x
+            y = vec @ self.cols
+            slope = float(np.sum(poles * (y / (poles - x)) ** 2))
+            step = phi / slope if slope > 0.0 else np.inf
+            if abs(step) <= tiny * max(abs(x), 1.0) or hi - lo <= tiny * max(abs(x), 1.0):
+                break
+            x = x - step
+            if not lo < x < hi:
+                x = 0.5 * (lo + hi)
+        else:
+            raise SecularBreakdown(f"Newton did not converge on secular root {k}")
+        self._roots[k] = (x, vec)
+        return self._roots[k]
+
+    # -- roots in order of distance ----------------------------------------------
+
+    def _value(self, root: tuple[str, int]) -> float:
+        kind, i = root
+        return self._root(i)[0] if kind == "s" else float(self.deflated[i])
+
+    def _next(self, up: bool, bound: float | None = None):
+        """Next unvisited root above (``up``) or below the visited run; with
+        ``bound``, only a root within it, counted before it is solved."""
+        k, d = self._heads[up]
+        candidates = []
+        if 0 <= k < len(self.poles) - self.m:
+            if bound is None or k in self._roots:
+                candidates.append(("s", k))
+            else:
+                below = self._evaluate(float(np.nextafter(bound, np.inf if up else -np.inf)))[0]
+                if (below > k) if up else (below <= k):
+                    candidates.append(("s", k))
+        if 0 <= d < len(self.deflated):
+            candidates.append(("d", d))
+        if not candidates:
+            return None
+        root = (min if up else max)(candidates, key=self._value)
+        if bound is not None and (self._value(root) - bound) * (1 if up else -1) > 0.0:
+            return None
+        return root
+
+    def _take(self, root: tuple[str, int], up: bool) -> None:
+        """Add ``root`` to the visited run on one side."""
+        kind, i = root
+        k, d = self._heads[up]
+        step = 1 if up else -1
+        self._heads[up] = (i + step, d) if kind == "s" else (k, i + step)
+
+    def clusters_outward(self, center: float, limit: int):
+        """Multiplicity clusters of mixed eigenpairs, nearest ``center`` first.
+
+        Stops after ``limit`` eigenpairs.  The visited roots are always all
+        the roots between the lowest and the highest, a contiguous run that
+        :meth:`store_run` writes to the mask.
+        """
+        tol = self.req.cluster_tol
+        k = self._evaluate(float(center))[0]
+        d = int(np.searchsorted(self.deflated, center))
+        self._heads = {True: (k, d), False: (k - 1, d - 1)}
+        seen = 0
+        while seen < limit:
+            above, below = self._next(True), self._next(False)
+            if above is None and below is None:
+                return
+            up = below is None or (above is not None and
+                                   self._value(above) - center <= center - self._value(below))
+            members = [above if up else below]
+            self._take(members[0], up)
+            # a cluster chains values within cluster_tol; later ones can only
+            # grow outward, since the visited run ends in a wider gap
+            for side in ((True, False) if seen == 0 else (up,)):
+                v = self._value(members[0])
+                while True:
+                    bound = (v + tol) / (1.0 - tol) if side else v - tol * (1.0 + abs(v))
+                    root = self._next(side, bound)
+                    if root is None:
+                        break
+                    self._take(root, side)
+                    members.append(root)
+                    v = self._value(root)
+            members.sort(key=self._value)
+            seen += len(members)
+            yield self.pairs(members)
+
+    def pairs(self, roots) -> list[EigenPair]:
+        """Eigenpairs of the given roots, one cluster, Steklov-orthonormal.
+
+        A Rayleigh-Ritz pass of (H, diag(b)) on the secular traces gives the
+        returned values and traces; its values must match the roots.
+        """
+        weights = np.zeros((self._lift.shape[1], len(roots)))
+        for j, (kind, i) in enumerate(roots):
+            if kind == "s":
+                lam, z = self._root(i)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    weights[:, j] = (z @ self._cols) / (self._values - lam)
+            else:
+                weights[len(self.poles) + i, j] = 1.0
+        if not np.all(np.isfinite(weights)):
+            raise SecularBreakdown("a secular root sits on a deflated pole")
+        traces = self.spectrum.traces(self._lift @ weights)
+        ops, b = self.spectrum.ops, self.mask.steklov_weights
+        try:
+            values, rotation = sla.eigh(traces.T @ ops.weighted_dtn @ traces,
+                                        (traces.T * b) @ traces)
+        except np.linalg.LinAlgError as exc:
+            raise SecularBreakdown(f"Rayleigh-Ritz pass failed: {exc}") from exc
+        roots_v = np.array([self._value(r) for r in roots])
+        if np.any(np.abs(values - roots_v) > _RITZ_AGREEMENT * (1.0 + np.abs(roots_v))):
+            raise SecularBreakdown("secular roots and Rayleigh-Ritz values disagree")
+        return _signed_pairs(ops, values, traces @ rotation, 0)
+
+    def store_run(self, target: float) -> None:
+        """Write the visited roots, extended to bracket ``target``, to the mask.
+
+        The run is contiguous, so the resonance guard can read the eigenvalue
+        nearest any lambda inside it from ``mask.eigenvalues``.  Its values
+        are the Newton roots, good to about 1e-12 relative.
+        """
+        while True:
+            (k_dn, d_dn), (k_up, d_up) = self._heads[False], self._heads[True]
+            run = sorted([self._root(k)[0] for k in range(k_dn + 1, k_up)]
+                         + list(self.deflated[d_dn + 1:d_up]))
+            up = run[-1] < target
+            if not (up or run[0] > target) or (root := self._next(up)) is None:
+                break
+            self._take(root, up)
+        values = np.array(run)
+        values.setflags(write=False)
+        self.mask.eigenvalues = values
 
 
 # ---------------------------------------------------------------------------

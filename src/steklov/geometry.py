@@ -320,13 +320,6 @@ class Arc:
     def parameter_length(self) -> float:
         return self.t_end - self.t_start
 
-    def contains(self, t: float) -> bool:
-        """Containment in the half-open interval [t_start, t_end) mod 2*pi."""
-        if self.parameter_length <= 0.0:
-            return False
-        shifted = (float(t) - self.t_start) % TWO_PI
-        return shifted < self.parameter_length - _ARC_TOL or shifted == 0.0
-
 
 @dataclass(frozen=True)
 class ArcSpec:
@@ -419,15 +412,33 @@ class BoundaryPartition:
 
     def label_at(self, t: float) -> str:
         """Label of the positive-length arc containing parameter t."""
-        for arc in self.arcs:
-            if arc.contains(t):
-                return arc.label
-        tw = float(t) % TWO_PI
-        # t coincides with a shared endpoint: attribute it to the arc starting there
-        for arc in self.arcs:
-            if arc.parameter_length > 0 and abs((arc.t_start - tw) % TWO_PI) < 1e-9:
-                return arc.label
-        raise PartitionError(f"no arc contains parameter {t}")
+        return str(self.labels_at(np.array([float(t)]))[0])
+
+    def labels_at(self, t) -> np.ndarray:
+        """Labels of the parameters in the array t, elementwise.
+
+        An arc holds the half-open interval [t_start, t_end) mod 2*pi, and
+        the first arc (sorted by start) containing a parameter labels it; a
+        parameter within 1e-9 of a shared endpoint goes to the arc starting
+        there.  Zero-length markers label nothing.
+        """
+        t = np.asarray(t, dtype=float)
+        labels = np.empty(t.shape, dtype=object)
+        found = np.zeros(t.shape, dtype=bool)
+        positive = [a for a in self.arcs if a.parameter_length > 0.0]
+        for arc in positive:
+            shifted = (t - arc.t_start) % TWO_PI
+            hit = ~found & ((shifted < arc.parameter_length - _ARC_TOL) | (shifted == 0.0))
+            labels[hit] = arc.label
+            found |= hit
+        tw = t % TWO_PI
+        for arc in positive:
+            hit = ~found & (np.abs((arc.t_start - tw) % TWO_PI) < 1e-9)
+            labels[hit] = arc.label
+            found |= hit
+        if not found.all():
+            raise PartitionError(f"no arc contains parameter {t[~found][0]}")
+        return labels
 
     def covered_measure(self, label: str, lo, hi):
         """Parameter measure of `label`-arcs inside the interval [lo, hi), taken mod 2*pi.

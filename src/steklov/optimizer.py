@@ -15,6 +15,18 @@ accepted trials reset f to one.  The tracked eigenvalue is continued
 through partition changes by trace overlap, not by index, so crossings
 with unrelated modes do not derail the run.
 
+The uncovered boundary is decomposed once per run
+(:func:`~steklov.eigensolver.decompose`): the start eigenvalue, its
+cluster and the spectrum the first source solves check against all come
+from that decomposition.  A trial whose arc touches at most N/12 nodes is
+solved on those nodes alone (:class:`~steklov.eigensolver.ArcSpectrum`):
+clusters are solved outward from the predicted eigenvalue until one member
+overlaps the tracked trace by more than ``_OVERLAP_FLOOR``, and the roots
+visited, extended to bracket lambda_star, go to the candidate mask for the
+final source solve.  Larger arcs, and any root the secular count cannot
+certify, fall back to a windowed eigensolve of the candidate mask; both
+routes choose the same pair.
+
 Source fields enter twice: the insertion point comes from the boundary
 profile of the two fields solved at lambda_star on the uncovered boundary,
 and the final report compares the field value at the receiver before and
@@ -30,8 +42,12 @@ import numpy as np
 
 from .discretization import OperatorSet, PartitionMask, assemble, mask_from_partition
 from .eigensolver import (
+    ArcSpectrum,
     EigenPair,
+    SecularBreakdown,
+    SteklovDecomposition,
     cluster_members,
+    decompose,
     orthonormalize_cluster,
     solve_spectrum_near,
 )
@@ -72,6 +88,9 @@ _WEIGHT_FLOOR = 1e-12
 _OVERLAP_FLOOR = 0.5
 # eigenvalues below this are treated as the constant mode
 _ZERO_MODE_TOL = 1e-8
+# trials whose arc touches more than 1/_SECULAR_SHARE of the nodes solve the
+# candidate mask directly: the secular solve costs about m^2 N per count
+_SECULAR_SHARE = 12
 
 
 # ---------------------------------------------------------------------------
@@ -82,8 +101,8 @@ _ZERO_MODE_TOL = 1e-8
 class OptimizerConfig:
     """Inputs of one tuning run.
 
-    ``source`` and ``receiver`` must be distinct interior points
-    and distinct.  ``lambda_star`` is the eigenvalue target, which must not
+    ``source`` and ``receiver`` must be distinct interior points.
+    ``lambda_star`` is the eigenvalue target, which must not
     lie below the first nonzero eigenvalue of the uncovered boundary (that
     is checked against the spectrum when the run starts, not here).
     ``damping_mode`` selects how f shrinks after a rejected trial: the
@@ -197,28 +216,24 @@ class OptimizerTrace:
 # spectral bookkeeping
 # ---------------------------------------------------------------------------
 
-def _largest_at_or_below(ops: OperatorSet, mask: PartitionMask,
+def _largest_at_or_below(spectrum: SteklovDecomposition,
                          lambda_star: float) -> tuple[float, list[EigenPair]]:
-    """Largest eigenvalue <= lambda_star with its multiplicity cluster."""
-    equal_tol = 1e-9 * (1.0 + abs(lambda_star))
-    pairs: list[EigenPair] = []
-    for count in (12, 24, 48):
-        pairs = solve_spectrum_near(ops, mask, lambda_star, count=count)
-        below = [p for p in pairs if p.value <= lambda_star + equal_tol]
-        if below:
-            break
-    else:
+    """Largest uncovered-boundary eigenvalue <= lambda_star with its cluster."""
+    values = spectrum.values
+    j = int(np.searchsorted(values, lambda_star + 1e-9 * (1.0 + abs(lambda_star)),
+                            side="right")) - 1
+    if j < 0:
         raise EigenSolveError(
             f"found no eigenvalue at or below {lambda_star:g} in the "
             f"continuation window")
-    best = max(below, key=lambda p: p.value)
-    if best.value < _ZERO_MODE_TOL:
-        above = sorted(p.value for p in pairs if p.value >= _ZERO_MODE_TOL)
-        hint = f"; the first nonzero eigenvalue is {above[0]:.6g}" if above else ""
+    if values[j] < _ZERO_MODE_TOL:
+        above = values[values >= _ZERO_MODE_TOL]
+        hint = f"; the first nonzero eigenvalue is {above[0]:.6g}" if len(above) else ""
         raise RequirementError(
             f"target {lambda_star:g} admits only the constant mode below "
             f"it{hint}")
-    return best.value, cluster_members(pairs, best.cluster_id)
+    cluster = spectrum.cluster_at(j)
+    return float(values[j]), cluster
 
 
 def next_lower_steklov_eigenvalue(
@@ -236,8 +251,7 @@ def next_lower_steklov_eigenvalue(
         raise ConfigError("eigenvalue target must be positive and finite")
     if ops is None:
         ops = assemble(curve, n_nodes)
-    mask = mask_from_partition(ops, BoundaryPartition.all_steklov(curve))
-    return _largest_at_or_below(ops, mask, lambda_star)
+    return _largest_at_or_below(decompose(ops), lambda_star)
 
 
 def _normalized_combination(ortho: Sequence[EigenPair], node: int,
@@ -313,6 +327,50 @@ def select_insertion_point(field_x: GreensField, field_y: GreensField,
 # the growth loop
 # ---------------------------------------------------------------------------
 
+def _secular_applies(mask: PartitionMask) -> bool:
+    """Whether the trial's arc is small enough for the secular solve."""
+    return np.count_nonzero(mask.steklov_fraction < 1.0) <= mask.ops.n_nodes // _SECULAR_SHARE
+
+
+def _secular_continuation(spectrum: SteklovDecomposition, mask: PartitionMask,
+                          predicted: float, reference: np.ndarray,
+                          config: OptimizerConfig) -> tuple[EigenPair, list[EigenPair]]:
+    """Tracked pair and its cluster from the secular equation on the arc nodes.
+
+    Clusters are solved outward from the predicted value until one member's
+    overlap score exceeds ``_OVERLAP_FLOOR``: the candidate's Steklov weights
+    are at most the current ones, so by Bessel's inequality the scores of
+    all pairs sum to at most 1 and no other pair can score higher.  Raises
+    SecularBreakdown when the arc is too large, a root cannot be certified,
+    or no such member lies among the ``spectrum_count`` nearest pairs.
+    """
+    if not _secular_applies(mask):
+        raise SecularBreakdown("arc too large for the secular solve")
+    arc = ArcSpectrum(spectrum, mask)
+    for members in arc.clusters_outward(predicted, config.spectrum_count):
+        chosen, score = _best_continuation(members, reference, mask.steklov_weights)
+        if score > _OVERLAP_FLOOR:
+            arc.store_run(config.lambda_star)
+            return chosen, members
+    raise SecularBreakdown("no unambiguous continuation near the prediction")
+
+
+def _windowed_continuation(ops: OperatorSet, mask: PartitionMask, sigma: float,
+                           reference: np.ndarray, config: OptimizerConfig,
+                           index: int) -> tuple[EigenPair, list[EigenPair]]:
+    """Tracked pair and its cluster from a windowed eigensolve near sigma."""
+    pairs = solve_spectrum_near(ops, mask, sigma, count=config.spectrum_count)
+    chosen, score = _best_continuation(pairs, reference, mask.steklov_weights)
+    if score < _OVERLAP_FLOOR:
+        pairs = solve_spectrum_near(ops, mask, sigma, count=2 * config.spectrum_count)
+        chosen, score = _best_continuation(pairs, reference, mask.steklov_weights)
+    if score < _OVERLAP_FLOOR:
+        raise ClusterError(
+            f"eigenvalue continuation is ambiguous at trial {index}: "
+            f"best squared trace overlap {score:.3f}")
+    return chosen, cluster_members(pairs, chosen.cluster_id)
+
+
 def _shrink_f(config: OptimizerConfig, f: float, lam0: float,
               lam_rejected: float) -> float:
     if config.damping_mode == DAMPING_GAP_RATIO:
@@ -345,8 +403,9 @@ def run(config: OptimizerConfig,
     ops = assemble(curve, config.n_nodes)
     uncovered = BoundaryPartition.all_steklov(curve)
     mask0 = mask_from_partition(ops, uncovered)
-
-    lam0, cluster = _largest_at_or_below(ops, mask0, config.lambda_star)
+    spectrum = decompose(ops)
+    lam0, cluster = _largest_at_or_below(spectrum, config.lambda_star)
+    mask0.eigenvalues = spectrum.values
 
     field_x = solve_greens(ops, mask0, config.source, config.lambda_star)
     field_y = solve_greens(ops, mask0, config.receiver, config.lambda_star)
@@ -377,20 +436,13 @@ def run(config: OptimizerConfig,
         candidate_mask = mask_from_partition(ops, candidate)
 
         predicted = lam0 + f * (config.lambda_star - lam0)
-        sigma = 0.5 * (lam0 + predicted)
-        pairs = solve_spectrum_near(ops, candidate_mask, sigma,
-                                    count=config.spectrum_count)
-        chosen, score = _best_continuation(pairs, reference,
-                                           candidate_mask.steklov_weights)
-        if score < _OVERLAP_FLOOR:
-            pairs = solve_spectrum_near(ops, candidate_mask, sigma,
-                                        count=2 * config.spectrum_count)
-            chosen, score = _best_continuation(pairs, reference,
-                                               candidate_mask.steklov_weights)
-        if score < _OVERLAP_FLOOR:
-            raise ClusterError(
-                f"eigenvalue continuation is ambiguous at trial {index}: "
-                f"best squared trace overlap {score:.3f}")
+        try:
+            chosen, members = _secular_continuation(
+                spectrum, candidate_mask, predicted, reference, config)
+        except SecularBreakdown:
+            chosen, members = _windowed_continuation(
+                ops, candidate_mask, 0.5 * (lam0 + predicted), reference,
+                config, index)
         lam = chosen.value
 
         t_lo, t_hi = candidate.neumann_intervals()[0]
@@ -407,7 +459,7 @@ def run(config: OptimizerConfig,
         if accepted:
             partition = candidate
             mask = candidate_mask
-            tracked = cluster_members(pairs, chosen.cluster_id)
+            tracked = members
             lam0 = lam
             f = 1.0
             if done:

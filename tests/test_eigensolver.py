@@ -16,9 +16,11 @@ from steklov.discretization import (
 )
 from steklov.eigensolver import (
     AccuracyWarning,
+    ArcSpectrum,
     EigenPair,
     SpectrumRequest,
     cluster_members,
+    decompose,
     eval_eigenfunction_at,
     interiority,
     orthonormalize_cluster,
@@ -245,6 +247,93 @@ def test_indefinite_neumann_block_raises_eigensolve_error(monkeypatch):
     ops, mask = half_neumann_setup(64)
     with pytest.raises(EigenSolveError):
         solve_spectrum(ops, mask)
+
+
+# ---------------------------------------------------------------------------
+# small arcs: the secular equation on the arc nodes
+# ---------------------------------------------------------------------------
+
+def one_cell_setup():
+    # an arc inside the cell of node 10 leaves it the only arc node (m = 1):
+    # one mode of every double disk eigenvalue vanishes there and deflates
+    c = circle()
+    ops = assemble(c, 128)
+    h = TWO_PI / 128
+    t = ops.params[10]
+    return ops, mask_from_partition(
+        ops, BoundaryPartition.from_neumann_intervals(c, [(t - 0.3 * h, t + 0.3 * h)]))
+
+
+SECULAR_CASES = {
+    "disk-arc-N128": lambda: neumann_setup(circle(), 128, [(2.0, 2.3)]),
+    "disk-two-arcs-N256": lambda: neumann_setup(circle(), 256, [(0.4, 0.5), (3.0, 3.2)]),
+    "disk-test05-arc-N256": lambda: neumann_setup(
+        circle(), 256, [(np.pi - 0.02, np.pi + 0.02)]),
+    "kite-arc-N256": lambda: neumann_setup(kite(), 256, [(0.5, 0.7)]),
+    # three-fold symmetry (192 = 3 * 64 nodes): double mixed eigenvalues
+    "disk-three-arcs-N192": lambda: neumann_setup(
+        circle(), 192, [(0.2 + j * TWO_PI / 3, 0.3 + j * TWO_PI / 3) for j in range(3)]),
+    "kite-two-arcs-N512": lambda: neumann_setup(kite(), 512, [(0.5, 0.6), (3.8, 3.95)]),
+    "steklov-fraction-1e-8": small_fraction_setup,
+    "disk-deflated-N128": one_cell_setup,
+}
+
+
+def secular_pairs(ops, mask, center, count):
+    arc = ArcSpectrum(decompose(ops), mask)
+    pairs = [p for cluster in arc.clusters_outward(center, count) for p in cluster]
+    return arc, sorted(pairs, key=lambda p: p.value)
+
+
+@pytest.mark.parametrize("case", list(SECULAR_CASES))
+def test_secular_solve_matches_qz_reference(case):
+    ops, mask = SECULAR_CASES[case]()
+    reference = qz_reference(ops, mask)
+    # near 0 the run reaches the constant mode, an eigenpair of every mask
+    for center in (0.3, 2.5, 6.3):
+        arc, pairs = secular_pairs(ops, mask, center, 10)
+        values = np.array([p.value for p in pairs])
+        # a contiguous run of the spectrum: the reference values in its span
+        first = np.argmin(np.abs(reference - values[0]))
+        assert_allclose(values, reference[first:first + len(values)], rtol=0, atol=1e-10)
+        traces = np.array([p.trace for p in pairs])
+        gram = (traces * mask.steklov_weights) @ traces.T
+        assert_allclose(gram, np.eye(len(pairs)), atol=1e-8)
+        # the traces solve H u = lambda diag(b) u
+        for p in pairs:
+            residual = ops.weighted_dtn @ p.trace - p.value * mask.steklov_weights * p.trace
+            assert np.max(np.abs(residual)) < 1e-8 * (1.0 + p.value)
+        arc.store_run(center)
+        assert mask.eigenvalues[0] <= center <= mask.eigenvalues[-1]
+        run = reference[(reference >= mask.eigenvalues[0] - 1e-9)
+                        & (reference <= mask.eigenvalues[-1] + 1e-9)]
+        assert_allclose(mask.eigenvalues, run, rtol=0, atol=1e-10)
+
+
+def test_secular_solve_deflates_modes_vanishing_on_the_arc():
+    ops, mask = one_cell_setup()
+    arc = ArcSpectrum(decompose(ops), mask)
+    assert arc.m == 1
+    # the constant mode and one mode of each of the 63 double eigenvalues
+    # (the top one is simple)
+    assert len(arc.deflated) == 64
+    assert_allclose(arc.deflated[:4], [0.0, 1.0, 2.0, 3.0], atol=1e-10)
+    _, pairs = secular_pairs(ops, mask, 2.0, 4)
+    assert min(abs(p.value - 2.0) for p in pairs) < 1e-10
+
+
+@pytest.mark.parametrize("case", ["disk-two-arcs-N256", "kite-two-arcs-N512",
+                                  "steklov-fraction-1e-8", "disk-deflated-N128"])
+def test_secular_count_matches_the_eigensolver(case):
+    ops, mask = SECULAR_CASES[case]()
+    reference = qz_reference(ops, mask)
+    arc = ArcSpectrum(decompose(ops), mask)
+    rng = np.random.default_rng(5)
+    probes = rng.uniform(0.2, 12.0, 40)
+    probes = probes[np.min(np.abs(probes[:, None] - reference), axis=1) > 1e-6]
+    assert len(probes) > 30
+    for lam in probes:
+        assert arc.count_below(lam) == np.count_nonzero(reference < lam)
 
 
 def test_shift_invert_is_deterministic():

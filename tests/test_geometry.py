@@ -326,6 +326,50 @@ def test_covered_measure_array_matches_scalar_calls():
             assert np.array_equal(whole, np.array(reference))
 
 
+def label_at_reference(p, t):
+    """The per-parameter arc search of ``label_at`` in plain Python floats."""
+    for arc in p.arcs:
+        length = arc.parameter_length
+        shifted = (float(t) - arc.t_start) % TWO_PI
+        if length > 0.0 and (shifted < length - 1e-12 or shifted == 0.0):
+            return arc.label
+    tw = float(t) % TWO_PI
+    for arc in p.arcs:
+        if arc.parameter_length > 0 and abs((arc.t_start - tw) % TWO_PI) < 1e-9:
+            return arc.label
+    raise PartitionError(f"no arc contains parameter {t}")
+
+
+def test_labels_at_matches_scalar_search():
+    # arc ends on a node, or within the 1e-12 containment tolerance of one
+    # (a node just below an end falls to the arc starting there), zero-length
+    # markers and arcs shorter than the tolerance
+    rng = np.random.default_rng(23)
+    offsets = (0.0, 5e-13, -5e-13)
+    for _ in range(200):
+        n = 2 * int(rng.integers(32, 769))
+        t = TWO_PI * np.arange(n) / n
+
+        def end(near):
+            if rng.uniform() < 0.25:
+                return near
+            return float(t[np.searchsorted(t, near % TWO_PI) % n]) + offsets[rng.integers(3)]
+
+        def span():
+            return (0.0, 5e-13, rng.uniform(0.01, 2.0))[rng.choice(3, p=(0.2, 0.2, 0.6))]
+
+        lo = end(rng.uniform(0.0, TWO_PI))
+        intervals = [(lo, lo + span())]
+        if rng.uniform() < 0.5:
+            lo2 = end(intervals[0][1] + rng.uniform(0.1, 1.0))
+            intervals.append((lo2, lo2 + span()))
+        p = BoundaryPartition.from_neumann_intervals(circle(), intervals)
+        labels = p.labels_at(t)
+        reference = [label_at_reference(p, ti) for ti in t]
+        assert list(labels) == reference
+        assert [p.label_at(ti) for ti in t[:: max(1, n // 16)]] == reference[:: max(1, n // 16)]
+
+
 def test_partition_validation_rejects_bad_cover():
     c = circle()
     with pytest.raises(PartitionError):

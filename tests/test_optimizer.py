@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from steklov import greens
+from steklov import greens, optimizer
 from steklov.discretization import assemble, mask_from_partition
 from steklov.eigensolver import AccuracyWarning, EigenPair
 from steklov.errors import (
@@ -113,6 +113,17 @@ def test_next_lower_accepts_target_on_eigenvalue():
 def test_next_lower_below_first_nonzero():
     with pytest.raises(RequirementError, match="constant mode"):
         next_lower_steklov_eigenvalue(DISK, 128, 0.5)
+
+
+@pytest.mark.parametrize("curve, target, first", [(DISK, 0.999, "1"),
+                                                  (kite(), 0.3, "0.354")],
+                         ids=["disk", "kite"])
+def test_target_below_first_nonzero_names_it(curve, target, first):
+    with pytest.raises(RequirementError, match=f"first nonzero eigenvalue is {first}"):
+        next_lower_steklov_eigenvalue(curve, 128, target)
+    with pytest.raises(RequirementError, match="constant mode"):
+        run(OptimizerConfig(curve=curve, source=(-0.3, 0.2), receiver=(0.2, -0.3),
+                            lambda_star=target, n_nodes=128))
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
@@ -363,6 +374,42 @@ def test_run_guard_reads_the_solved_spectrum(config, monkeypatch):
                         lambda *a, **k: calls.append(a) or original(*a, **k))
     assert run(config).converged
     assert calls == []
+
+
+SMALL_ARC_RUNS = {
+    "disk": disk_config(lambda_star=2.2),
+    "kite": OptimizerConfig(curve=kite(), source=(-1.25, 1.25), receiver=(-1.25, -1.25),
+                            lambda_star=3.5, n_nodes=128),
+}
+
+
+@pytest.mark.parametrize("name", list(SMALL_ARC_RUNS))
+def test_small_arc_run_makes_no_windowed_solve(name, monkeypatch):
+    # every trial's arc touches at most N/12 nodes: the trials solve the
+    # secular equation, and the final source solve reads the run they left
+    calls = []
+    for module in (optimizer, greens):
+        original = module.solve_spectrum_near
+        monkeypatch.setattr(module, "solve_spectrum_near",
+                            lambda *a, _f=original, **k: calls.append(a) or _f(*a, **k))
+    trace = run(SMALL_ARC_RUNS[name])
+    assert trace.converged and trace.trials > 2
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", list(SMALL_ARC_RUNS))
+def test_windowed_fallback_gives_the_same_records(name, monkeypatch):
+    secular = run(SMALL_ARC_RUNS[name])
+    monkeypatch.setattr(optimizer, "_secular_applies", lambda mask: False)
+    windowed = run(SMALL_ARC_RUNS[name])
+    assert len(windowed.records) == len(secular.records)
+    for a, b in zip(secular.records, windowed.records):
+        assert (a.index, a.f, a.accepted) == (b.index, b.f, b.accepted)
+        assert a.eigenvalue == pytest.approx(b.eigenvalue, rel=1e-12, abs=1e-12)
+        assert a.epsilon_delta == pytest.approx(b.epsilon_delta, rel=1e-9)
+        assert a.half_length == pytest.approx(b.half_length, rel=1e-9)
+    assert secular.insertion_index == windowed.insertion_index
+    assert secular.s_end == pytest.approx(windowed.s_end, rel=1e-8)
 
 
 def test_trace_defaults_are_inert():

@@ -66,9 +66,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import kernels
 from .discretization import OperatorSet, PartitionMask, assemble, mask_from_partition
-from .eigensolver import EigenPair, SpectrumRequest, solve_spectrum
+from .eigensolver import EigenPair, SpectrumRequest, interiority, solve_spectrum
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -230,6 +229,15 @@ class RunConfig:
         )
 
 
+def _check_nodes(n: int, what: str) -> int:
+    """``n`` unless the log quadrature cannot take it (odd, or below 32)."""
+    if n < 32:
+        raise ConfigError(f"{what} {n} is below 32")
+    if n % 2:
+        raise ConfigError(f"{what} {n} is odd; the quadrature needs an even count")
+    return n
+
+
 def parse_config(text: str) -> RunConfig:
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
@@ -304,9 +312,7 @@ def parse_config(text: str) -> RunConfig:
         if "window" in o:
             kw["window"] = _integer(o["window"], "[optimize] window")
 
-    n_nodes = kw.get("n_nodes", 256)
-    if n_nodes < 32:
-        raise ConfigError(f"[discretization] nodes = {n_nodes} is below 32")
+    _check_nodes(kw.get("n_nodes", 256), "[discretization] nodes =")
     if kw.get("spectrum_count", 10) < 1:
         raise ConfigError("[spectrum] count must be positive")
     if kw.get("grid_points", 64) < 0:
@@ -321,9 +327,7 @@ def load_config(path: str | Path, nodes: int | None = None) -> RunConfig:
         raise ConfigError(f"cannot read run file: {exc}") from None
     cfg = parse_config(text)
     if nodes is not None:
-        if nodes < 32:
-            raise ConfigError(f"--nodes {nodes} is below 32")
-        cfg = replace(cfg, n_nodes=nodes)
+        cfg = replace(cfg, n_nodes=_check_nodes(nodes, "--nodes"))
     return cfg
 
 
@@ -413,9 +417,7 @@ def interior_lattice(ops: OperatorSet, grid_points: int,
     pts = np.column_stack([gx.ravel(), gy.ravel()])
     block = np.repeat(np.arange(grid_points), grid_points)
 
-    winding = kernels.gamma0_dnu(
-        ops.points, ops.normals, pts[:, None, :]) @ ops.weights
-    keep = winding >= 0.5
+    keep = interiority(ops, pts) >= 0.5
     sep = np.linalg.norm(pts[:, None, :] - ops.points, axis=-1)
     spacing = ops.weights[np.argmin(sep, axis=1)]
     keep &= sep.min(axis=1) >= spacing
@@ -573,7 +575,7 @@ def format_report(checks: Sequence[CheckResult]) -> str:
 
 def cmd_validate(cfg: RunConfig | None, outdir: Path, echo: Callable,
                  n_nodes: int | None) -> int:
-    nodes = n_nodes if n_nodes is not None else (
+    nodes = _check_nodes(n_nodes, "--nodes") if n_nodes is not None else (
         cfg.n_nodes if cfg is not None else 256)
     checks = run_validation_suite(nodes)
     report = format_report(checks)

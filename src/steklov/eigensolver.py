@@ -53,35 +53,45 @@ class EigenPair:
     cluster_id: int
 
 
+# neighbouring eigenvalues this close (relatively) share a cluster id
+CLUSTER_TOL = 1e-6
+
+
 @dataclass(frozen=True)
 class SpectrumRequest:
     count: int = 10
-    cluster_tol: float = 1e-6
 
     def __post_init__(self):
         if self.count < 1:
             raise EigenSolveError("request needs count >= 1")
-        if self.cluster_tol <= 0:
-            raise EigenSolveError("cluster_tol must be positive")
 
 
-def _assign_clusters(values: np.ndarray, cluster_tol: float) -> np.ndarray:
+def _assign_clusters(values: np.ndarray) -> np.ndarray:
+    """Cluster ids of ascending values: a gap above CLUSTER_TOL opens a new one."""
     ids = np.zeros(len(values), dtype=int)
-    for i in range(1, len(values)):
-        gap = values[i] - values[i - 1]
-        ids[i] = ids[i - 1] + (0 if gap <= cluster_tol * (1.0 + abs(values[i])) else 1)
+    ids[1:] = np.cumsum(np.diff(values) > CLUSTER_TOL * (1.0 + np.abs(values[1:])))
     return ids
+
+
+def _signed_pairs(ops: OperatorSet, values: np.ndarray, traces: np.ndarray,
+                  cluster_ids) -> list[EigenPair]:
+    """Every solver's finish: sign the trace columns (largest entry positive)
+    and recover their densities T^-1 u."""
+    k = traces.shape[1]
+    traces = traces * np.copysign(1.0, traces[np.argmax(np.abs(traces), axis=0), np.arange(k)])
+    densities = sla.lu_solve(ops.trace_map_lu, traces)
+    return [EigenPair(float(lam), d, t, int(c)) for lam, d, t, c
+            in zip(values, densities.T, traces.T, np.broadcast_to(cluster_ids, k))]
 
 
 def solve_spectrum(ops: OperatorSet, mask: PartitionMask,
                    req: SpectrumRequest = SpectrumRequest()) -> list[EigenPair]:
     """Lowest eigenpairs of the mixed problem, sorted ascending and clustered."""
-    return solve_spectrum_near(ops, mask, 0.0, req.count, req)
+    return solve_spectrum_near(ops, mask, 0.0, req.count)
 
 
 def solve_spectrum_near(ops: OperatorSet, mask: PartitionMask, sigma: float,
-                        count: int = 6,
-                        req: SpectrumRequest = SpectrumRequest()) -> list[EigenPair]:
+                        count: int = 6) -> list[EigenPair]:
     """The ``count`` eigenpairs nearest sigma, from the self-adjoint form.
 
     A Schur complement S eliminates the Neumann nodes (b = 0) of
@@ -119,13 +129,7 @@ def solve_spectrum_near(ops: OperatorSet, mask: PartitionMask, sigma: float,
         raise EigenSolveError(f"self-adjoint eigensolve failed: {exc}") from exc
     values.setflags(write=False)
     mask.eigenvalues = values
-    traces = traces @ rotation
-    # sign convention: the largest entry of every trace is positive
-    traces *= np.copysign(1.0, traces[np.argmax(np.abs(traces), axis=0), np.arange(k)])
-    densities = sla.lu_solve(ops.trace_map_lu, traces)
-    ids = _assign_clusters(values, req.cluster_tol)
-    return [EigenPair(float(lam), d, t, int(c))
-            for lam, d, t, c in zip(values, densities.T, traces.T, ids)]
+    return _signed_pairs(ops, values, traces @ rotation, _assign_clusters(values))
 
 
 def cluster_members(pairs: list[EigenPair], cluster_id: int) -> list[EigenPair]:
@@ -169,45 +173,31 @@ class SecularBreakdown(EigenSolveError):
     """The secular solve could not certify a root; solve the mask directly."""
 
 
-def _signed_pairs(ops: OperatorSet, values: np.ndarray, traces: np.ndarray,
-                  cluster_id: int) -> list[EigenPair]:
-    # sign convention of solve_spectrum_near: the largest entry is positive
-    k = traces.shape[1]
-    traces = traces * np.copysign(1.0, traces[np.argmax(np.abs(traces), axis=0), np.arange(k)])
-    densities = sla.lu_solve(ops.trace_map_lu, traces)
-    return [EigenPair(float(lam), d, t, cluster_id)
-            for lam, d, t in zip(values, densities.T, traces.T)]
-
-
 @dataclass(frozen=True)
 class SteklovDecomposition:
     """The all-Steklov problem in orthonormal form, decomposed once.
 
     W^-1/2 H W^-1/2 = Q diag(values) Q^T with W = diag(weights), so the
     all-Steklov eigenpairs are (values_j, W^-1/2 Q_j).  ``groups`` lists,
-    per group size, the index rows of values equal to ``_POLE_MERGE_TOL``.
+    per group size, the index rows of values equal to ``_POLE_MERGE_TOL``;
+    ``cluster_ids`` the ids of :func:`_assign_clusters`.
     """
 
     ops: OperatorSet
     values: np.ndarray
     vectors: np.ndarray
     groups: dict
+    cluster_ids: np.ndarray
 
     def traces(self, coefficients: np.ndarray) -> np.ndarray:
         """Boundary traces W^-1/2 Q c of coefficient columns c."""
         return (self.vectors @ coefficients) / np.sqrt(self.ops.weights)[:, None]
 
-    def cluster_at(self, j: int, req: SpectrumRequest = SpectrumRequest()
-                   ) -> list[EigenPair]:
+    def cluster_at(self, j: int) -> list[EigenPair]:
         """All-Steklov pairs of the multiplicity cluster holding value j."""
-        lo = hi = j
-        v = self.values
-        while lo > 0 and v[lo] - v[lo - 1] <= req.cluster_tol * (1.0 + abs(v[lo])):
-            lo -= 1
-        while hi + 1 < len(v) and v[hi + 1] - v[hi] <= req.cluster_tol * (1.0 + abs(v[hi + 1])):
-            hi += 1
-        traces = self.vectors[:, lo:hi + 1] / np.sqrt(self.ops.weights)[:, None]
-        return _signed_pairs(self.ops, v[lo:hi + 1], traces, 0)
+        members = self.cluster_ids == self.cluster_ids[j]
+        traces = self.vectors[:, members] / np.sqrt(self.ops.weights)[:, None]
+        return _signed_pairs(self.ops, self.values[members], traces, 0)
 
 
 def decompose(ops: OperatorSet) -> SteklovDecomposition:
@@ -225,9 +215,10 @@ def decompose(ops: OperatorSet) -> SteklovDecomposition:
     sizes = np.diff(bounds)
     groups = {int(p): bounds[:-1][sizes == p][:, None] + np.arange(p)
               for p in np.unique(sizes)}
-    for arr in (values, vectors, *groups.values()):
+    ids = _assign_clusters(values)
+    for arr in (values, vectors, ids, *groups.values()):
         arr.setflags(write=False)
-    return SteklovDecomposition(ops, values, vectors, groups)
+    return SteklovDecomposition(ops, values, vectors, groups, ids)
 
 
 class ArcSpectrum:
@@ -256,9 +247,8 @@ class ArcSpectrum:
     Any root the count cannot certify raises SecularBreakdown.
     """
 
-    def __init__(self, spectrum: SteklovDecomposition, mask: PartitionMask,
-                 req: SpectrumRequest = SpectrumRequest()):
-        self.spectrum, self.mask, self.req = spectrum, mask, req
+    def __init__(self, spectrum: SteklovDecomposition, mask: PartitionMask):
+        self.spectrum, self.mask = spectrum, mask
         frac = mask.steklov_fraction
         nodes = np.flatnonzero(frac < 1.0)
         self.m = len(nodes)
@@ -422,7 +412,7 @@ class ArcSpectrum:
         the roots between the lowest and the highest, a contiguous run that
         :meth:`store_run` writes to the mask.
         """
-        tol = self.req.cluster_tol
+        tol = CLUSTER_TOL
         k = self._evaluate(float(center))[0]
         d = int(np.searchsorted(self.deflated, center))
         self._heads = {True: (k, d), False: (k - 1, d - 1)}
@@ -435,7 +425,7 @@ class ArcSpectrum:
                                    self._value(above) - center <= center - self._value(below))
             members = [above if up else below]
             self._take(members[0], up)
-            # a cluster chains values within cluster_tol; later ones can only
+            # a cluster chains values within CLUSTER_TOL; later ones can only
             # grow outward, since the visited run ends in a wider gap
             for side in ((True, False) if seen == 0 else (up,)):
                 v = self._value(members[0])
@@ -503,34 +493,50 @@ class ArcSpectrum:
 # eigenfunction reconstruction
 # ---------------------------------------------------------------------------
 
-def interiority(ops: OperatorSet, x) -> float:
-    """Discrete Gauss integral at x: ~1 inside the curve, ~0 outside."""
-    vals = kernels.gamma0_dnu(ops.points, ops.normals, np.asarray(x, dtype=float))
-    return float(np.sum(ops.weights * vals))
+def interiority(ops: OperatorSet, x):
+    """Discrete Gauss integral at x: ~1 inside the curve, ~0 outside.
 
-
-def evaluate_layer_potential(ops: OperatorSet, density: np.ndarray, x) -> float:
-    """Completed single-layer potential of `density` at the interior point x."""
-    g = kernels.gamma0(np.asarray(x, dtype=float), ops.points)
-    return float(np.sum(ops.weights * density * g) + np.sum(ops.weights * density))
-
-
-def eval_eigenfunction_at(pair: EigenPair, ops: OperatorSet, x) -> float:
-    """Value of the eigenfunction at a strictly interior point.
-
-    Warns (AccuracyWarning) when x comes within one node spacing of the
-    boundary, where the plain quadrature of the layer potential loses
-    accuracy.
+    ``x`` is one point (a float comes back) or an array of shape (..., 2).
     """
     x = np.asarray(x, dtype=float)
-    if interiority(ops, x) < 0.5:
-        raise GeometryError(f"point {x.tolist()} is not inside '{ops.curve.name}'")
-    dists = np.linalg.norm(ops.points - x[None, :], axis=-1)
-    j = int(np.argmin(dists))
-    spacing = TWO_PI / ops.n_nodes * ops.speeds[j]
-    if dists[j] < spacing:
-        warnings.warn(
-            f"evaluation point within one node spacing of the boundary "
-            f"(distance {dists[j]:.2e})", AccuracyWarning, stacklevel=2)
-    return evaluate_layer_potential(ops, pair.density, x)
+    vals = kernels.gamma0_dnu(ops.points, ops.normals, x[..., None, :]) @ ops.weights
+    return float(vals) if vals.ndim == 0 else vals
 
+
+def evaluate_layer_potential(ops: OperatorSet, density: np.ndarray, x,
+                             refine: int = 1):
+    """Completed single-layer potential S[rho] + w.rho of ``density`` at interior x.
+
+    ``x`` is one point (a float comes back) or an array of shape (..., 2).
+    With ``refine`` > 1 the layer is integrated on a trigonometrically
+    upsampled copy of the boundary with refine*N nodes, which keeps the
+    quadrature usable down to a fraction of the coarse node spacing.  Raises
+    GeometryError for a point outside the curve and warns (AccuracyWarning)
+    when a point comes closer to its nearest layer node than that node's
+    weight, where the plain quadrature loses accuracy.
+    """
+    x = np.asarray(x, dtype=float)
+    pts = x.reshape(-1, 2)
+    if np.any(interiority(ops, pts) < 0.5):
+        raise GeometryError(f"evaluation point lies outside '{ops.curve.name}'")
+    nodes, w, rho = ops.points, ops.weights, density
+    if refine > 1:
+        n_fine = refine * ops.n_nodes
+        params = TWO_PI * np.arange(n_fine) / n_fine
+        nodes = ops.curve.eval(params)
+        w = (TWO_PI / n_fine) * ops.curve.speed(params)
+        rho = np.fft.irfft(np.fft.rfft(density), n_fine) * refine
+    kernel = kernels.gamma0(pts[:, None, :], nodes)
+    # the kernel is monotone in the distance: its row minimum is the nearest node
+    nearest = np.argmin(kernel, axis=1)
+    if np.any(kernel[np.arange(len(pts)), nearest] < np.log(w[nearest]) / TWO_PI):
+        warnings.warn("evaluation point within one node spacing of the boundary; "
+                      "layer potential accuracy degrades there", AccuracyWarning,
+                      stacklevel=3)
+    vals = kernel @ (w * rho) + ops.weights @ density
+    return float(vals[0]) if x.ndim == 1 else vals.reshape(x.shape[:-1])
+
+
+def eval_eigenfunction_at(pair: EigenPair, ops: OperatorSet, x):
+    """Value of the eigenfunction at interior points (see evaluate_layer_potential)."""
+    return evaluate_layer_potential(ops, pair.density, x)

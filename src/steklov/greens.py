@@ -23,7 +23,12 @@ import scipy.linalg as sla
 
 from . import kernels
 from .discretization import OperatorSet, PartitionMask
-from .eigensolver import AccuracyWarning, interiority, solve_spectrum_near
+from .eigensolver import (
+    AccuracyWarning,
+    evaluate_layer_potential,
+    interiority,
+    solve_spectrum_near,
+)
 from .errors import (
     ConvergenceError,
     GeometryError,
@@ -169,56 +174,25 @@ def solve_greens(ops: OperatorSet, mask: PartitionMask, source, lam: float
 def eval_greens(field: GreensField, ops: OperatorSet, y, refine: int = 1):
     """Evaluate the field at interior points.
 
-    ``y`` may be a single point or an array of shape (..., 2).  With
-    ``refine`` > 1 the layer potential is integrated on a trigonometrically
-    upsampled copy of the boundary, which keeps the evaluation usable down
-    to a fraction of the coarse node spacing from the boundary.
+    ``y`` may be a single point or an array of shape (..., 2).  Points on a
+    node read the stored boundary value; elsewhere the correction is
+    :func:`~steklov.eigensolver.evaluate_layer_potential` of the field's
+    density, with its ``refine`` upsampling and accuracy warning.
     """
     y = np.asarray(y, dtype=float)
-    single = (y.ndim == 1)
     pts = y.reshape(-1, 2)
-
-    gap = np.linalg.norm(pts - field.source, axis=1)
-    if np.any(gap < _SOURCE_CLEARANCE):
+    if np.any(np.linalg.norm(pts - field.source, axis=1) < _SOURCE_CLEARANCE):
         raise SingularityError("evaluation point coincides with the source")
 
     node_sep = np.linalg.norm(pts[:, None, :] - ops.points, axis=-1)
     nearest = np.argmin(node_sep, axis=1)
-    on_node = node_sep[np.arange(len(pts)), nearest] < 1e-12
-
-    vals = np.empty(len(pts))
-    vals[on_node] = field.boundary_values[nearest[on_node]]
-
-    off = ~on_node
+    off = node_sep[np.arange(len(pts)), nearest] >= 1e-12
+    vals = field.boundary_values[nearest]
     if np.any(off):
-        sub = pts[off]
-        inside = kernels.gamma0_dnu(
-            ops.points, ops.normals, sub[:, None, :]) @ ops.weights
-        if np.any(inside < 0.5):
-            raise GeometryError("evaluation point lies outside the domain")
-
-        lay_pts, lay_w, lay_rho = ops.points, ops.weights, field.correction_density
-        if refine > 1:  # trigonometric interpolation onto refine*N nodes
-            n_fine = refine * ops.n_nodes
-            params = 2.0 * np.pi * np.arange(n_fine) / n_fine
-            lay_pts = ops.curve.eval(params)
-            lay_w = (2.0 * np.pi / n_fine) * ops.curve.speed(params)
-            lay_rho = np.fft.irfft(np.fft.rfft(lay_rho), n_fine) * refine
-
-        sep = np.linalg.norm(sub[:, None, :] - lay_pts, axis=-1)
-        spacing = lay_w[np.argmin(sep, axis=1)]
-        if np.any(np.min(sep, axis=1) < spacing):
-            warnings.warn(
-                "evaluation point within one node spacing of the boundary; "
-                "layer potential accuracy degrades there", AccuracyWarning)
-
-        vals[off] = (kernels.gamma0(sub, field.source)
-                     + kernels.gamma0(sub[:, None, :], lay_pts)
-                     @ (lay_w * lay_rho)
-                     + field.completion_constant)
-    if single:
-        return float(vals[0])
-    return vals.reshape(y.shape[:-1])
+        vals[off] = (kernels.gamma0(pts[off], field.source)
+                     + evaluate_layer_potential(ops, field.correction_density,
+                                                pts[off], refine))
+    return float(vals[0]) if y.ndim == 1 else vals.reshape(y.shape[:-1])
 
 
 def normal_derivative_stencil(field: GreensField, ops: OperatorSet,

@@ -35,11 +35,12 @@ after covering (both in the mean-free convention of `greens.reported_value`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .asymptotics import predict_eigenfunction_limit
 from .discretization import OperatorSet, PartitionMask, assemble, mask_from_partition
 from .eigensolver import (
     ArcSpectrum,
@@ -73,7 +74,6 @@ from .greens import (
     boundary_product_profile,
     eval_greens,
     reported_value,
-    reporting_offset,
     solve_greens,
 )
 
@@ -138,8 +138,8 @@ class OptimizerConfig:
             raise ConfigError("damping factor must lie in (0, 1)")
         if self.max_iterations < 1:
             raise ConfigError("at least one trial is required")
-        if self.n_nodes < 32:
-            raise ConfigError("discretization needs at least 32 nodes")
+        if self.n_nodes < 32 or self.n_nodes % 2:
+            raise ConfigError("discretization needs an even node count of at least 32")
         if self.damping_mode not in (DAMPING_CONSTANT, DAMPING_GAP_RATIO):
             raise ConfigError(f"unknown damping mode '{self.damping_mode}'")
         if self.spectrum_count < 4:
@@ -259,21 +259,19 @@ def _normalized_combination(ortho: Sequence[EigenPair], node: int,
     """Cluster combination concentrated at a node, plus the cluster weight.
 
     The weight is sum_i u_i(node)^2 for the orthonormalized cluster; the
-    returned trace is sum_i u_i(node) u_i / sqrt(weight), the member of the
-    eigenspace that first-order theory moves when the arc grows there.
+    trace is :func:`~steklov.asymptotics.predict_eigenfunction_limit` at the
+    node, the member of the eigenspace that first-order theory moves when
+    the arc grows there, normalized on the Steklov part.
     """
-    at_node = np.array([p.trace[node] for p in ortho])
+    traces = np.array([p.trace for p in ortho])
+    at_node = traces[:, node]
     weight = float(at_node @ at_node)
     if weight < _WEIGHT_FLOOR:
         raise StagnationError(
             f"cluster weight {weight:.3e} at the insertion node is too small "
             f"to move the eigenvalue at first order")
-    combo = np.zeros_like(ortho[0].trace)
-    for coeff, pair in zip(at_node, ortho):
-        combo = combo + coeff * pair.trace
-    combo = combo / np.sqrt(weight)
-    norm = np.sqrt(float(np.sum(weights * combo * combo)))
-    return combo / norm, weight
+    combo = predict_eigenfunction_limit(traces, at_node, traces)
+    return combo / np.sqrt(float(np.sum(weights * combo * combo))), weight
 
 
 def _best_continuation(pairs: Sequence[EigenPair], reference: np.ndarray,
@@ -310,13 +308,10 @@ def select_insertion_point(field_x: GreensField, field_y: GreensField,
     convention first; on curves without the capacity degeneracy this is a
     no-op.
     """
-    profile = boundary_product_profile(field_x, field_y)
     if ops is not None:
-        off_x = reporting_offset(ops, field_x)
-        off_y = reporting_offset(ops, field_y)
-        if off_x != 0.0 or off_y != 0.0:
-            profile = ((field_x.boundary_values - off_x)
-                       * (field_y.boundary_values - off_y))
+        field_x, field_y = (replace(f, boundary_values=reported_value(ops, f, f.boundary_values))
+                            for f in (field_x, field_y))
+    profile = boundary_product_profile(field_x, field_y)
     if s_xy < 0.0:
         profile = -profile
     tol = 1e-12 * np.max(np.abs(profile))
@@ -332,43 +327,38 @@ def _secular_applies(mask: PartitionMask) -> bool:
     return np.count_nonzero(mask.steklov_fraction < 1.0) <= mask.ops.n_nodes // _SECULAR_SHARE
 
 
-def _secular_continuation(spectrum: SteklovDecomposition, mask: PartitionMask,
-                          predicted: float, reference: np.ndarray,
-                          config: OptimizerConfig) -> tuple[EigenPair, list[EigenPair]]:
-    """Tracked pair and its cluster from the secular equation on the arc nodes.
+def _continuation(spectrum: SteklovDecomposition, mask: PartitionMask,
+                  lam0: float, predicted: float, reference: np.ndarray,
+                  config: OptimizerConfig, index: int) -> tuple[EigenPair, list[EigenPair]]:
+    """Tracked pair and its cluster on the candidate mask.
 
-    Clusters are solved outward from the predicted value until one member's
-    overlap score exceeds ``_OVERLAP_FLOOR``: the candidate's Steklov weights
-    are at most the current ones, so by Bessel's inequality the scores of
-    all pairs sum to at most 1 and no other pair can score higher.  Raises
-    SecularBreakdown when the arc is too large, a root cannot be certified,
-    or no such member lies among the ``spectrum_count`` nearest pairs.
+    When the arc is small (:func:`_secular_applies`), clusters are solved by
+    the secular equation outward from the predicted value until one member's
+    overlap score exceeds ``_OVERLAP_FLOOR``: the candidate's Steklov
+    weights are at most the current ones, so by Bessel's inequality the
+    scores of all pairs sum to at most 1 and no other pair can score higher.
+    Otherwise, or when a root cannot be certified or no such member lies
+    among the ``spectrum_count`` nearest pairs, a windowed eigensolve between
+    lam0 and the prediction decides, retried once with twice the window.
     """
-    if not _secular_applies(mask):
-        raise SecularBreakdown("arc too large for the secular solve")
-    arc = ArcSpectrum(spectrum, mask)
-    for members in arc.clusters_outward(predicted, config.spectrum_count):
-        chosen, score = _best_continuation(members, reference, mask.steklov_weights)
-        if score > _OVERLAP_FLOOR:
-            arc.store_run(config.lambda_star)
-            return chosen, members
-    raise SecularBreakdown("no unambiguous continuation near the prediction")
-
-
-def _windowed_continuation(ops: OperatorSet, mask: PartitionMask, sigma: float,
-                           reference: np.ndarray, config: OptimizerConfig,
-                           index: int) -> tuple[EigenPair, list[EigenPair]]:
-    """Tracked pair and its cluster from a windowed eigensolve near sigma."""
-    pairs = solve_spectrum_near(ops, mask, sigma, count=config.spectrum_count)
-    chosen, score = _best_continuation(pairs, reference, mask.steklov_weights)
-    if score < _OVERLAP_FLOOR:
-        pairs = solve_spectrum_near(ops, mask, sigma, count=2 * config.spectrum_count)
+    if _secular_applies(mask):
+        try:
+            arc = ArcSpectrum(spectrum, mask)
+            for members in arc.clusters_outward(predicted, config.spectrum_count):
+                chosen, score = _best_continuation(members, reference, mask.steklov_weights)
+                if score > _OVERLAP_FLOOR:
+                    arc.store_run(config.lambda_star)
+                    return chosen, members
+        except SecularBreakdown:
+            pass
+    for count in (config.spectrum_count, 2 * config.spectrum_count):
+        pairs = solve_spectrum_near(spectrum.ops, mask, 0.5 * (lam0 + predicted), count=count)
         chosen, score = _best_continuation(pairs, reference, mask.steklov_weights)
-    if score < _OVERLAP_FLOOR:
-        raise ClusterError(
-            f"eigenvalue continuation is ambiguous at trial {index}: "
-            f"best squared trace overlap {score:.3f}")
-    return chosen, cluster_members(pairs, chosen.cluster_id)
+        if score >= _OVERLAP_FLOOR:
+            return chosen, cluster_members(pairs, chosen.cluster_id)
+    raise ClusterError(
+        f"eigenvalue continuation is ambiguous at trial {index}: "
+        f"best squared trace overlap {score:.3f}")
 
 
 def _shrink_f(config: OptimizerConfig, f: float, lam0: float,
@@ -436,13 +426,8 @@ def run(config: OptimizerConfig,
         candidate_mask = mask_from_partition(ops, candidate)
 
         predicted = lam0 + f * (config.lambda_star - lam0)
-        try:
-            chosen, members = _secular_continuation(
-                spectrum, candidate_mask, predicted, reference, config)
-        except SecularBreakdown:
-            chosen, members = _windowed_continuation(
-                ops, candidate_mask, 0.5 * (lam0 + predicted), reference,
-                config, index)
+        chosen, members = _continuation(spectrum, candidate_mask, lam0, predicted,
+                                        reference, config, index)
         lam = chosen.value
 
         t_lo, t_hi = candidate.neumann_intervals()[0]

@@ -124,6 +124,7 @@ def test_full_config_parsed():
     ("[spectrum]\ncount = 4\n", r"needs \[curve\]"),
     ("[curve]\nradius = 2\n", "'name'"),
     ("[curve]\nname = circle\n[discretization]\nnodes = 16\n", "below 32"),
+    ("[curve]\nname = circle\n[discretization]\nnodes = 33\n", "odd"),
     ("not ini at all", "not valid INI"),
     ("[curve]\nname = circle\n[spectrum]\ncount = 0\n", "positive"),
 ])
@@ -407,3 +408,8 @@ def test_validate_nodes_from_config(tmp_path):
     path = write_run(tmp_path, MINIMAL + "[discretization]\nnodes = 64\n")
     assert main(["validate", "--config", path,
                  "--out", str(tmp_path / "out")]) == EXIT_OK
+
+
+def test_validate_rejects_odd_node_count(tmp_path, capsys):
+    assert main(["validate", "--nodes", "33", "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "odd" in capsys.readouterr().err

@@ -15,10 +15,12 @@ from steklov.discretization import (
     mask_from_partition,
 )
 from steklov.eigensolver import (
+    CLUSTER_TOL,
     AccuracyWarning,
     ArcSpectrum,
     EigenPair,
     SpectrumRequest,
+    _assign_clusters,
     cluster_members,
     decompose,
     eval_eigenfunction_at,
@@ -106,6 +108,23 @@ def test_disk_cluster_ids_follow_multiplicities():
     ops, mask = steklov_setup(circle(), 128)
     pairs = solve_spectrum(ops, mask, SpectrumRequest(count=9))
     assert [p.cluster_id for p in pairs] == [0, 1, 1, 2, 2, 3, 3, 4, 4]
+
+
+def test_cluster_ids_match_the_neighbour_walk():
+    # the vectorized rule against the loop it replaced: a gap above
+    # CLUSTER_TOL * (1 + |upper value|) opens a new cluster
+    rng = np.random.default_rng(5)
+    base = np.sort(rng.uniform(0.0, 20.0, 40))
+    gaps = rng.choice([0.5, 1.0, 2.0], 40) * CLUSTER_TOL * (1.0 + base)
+    values = np.sort(np.concatenate([base, base + gaps]))
+    expected = [0]
+    for lo, hi in zip(values[:-1], values[1:]):
+        expected.append(expected[-1] + (hi - lo > CLUSTER_TOL * (1.0 + abs(hi))))
+    assert _assign_clusters(values).tolist() == expected
+    assert 40 < expected[-1] < 79
+    # the decomposition's clusters: the disk's double eigenvalues
+    spectrum = decompose(assemble(circle(), 64))
+    assert [len(spectrum.cluster_at(j)) for j in range(5)] == [1, 2, 2, 2, 2]
 
 
 def test_scaled_disk_spectrum():
@@ -354,8 +373,6 @@ def test_shift_invert_survives_shift_on_eigenvalue():
 def test_request_validation():
     with pytest.raises(EigenSolveError):
         SpectrumRequest(count=0)
-    with pytest.raises(EigenSolveError):
-        SpectrumRequest(cluster_tol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +424,13 @@ def test_interiority_classifier():
     ops = assemble(kite(), 128)
     assert interiority(ops, (-0.5, 0.0)) > 0.99
     assert abs(interiority(ops, (3.0, 3.0))) < 1e-2
+    # arrays of points classify point by point, keeping their leading shape
+    for pts in (np.array([[-0.5, 0.0], [3.0, 3.0], [0.2, 0.4]]),
+                np.array([[[-0.5, 0.0], [3.0, 3.0]], [[0.2, 0.4], [-2.0, 0.1]]])):
+        values = interiority(ops, pts)
+        assert values.shape == pts.shape[:-1]
+        expected = [interiority(ops, p) for p in pts.reshape(-1, 2)]
+        assert values.ravel() == pytest.approx(expected, rel=1e-14, abs=1e-14)
 
 
 def test_eigenfunction_of_first_mode_vanishes_at_origin():

@@ -216,6 +216,18 @@ def test_eval_point_validation(disk_steklov):
         greens.eval_greens(field, ops, (0.9995, 0.0))
 
 
+def test_near_boundary_warning_reads_the_layer_nodes(disk_steklov):
+    # (0.988, 0) lies 0.012 from the node (1, 0): inside one coarse weight
+    # (2 pi/256 = 0.025) but outside one weight of the 4x upsampled layer
+    ops, mask = disk_steklov
+    field = greens.solve_greens(ops, mask, XS, LAM)
+    with pytest.warns(AccuracyWarning):
+        greens.eval_greens(field, ops, (0.988, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", AccuracyWarning)
+        greens.eval_greens(field, ops, (0.988, 0.0), refine=4)
+
+
 # --- evaluation -----------------------------------------------------------------
 
 def test_eval_at_node_returns_boundary_value(disk_steklov):

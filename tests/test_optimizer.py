@@ -79,6 +79,7 @@ def table_run():
     dict(damping=1.0),
     dict(max_iterations=0),
     dict(n_nodes=8),
+    dict(n_nodes=33),
     dict(damping_mode="random-restart"),
     dict(spectrum_count=2),
 ])

@@ -70,7 +70,6 @@ from .greens import (
     GreensField,
     boundary_product_profile,
     eval_greens,
-    normal_derivative_stencil,
     reported_value,
     reporting_offset,
     solve_greens,
@@ -102,8 +101,7 @@ __all__ = [
     "insert_neumann_arc", "kite",
     # source fields
     "GreensField", "boundary_product_profile", "eval_greens",
-    "normal_derivative_stencil", "reported_value", "reporting_offset",
-    "solve_greens",
+    "reported_value", "reporting_offset", "solve_greens",
     # optimizer
     "IterationRecord", "OptimizerConfig", "OptimizerTrace",
     "next_lower_steklov_eigenvalue", "run_optimizer",

@@ -37,6 +37,12 @@ not change normal derivatives (constants are harmonic with zero flux), is
 invertible for every catalog curve, and coincides with the plain map up to
 the induced reparametrization of densities whenever S itself is invertible.
 
+Both spectral problems are solved in the trace u = T phi, where the mixed
+conditions become the symmetric system of the weighted Dirichlet-to-Neumann
+matrix H = W (-I/2 + K') T^-1: the eigenproblem H u = lambda diag(b) u and
+the source problem (H - lambda diag(b)) u = W f, with b the Steklov weights.
+Densities are recovered as phi = T^-1 u.
+
 Partition masks additionally carry a per-node *Steklov coverage fraction*:
 the fraction of the node's quadrature cell [t_i - h/2, t_i + h/2) covered by
 Steklov arcs.  Spectral quantities become continuous functions of the arc
@@ -200,7 +206,8 @@ class PartitionMask:
     ``is_steklov`` holds the binary containment labels required by the
     discrete contracts; ``steklov_fraction`` refines them to the covered
     fraction of each node's quadrature cell and drives all quadrature-level
-    restrictions (eigen pencil, Green's right-hand sides, inner products).
+    restrictions (the Steklov weights of the eigen and source systems,
+    Green's right-hand sides, inner products).
     Both are immutable.  The mask also owns what has been solved on it:
     ``eigenvalues``, the ascending values of its latest eigensolve (None
     before the first), and the factored source system of :meth:`source_system`.
@@ -222,23 +229,24 @@ class PartitionMask:
         """Quadrature weights of the Steklov part: w_i * fraction_i."""
         return self.ops.weights * self.steklov_fraction
 
-    def source_system(self, lam: float) -> tuple[np.ndarray, tuple, float]:
-        """``(matrix, lu, condition)``: A - lam B of :func:`eigen_pencil`, its
-        ``scipy.linalg.lu_factor`` and its ``dgecon`` 1-norm condition
-        estimate.  Kept for the latest ``lam`` only; sources share it.
+    def source_system(self, lam: float) -> tuple[tuple, float]:
+        """``(lu, condition)`` of the source system H - lam diag(b) in the
+        trace, with H = ``ops.weighted_dtn`` and b the Steklov weights.
+
+        ``lu`` is its ``scipy.linalg.lu_factor`` and ``condition`` its
+        ``dgecon`` 1-norm condition estimate.  Only the factors of the latest
+        ``lam`` are kept; sources share them.
         """
         lam = float(lam)
         if self._source is None or self._source[0] != lam:
-            self._source = None        # free the old system before building
-            matrix, b = eigen_pencil(self.ops, self)
-            b *= lam
-            matrix -= b        # A - lam B in place, without a third matrix
-            del b
-            anorm = np.linalg.norm(matrix, 1)
-            lu = sla.lu_factor(matrix)
+            self._source = None        # free the old factors before building
+            k = np.array(self.ops.weighted_dtn, order="F")   # LAPACK factors it in place
+            k[np.diag_indices_from(k)] -= lam * self.steklov_weights
+            anorm = np.linalg.norm(k, 1)
+            lu = sla.lu_factor(k, overwrite_a=True)
             rcond = sla.lapack.dgecon(lu[0], anorm, norm="1")[0]
             cond = 1.0 / max(rcond, np.finfo(float).tiny)
-            self._source = (lam, matrix, lu, cond)
+            self._source = (lam, lu, cond)
         return self._source[1:]
 
 
@@ -283,18 +291,3 @@ def l2_inner_product(f, g, ops: OperatorSet, mask: PartitionMask | None = None,
             raise MaskError(f"unknown restriction label '{label}'")
     return float(np.sum(w * f * g))
 
-
-def eigen_pencil(ops: OperatorSet, mask: PartitionMask) -> tuple[np.ndarray, np.ndarray]:
-    """Matrices (A, B) of the mixed problem in the density: A phi = lambda B phi.
-
-    A = -I/2 + adjoint_double_layer realizes the normal derivative of the
-    single-layer ansatz; B row i is the completed boundary trace scaled by
-    the node's Steklov coverage fraction (zero on Neumann nodes).
-    :meth:`PartitionMask.source_system` factors A - lambda B for the source
-    solve in :mod:`steklov.greens`; eigenvalues come from the self-adjoint
-    form in :mod:`steklov.eigensolver`.
-    """
-    n = ops.n_nodes
-    a = -0.5 * np.eye(n) + ops.adjoint_double_layer
-    b = mask.steklov_fraction[:, None] * ops.trace_map
-    return a, b

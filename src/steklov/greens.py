@@ -3,9 +3,12 @@
 The field of a unit interior point source is split into the free-space
 logarithmic potential plus a harmonic correction.  The correction is
 carried by the completed single-layer representation S[rho] + w.rho on
-every curve, the form the eigensolver also uses: the density solves the
-masked boundary-condition system, boundary values come from the trace of
-that representation, and interior values reuse the layer potential plus
+every curve, the form the eigensolver also uses.  The boundary conditions
+are solved in the eigensolver's symmetric trace form, (H - lam diag(b)) u =
+W f, and the density is rho = T^-1 u; one refinement pass takes its
+residual in the boundary conditions on the density themselves,
+(-I/2 + K') rho - lam frac (T rho) = f.  Boundary values come from the trace
+of the representation, and interior values reuse the layer potential plus
 the constant w.rho.
 
 The factored source system and the spectrum the resonance guard reads
@@ -64,9 +67,9 @@ class GreensField:
     boundary_values : ndarray, shape (N,)
         Field values at the quadrature nodes.
     residual : float
-        Relative residual of the linear solve.
+        Relative residual of the boundary conditions on the density.
     condition_estimate : float
-        1-norm condition estimate of the solved system.
+        1-norm condition estimate of the solved system H - lam diag(b).
     """
 
     source: np.ndarray
@@ -142,14 +145,24 @@ def solve_greens(ops: OperatorSet, mask: PartitionMask, source, lam: float
             "spectral parameter %.12g is within the guard band of the "
             "eigenvalue %.12g" % (lam, near), nearest_eigenvalue=near)
 
-    M, lu, cond = mask.source_system(lam)
+    lu, cond = mask.source_system(lam)
     g0 = kernels.gamma0(ops.points, source)
-    g0n = kernels.gamma0_dnu(ops.points, ops.normals, source)
-    rhs = lam * mask.steklov_fraction * g0 - g0n
+    steklov_lam = lam * mask.steklov_fraction
+    rhs = steklov_lam * g0 - kernels.gamma0_dnu(ops.points, ops.normals, source)
 
-    rho = sla.lu_solve(lu, rhs)
-    rho += sla.lu_solve(lu, rhs - M @ rho)        # one refinement pass
-    residual = float(np.max(np.abs(rhs - M @ rho)) / (1.0 + np.max(np.abs(rhs))))
+    def density(r):
+        # (H - lam diag(b)) u = W r in the trace, then rho = T^-1 u
+        return sla.lu_solve(ops.trace_map_lu, sla.lu_solve(lu, ops.weights * r))
+
+    def density_residual(rho):
+        # rhs - ((-I/2 + K') rho - lam frac (T rho)), the conditions on rho
+        return rhs - (ops.adjoint_double_layer @ rho - 0.5 * rho
+                      - steklov_lam * (ops.trace_map @ rho))
+
+    rho = density(rhs)
+    rho += density(density_residual(rho))        # one refinement pass
+    residual = float(np.max(np.abs(density_residual(rho)))
+                     / (1.0 + np.max(np.abs(rhs))))
     if residual > RESIDUAL_TOL:
         raise ConvergenceError(
             "source solve stalled at relative residual %.3e "
@@ -193,26 +206,6 @@ def eval_greens(field: GreensField, ops: OperatorSet, y, refine: int = 1):
                      + evaluate_layer_potential(ops, field.correction_density,
                                                 pts[off], refine))
     return float(vals[0]) if y.ndim == 1 else vals.reshape(y.shape[:-1])
-
-
-def normal_derivative_stencil(field: GreensField, ops: OperatorSet,
-                              node_indices, step: float = 5e-3,
-                              refine: int = 8) -> np.ndarray:
-    """One-sided second-order normal derivative at boundary nodes.
-
-    Steps into the interior along the inward normal and combines the
-    upsampled interior evaluations with the stored boundary value:
-    f'(0) = (3 f(0) - 4 f(-h) + f(-2h)) / (2h) + O(h^2).
-    """
-    idx = np.asarray(node_indices, dtype=int).reshape(-1)
-    base = ops.points[idx]
-    nu = ops.normals[idx]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", AccuracyWarning)
-        f1 = eval_greens(field, ops, base - step * nu, refine=refine)
-        f2 = eval_greens(field, ops, base - 2.0 * step * nu, refine=refine)
-    f0 = field.boundary_values[idx]
-    return (3.0 * f0 - 4.0 * f1 + f2) / (2.0 * step)
 
 
 # --- derived quantities ---------------------------------------------------------

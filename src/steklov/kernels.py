@@ -26,20 +26,29 @@ from .geometry import BoundaryCurve
 _MIN_SEPARATION = 1e-14
 
 
-def _diff_and_dist(x, y):
+def _differences(x, y):
+    """x - y as two coordinate arrays of the broadcast shape."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    diff = x - y
-    dist = np.linalg.norm(diff, axis=-1)
-    if np.any(dist < _MIN_SEPARATION):
+    shape = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
+    return [np.subtract(x[..., k], y[..., k], out=np.empty(shape)) for k in (0, 1)]
+
+
+def _distance(dx, dy):
+    """|x - y| = sqrt(dx*dx + dy*dy), the arithmetic of ``np.linalg.norm``,
+    built in the buffer of ``dx``; overwrites both arguments."""
+    dx *= dx
+    dx += np.multiply(dy, dy, out=dy)
+    np.sqrt(dx, out=dx)
+    if np.any(dx < _MIN_SEPARATION):
         raise SingularityError("kernel evaluated at coincident points")
-    return diff, dist
+    return dx
 
 
 def gamma0(x, y) -> np.ndarray:
     """Fundamental solution (1/2*pi) log|x - y|; symmetric in its arguments."""
-    _, dist = _diff_and_dist(x, y)
-    return np.log(dist) / (2.0 * np.pi)
+    dist = _distance(*_differences(x, y))
+    return np.log(dist, out=dist) / (2.0 * np.pi)
 
 
 def gamma0_dnu(x, nu_x, y) -> np.ndarray:
@@ -58,9 +67,10 @@ def gamma0_dnu(x, nu_x, y) -> np.ndarray:
     -------
     (x - y) . nu_x / (2*pi |x - y|^2), broadcast over leading axes.
     """
-    diff, dist = _diff_and_dist(x, y)
+    dx, dy = _differences(x, y)
     nu_x = np.asarray(nu_x, dtype=float)
-    return np.sum(diff * nu_x, axis=-1) / (2.0 * np.pi * dist**2)
+    flux = dx * nu_x[..., 0] + dy * nu_x[..., 1]
+    return flux / (2.0 * np.pi * _distance(dx, dy)**2)
 
 
 def gamma0_dnu_diagonal_limit(curve: BoundaryCurve, t) -> np.ndarray:

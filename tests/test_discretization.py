@@ -10,7 +10,6 @@ from steklov import kernels
 from steklov.discretization import (
     OperatorSet,
     assemble,
-    eigen_pencil,
     l2_inner_product,
     log_quadrature_weights,
     mask_from_partition,
@@ -244,16 +243,6 @@ def test_l2_inner_product_restricted_to_labels():
         l2_inner_product(one, one, ops, mask, "dirichlet")
     with pytest.raises(MaskError):
         l2_inner_product(one, one, ops, None, STEKLOV)
-
-
-def test_eigen_pencil_shapes_and_neumann_rows():
-    ops = assemble(circle(), 64)
-    part = BoundaryPartition.from_neumann_intervals(circle(), [(0.0, np.pi)])
-    mask = mask_from_partition(ops, part)
-    a, b = eigen_pencil(ops, mask)
-    assert a.shape == b.shape == (64, 64)
-    pure_neumann = mask.steklov_fraction == 0.0
-    assert np.max(np.abs(b[pure_neumann])) == 0.0
 
 
 def test_assembly_routes_through_kernel_module(monkeypatch):

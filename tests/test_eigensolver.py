@@ -10,7 +10,6 @@ from numpy.testing import assert_allclose
 from steklov import kernels
 from steklov.discretization import (
     assemble,
-    eigen_pencil,
     l2_inner_product,
     mask_from_partition,
 )
@@ -69,10 +68,14 @@ def small_fraction_setup():
 def qz_reference(ops, mask):
     """Independent reference: QZ on the non-symmetric pencil A phi = lambda B phi.
 
+    A = -I/2 + K' is the normal derivative of the single-layer ansatz and
+    row i of B the completed trace scaled by the node's Steklov fraction.
     B is rank deficient (Neumann rows vanish), so infinite, complex and
     negative garbage values are dropped.
     """
-    w = sla.eigvals(*eigen_pencil(ops, mask))
+    a = -0.5 * np.eye(ops.n_nodes) + ops.adjoint_double_layer
+    b = mask.steklov_fraction[:, None] * ops.trace_map
+    w = sla.eigvals(a, b)
     w = w[np.isfinite(w) & (np.abs(w.imag) <= 1e-6 * (1.0 + np.abs(w.real)))].real
     return np.sort(w[w >= -1e-6])
 

@@ -14,7 +14,7 @@ from steklov.errors import (
     ResonanceError,
     SingularityError,
 )
-from steklov.geometry import BoundaryPartition, circle, kite
+from steklov.geometry import TWO_PI, BoundaryPartition, circle, kite
 
 # Frozen from a 1536-node run; the 512-node value agrees to 3e-8.
 KITE_SOURCE_VALUE = -0.05514797
@@ -312,6 +312,51 @@ def test_neumann_rows_satisfied_exactly(disk_mixed):
     assert np.max(np.abs(flux[binary])) < 1e-12
 
 
+def small_fraction_mask():
+    # a Neumann arc ending 1e-8 of a cell short of a node's cell edge leaves
+    # that node a Steklov fraction of 1e-8
+    ops = assemble(circle(), 128)
+    h = TWO_PI / 128
+    end = ops.params[32] + h / 2 - 1e-8 * h
+    mask = mask_from_partition(
+        ops, BoundaryPartition.from_neumann_intervals(ops.curve, [(0.3, end)]))
+    assert np.min(mask.steklov_fraction[mask.steklov_fraction > 0]) < 2e-8
+    return ops, mask
+
+
+def density_reference(ops, mask, source, lam):
+    """Dense solve of the boundary conditions in the density.
+
+    (A - lam B) rho = lam frac gamma0 - d gamma0/dnu, with A = -I/2 + K'
+    the flux of the single layer and row i of B the completed trace scaled
+    by the node's Steklov fraction; returns rho and the boundary values.
+    """
+    a = -0.5 * np.eye(ops.n_nodes) + ops.adjoint_double_layer
+    b = mask.steklov_fraction[:, None] * ops.trace_map
+    g0 = kernels.gamma0(ops.points, source)
+    rhs = (lam * mask.steklov_fraction * g0
+           - kernels.gamma0_dnu(ops.points, ops.normals, source))
+    rho = np.linalg.solve(a - lam * b, rhs)
+    return rho, g0 + ops.trace_map @ rho
+
+
+def test_source_solve_matches_density_reference(disk_mixed):
+    kite_ops = assemble(kite(), 512)
+    kite_part = BoundaryPartition.from_neumann_intervals(
+        kite_ops.curve, [(0.5, 1.3), (3.8, 4.6)])
+    cases = [(disk_mixed[:2], XS),
+             ((kite_ops, mask_from_partition(kite_ops, kite_part)), (-0.4, 0.3)),
+             (small_fraction_mask(), XS)]
+    for (ops, mask), source in cases:
+        for lam in (0.7, 2.3, 5.1):
+            field = greens.solve_greens(ops, mask, source, lam)
+            rho, boundary = density_reference(ops, mask, source, lam)
+            assert (np.max(np.abs(field.correction_density - rho))
+                    <= 1e-12 * np.max(np.abs(rho)))
+            assert (np.max(np.abs(field.boundary_values - boundary))
+                    <= 1e-12 * np.max(np.abs(boundary)))
+
+
 def test_neumann_flux_vanishes_under_refined_stencil():
     # independent check away from the junctions: the interior field's
     # normal derivative at Neumann nodes, fourth-order one-sided stencil
@@ -409,12 +454,12 @@ def test_product_profile_rejects_mismatches(disk_ops, disk_mixed):
 def test_factorization_shared_across_sources(disk_ops):
     mask = mask_from_partition(disk_ops, BoundaryPartition.all_steklov(disk_ops.curve))
     greens.solve_greens(disk_ops, mask, XS, LAM)
-    lu = mask.source_system(LAM)[1]
+    lu = mask.source_system(LAM)[0]
     greens.solve_greens(disk_ops, mask, (0.3, 0.2), LAM)
-    assert mask.source_system(LAM)[1] is lu
+    assert mask.source_system(LAM)[0] is lu
     greens.solve_greens(disk_ops, mask, XS, 2.7)
-    assert mask.source_system(2.7)[1] is not lu
-    assert mask.source_system(LAM)[1] is not lu
+    assert mask.source_system(2.7)[0] is not lu
+    assert mask.source_system(LAM)[0] is not lu
 
 
 def test_guard_reads_the_spectrum_on_the_mask(disk_ops, monkeypatch):

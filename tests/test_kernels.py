@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from steklov import kernels
+from steklov.discretization import assemble
 from steklov.errors import SingularityError
 from steklov.geometry import TWO_PI, circle, flower, kite, point_normal_speed
 from steklov.kernels import gamma0, gamma0_dnu, gamma0_dnu_diagonal_limit
@@ -116,3 +118,33 @@ def test_gauss_identity_trapezoid(curve, inside, outside):
     for target, expected in ((inside, 1.0), (outside, 0.0)):
         vals = gamma0_dnu(pts, nus, np.asarray(target, dtype=float))
         assert np.sum(w * vals) == pytest.approx(expected, abs=1e-10)
+
+
+def stacked_gamma0(x, y):
+    # the arithmetic of the stacked (..., 2) difference array and its norm
+    diff = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+    return np.log(np.linalg.norm(diff, axis=-1)) / (2.0 * np.pi)
+
+
+def stacked_gamma0_dnu(x, nu_x, y):
+    diff = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+    dist = np.linalg.norm(diff, axis=-1)
+    return np.sum(diff * np.asarray(nu_x, dtype=float), axis=-1) / (2.0 * np.pi * dist**2)
+
+
+def test_kernels_match_stacked_difference_arithmetic(monkeypatch):
+    # the kernels build |x - y| from the two coordinate differences without
+    # the stacked difference array; the floating-point results are unchanged
+    ops = assemble(kite(), 256)
+    g = np.stack(np.meshgrid(np.linspace(-1.47, 0.97, 23), np.linspace(-1.37, 1.41, 19)), -1)
+    lattice = g.reshape(-1, 2)
+    assert np.array_equal(gamma0(lattice[:, None, :], ops.points),
+                          stacked_gamma0(lattice[:, None, :], ops.points))
+    assert np.array_equal(gamma0_dnu(ops.points, ops.normals, lattice[:, None, :]),
+                          stacked_gamma0_dnu(ops.points, ops.normals, lattice[:, None, :]))
+    assert gamma0([0.1, 0.2], [0.7, -0.3]) == stacked_gamma0([0.1, 0.2], [0.7, -0.3])
+    monkeypatch.setattr(kernels, "gamma0", stacked_gamma0)
+    monkeypatch.setattr(kernels, "gamma0_dnu", stacked_gamma0_dnu)
+    stacked = assemble(kite(), 256)
+    assert np.array_equal(ops.single_layer, stacked.single_layer)
+    assert np.array_equal(ops.adjoint_double_layer, stacked.adjoint_double_layer)

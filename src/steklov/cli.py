@@ -12,20 +12,25 @@ Run-file syntax (format 1)
 INI sections with ``key = value`` pairs; ``;`` and ``#`` start comments.
 Written files begin with the header comment ``# steklov run file, format 1``
 and carry ``format = 1`` under ``[config]``; readers reject other formats.
-Scalars accept a trailing ``pi`` (``0.36pi``, ``-pi``).  Points are comma
-pairs (``source = -0.9, 0.0``); parameter intervals are colon-separated
-endpoints joined by commas (``neumann = 0.8 : 2.1, 3.8 : 4.6``).
+Scalars are finite and accept a trailing ``pi`` (``0.36pi``, ``-pi``).
+Points are comma pairs (``source = -0.9, 0.0``); parameter intervals are
+colon-separated endpoints joined by commas (``neumann = 0.8 : 2.1, 3.8 : 4.6``).
+
+The table ``_KEYS`` below is the key list: one row per key gives its
+field, reader, writer and default.  The ``[optimize]`` tuning keys default
+to the values of :class:`~steklov.optimizer.OptimizerConfig`, and
+``[spectrum] count`` to that of :class:`~steklov.eigensolver.SpectrumRequest`.
 
 ``[curve]``            ``name`` (circle | ellipse | kite | flower) plus any
                        keyword the named factory takes (``radius``, ...).
-``[discretization]``   ``nodes`` - boundary node count (default 256).
+``[discretization]``   ``nodes`` - boundary node count (even, at least 32).
 ``[partition]``        ``neumann`` - intervals carrying the zero-flux
                        condition; omit the section for an all-Steklov run.
-``[spectrum]``         ``count`` - requested eigenvalue count (default 10).
-``[greens]``           ``lambda``, ``source``, optional ``grid`` (lattice
-                       points per axis, default 64; 0 skips the grid file).
+``[spectrum]``         ``count`` - requested eigenvalue count.
+``[greens]``           ``lambda`` (>= 0), ``source``, optional ``grid``
+                       (lattice points per axis; 0 skips the grid file).
 ``[optimize]``         ``lambda_star``, ``source``, ``receiver``, optional
-                       ``c_tol``, ``damping``, ``max_iterations``,
+                       tuning keys ``c_tol``, ``damping``, ``max_iterations``,
                        ``damping_mode`` (constant | gap-ratio), ``window``.
 
 Outputs (all byte-deterministic for identical configs)
@@ -78,11 +83,12 @@ from .errors import (
 )
 from .geometry import BoundaryCurve, BoundaryPartition, curve_from_name
 from .greens import GreensField, eval_greens, reporting_offset, solve_greens
+from .kernels import nearest_node
 from .optimizer import (
-    DAMPING_CONSTANT,
     IterationRecord,
     OptimizerConfig,
     OptimizerTrace,
+    check_node_count,
     run as run_optimizer,
 )
 from .oracles import CheckResult, run_validation_suite
@@ -95,34 +101,14 @@ EXIT_NO_CONVERGENCE = 4
 CONFIG_FORMAT = 1
 _HEADER = "# steklov run file, format %d" % CONFIG_FORMAT
 
-# section -> allowed keys; None means free-form (curve factory keywords)
-_SCHEMA: dict[str, set[str] | None] = {
-    "config": {"format"},
-    "curve": None,
-    "discretization": {"nodes"},
-    "partition": {"neumann"},
-    "spectrum": {"count"},
-    "greens": {"lambda", "source", "grid"},
-    "optimize": {
-        "lambda_star",
-        "source",
-        "receiver",
-        "c_tol",
-        "damping",
-        "max_iterations",
-        "damping_mode",
-        "window",
-    },
-}
-
 
 # ---------------------------------------------------------------------------
-# run-file parsing
+# run-file keys
 # ---------------------------------------------------------------------------
 
 
 def _number(text: str, what: str) -> float:
-    """Float literal with an optional trailing ``pi`` factor."""
+    """Finite float literal with an optional trailing ``pi`` factor."""
     s = text.strip().lower()
     scale = 1.0
     if s.endswith("pi"):
@@ -131,9 +117,12 @@ def _number(text: str, what: str) -> float:
         if s in ("", "+", "-"):
             s += "1"
     try:
-        return float(s) * scale
+        value = float(s) * scale
     except ValueError:
-        raise ConfigError(f"{what}: bad number literal {text!r}") from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError(f"{what}: bad number literal {text!r}")
+    return value
 
 
 def _integer(text: str, what: str) -> int:
@@ -156,37 +145,111 @@ def _intervals(text: str, what: str) -> tuple[tuple[float, float], ...]:
         ends = piece.split(":")
         if len(ends) != 2:
             raise ConfigError(f"{what}: expected 'lo : hi', got {piece.strip()!r}")
-        lo = _number(ends[0], what)
-        hi = _number(ends[1], what)
-        out.append((lo, hi))
+        out.append((_number(ends[0], what), _number(ends[1], what)))
     return tuple(out)
+
+
+def _word(text: str, what: str) -> str:
+    return text.strip()
+
+
+def _format(text: str, what: str) -> int:
+    fmt = _integer(text, what)
+    if fmt != CONFIG_FORMAT:
+        raise ConfigError(f"run file declares format {fmt}; "
+                          f"this build reads format {CONFIG_FORMAT}")
+    return fmt
+
+
+def _float(x) -> str:
+    return repr(float(x))  # lossless round trip
+
+
+def _pair(p) -> str:
+    return "%s, %s" % tuple(map(_float, p))
+
+
+def _spans(intervals) -> str:
+    return ", ".join(f"{_float(lo)} : {_float(hi)}" for lo, hi in intervals)
+
+
+@dataclass(frozen=True)
+class _Key:
+    """One run-file key: ``[section] key`` fills the :class:`RunConfig`
+    ``field`` through ``read``, is written back by ``write`` and defaults
+    to ``default`` (None or (): unset).  ``option`` names the
+    :class:`OptimizerConfig` argument the field feeds.  A row without a
+    field only checks its key."""
+
+    section: str
+    key: str
+    field: str | None
+    read: Callable[[str, str], object]
+    write: Callable[[object], str]
+    default: object = None
+    option: str | None = None
+
+
+def _tuning(key: str, option: str, read, write) -> _Key:
+    """An [optimize] tuning key; its default is the OptimizerConfig one."""
+    return _Key("optimize", key, key, read, write, getattr(OptimizerConfig, option), option)
+
+
+# Every run-file key, in the order files are written.  [curve] also takes
+# the keywords of the named curve factory.
+_KEYS = (
+    _Key("config", "format", None, _format, str, CONFIG_FORMAT),
+    _Key("curve", "name", "curve_name", _word, str),
+    _Key("discretization", "nodes", "n_nodes", _integer, str, 256, "n_nodes"),
+    _Key("partition", "neumann", "neumann", _intervals, _spans, ()),
+    _Key("spectrum", "count", "spectrum_count", _integer, str, SpectrumRequest.count),
+    _Key("greens", "lambda", "greens_lambda", _number, _float),
+    _Key("greens", "source", "greens_source", _point, _pair),
+    _Key("greens", "grid", "grid_points", _integer, str, 64),
+    _Key("optimize", "lambda_star", "lambda_star", _number, _float, None, "lambda_star"),
+    _Key("optimize", "source", "opt_source", _point, _pair, None, "source"),
+    _Key("optimize", "receiver", "receiver", _point, _pair, None, "receiver"),
+    _tuning("c_tol", "C_tol", _number, _float),
+    _tuning("damping", "damping", _number, _float),
+    _tuning("max_iterations", "max_iterations", _integer, str),
+    _tuning("damping_mode", "damping_mode", _word, str),
+    _tuning("window", "spectrum_count", _integer, str),
+)
+_SECTIONS = {section: [row for row in _KEYS if row.section == section]
+             for section in dict.fromkeys(row.section for row in _KEYS)}
+_DEFAULTS = {row.field: row.default for row in _KEYS if row.field}
+
+
+def _unset(value) -> bool:
+    return value is None or value == ()
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Parsed run file: geometry, discretization, and per-command settings.
 
-    Only the sections a command actually reads are required in the file;
-    the corresponding build helpers raise :class:`ConfigError` when asked
-    for settings the file never provided.
+    Each field is filled from one row of ``_KEYS``, or from that row's
+    default when the file omits the key.  Only the sections a command
+    actually reads are required in the file; the build helpers raise
+    :class:`ConfigError` when asked for settings the file never provided.
     """
 
     curve_name: str
-    curve_params: tuple[tuple[str, float], ...] = ()
-    n_nodes: int = 256
-    neumann: tuple[tuple[float, float], ...] = ()
-    spectrum_count: int = 10
-    greens_lambda: float | None = None
-    greens_source: tuple[float, float] | None = None
-    grid_points: int = 64
-    lambda_star: float | None = None
-    opt_source: tuple[float, float] | None = None
-    receiver: tuple[float, float] | None = None
-    c_tol: float = 1e-3
-    damping: float = 0.8
-    max_iterations: int = 200
-    damping_mode: str = DAMPING_CONSTANT
-    window: int = 12
+    curve_params: tuple[tuple[str, float], ...]
+    n_nodes: int
+    neumann: tuple[tuple[float, float], ...]
+    spectrum_count: int
+    greens_lambda: float | None
+    greens_source: tuple[float, float] | None
+    grid_points: int
+    lambda_star: float | None
+    opt_source: tuple[float, float] | None
+    receiver: tuple[float, float] | None
+    c_tol: float
+    damping: float
+    max_iterations: int
+    damping_mode: str
+    window: int
 
     def build_curve(self) -> BoundaryCurve:
         try:
@@ -209,33 +272,12 @@ class RunConfig:
         return part
 
     def build_optimizer_config(self) -> OptimizerConfig:
-        missing = [name for name, value in (
-            ("lambda_star", self.lambda_star),
-            ("source", self.opt_source),
-            ("receiver", self.receiver)) if value is None]
+        rows = [row for row in _KEYS if row.option]
+        missing = [row.key for row in rows if getattr(self, row.field) is None]
         if missing:
             raise ConfigError("[optimize] requires " + ", ".join(missing))
-        return OptimizerConfig(
-            curve=self.build_curve(),
-            source=np.array(self.opt_source),
-            receiver=np.array(self.receiver),
-            lambda_star=float(self.lambda_star),
-            C_tol=self.c_tol,
-            damping=self.damping,
-            max_iterations=self.max_iterations,
-            n_nodes=self.n_nodes,
-            damping_mode=self.damping_mode,
-            spectrum_count=self.window,
-        )
-
-
-def _check_nodes(n: int, what: str) -> int:
-    """``n`` unless the log quadrature cannot take it (odd, or below 32)."""
-    if n < 32:
-        raise ConfigError(f"{what} {n} is below 32")
-    if n % 2:
-        raise ConfigError(f"{what} {n} is odd; the quadrature needs an even count")
-    return n
+        return OptimizerConfig(curve=self.build_curve(), **{
+            row.option: getattr(self, row.field) for row in rows})
 
 
 def parse_config(text: str) -> RunConfig:
@@ -246,78 +288,38 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"run file is not valid INI: {exc}") from None
 
     for section in cp.sections():
-        allowed = _SCHEMA.get(section, ...)
-        if allowed is ...:
+        if section not in _SECTIONS:
             raise ConfigError(
                 f"unknown section [{section}] "
-                f"(known: {', '.join(sorted(_SCHEMA))})")
-        if allowed is None:
-            continue
+                f"(known: {', '.join(sorted(_SECTIONS))})")
+        known = sorted(row.key for row in _SECTIONS[section])
         for key in cp[section]:
-            if key not in allowed:
+            if key not in known and section != "curve":
                 raise ConfigError(
                     f"unknown key '{key}' in [{section}] "
-                    f"(known: {', '.join(sorted(allowed))})")
+                    f"(known: {', '.join(known)})")
 
-    if cp.has_option("config", "format"):
-        fmt = _integer(cp["config"]["format"], "[config] format")
-        if fmt != CONFIG_FORMAT:
-            raise ConfigError(
-                f"run file declares format {fmt}; "
-                f"this build reads format {CONFIG_FORMAT}")
-
-    if not cp.has_section("curve") or not cp.has_option("curve", "name"):
+    values = dict(_DEFAULTS)
+    for row in _KEYS:
+        if cp.has_option(row.section, row.key):
+            value = row.read(cp[row.section][row.key], f"[{row.section}] {row.key}")
+            if row.field:
+                values[row.field] = value
+    if values["curve_name"] is None:
         raise ConfigError("run file needs [curve] with a 'name' key")
-    curve_name = cp["curve"]["name"].strip()
-    curve_params = tuple(
+    values["curve_params"] = tuple(
         (key, _number(value, f"[curve] {key}"))
         for key, value in cp["curve"].items() if key != "name")
 
-    kw: dict = {"curve_name": curve_name, "curve_params": curve_params}
-    if cp.has_option("discretization", "nodes"):
-        kw["n_nodes"] = _integer(cp["discretization"]["nodes"],
-                                 "[discretization] nodes")
-    if cp.has_option("partition", "neumann"):
-        kw["neumann"] = _intervals(cp["partition"]["neumann"],
-                                   "[partition] neumann")
-    if cp.has_option("spectrum", "count"):
-        kw["spectrum_count"] = _integer(cp["spectrum"]["count"],
-                                        "[spectrum] count")
-    if cp.has_section("greens"):
-        g = cp["greens"]
-        if "lambda" in g:
-            kw["greens_lambda"] = _number(g["lambda"], "[greens] lambda")
-        if "source" in g:
-            kw["greens_source"] = _point(g["source"], "[greens] source")
-        if "grid" in g:
-            kw["grid_points"] = _integer(g["grid"], "[greens] grid")
-    if cp.has_section("optimize"):
-        o = cp["optimize"]
-        if "lambda_star" in o:
-            kw["lambda_star"] = _number(o["lambda_star"],
-                                        "[optimize] lambda_star")
-        if "source" in o:
-            kw["opt_source"] = _point(o["source"], "[optimize] source")
-        if "receiver" in o:
-            kw["receiver"] = _point(o["receiver"], "[optimize] receiver")
-        if "c_tol" in o:
-            kw["c_tol"] = _number(o["c_tol"], "[optimize] c_tol")
-        if "damping" in o:
-            kw["damping"] = _number(o["damping"], "[optimize] damping")
-        if "max_iterations" in o:
-            kw["max_iterations"] = _integer(o["max_iterations"],
-                                            "[optimize] max_iterations")
-        if "damping_mode" in o:
-            kw["damping_mode"] = o["damping_mode"].strip()
-        if "window" in o:
-            kw["window"] = _integer(o["window"], "[optimize] window")
-
-    _check_nodes(kw.get("n_nodes", 256), "[discretization] nodes =")
-    if kw.get("spectrum_count", 10) < 1:
+    cfg = RunConfig(**values)
+    check_node_count(cfg.n_nodes, "[discretization] nodes =")
+    if cfg.spectrum_count < 1:
         raise ConfigError("[spectrum] count must be positive")
-    if kw.get("grid_points", 64) < 0:
+    if cfg.grid_points < 0:
         raise ConfigError("[greens] grid must be non-negative")
-    return RunConfig(**kw)
+    if cfg.greens_lambda is not None and cfg.greens_lambda < 0:
+        raise ConfigError("[greens] lambda must be non-negative")
+    return cfg
 
 
 def load_config(path: str | Path, nodes: int | None = None) -> RunConfig:
@@ -327,43 +329,28 @@ def load_config(path: str | Path, nodes: int | None = None) -> RunConfig:
         raise ConfigError(f"cannot read run file: {exc}") from None
     cfg = parse_config(text)
     if nodes is not None:
-        cfg = replace(cfg, n_nodes=_check_nodes(nodes, "--nodes"))
+        cfg = replace(cfg, n_nodes=check_node_count(nodes, "--nodes"))
     return cfg
 
 
 def render_config(cfg: RunConfig) -> str:
     """Serialize back to run-file text; parse(render(c)) == c.
 
-    Floats are written with ``repr`` so the round trip is lossless.
+    A section with an optional key is left out while all its keys keep
+    their defaults; every key that is set is written.
     """
-    lit = lambda x: repr(float(x))  # noqa: E731 - local shorthand
-    lines = [_HEADER, "", "[config]", f"format = {CONFIG_FORMAT}", ""]
-    lines += ["[curve]", f"name = {cfg.curve_name}"]
-    lines += [f"{key} = {lit(value)}" for key, value in cfg.curve_params]
-    lines += ["", "[discretization]", f"nodes = {cfg.n_nodes}"]
-    if cfg.neumann:
-        body = ", ".join(f"{lit(lo)} : {lit(hi)}" for lo, hi in cfg.neumann)
-        lines += ["", "[partition]", f"neumann = {body}"]
-    lines += ["", "[spectrum]", f"count = {cfg.spectrum_count}"]
-    if cfg.greens_lambda is not None or cfg.greens_source is not None:
-        lines += ["", "[greens]"]
-        if cfg.greens_lambda is not None:
-            lines += [f"lambda = {lit(cfg.greens_lambda)}"]
-        if cfg.greens_source is not None:
-            lines += ["source = %s, %s" % tuple(map(lit, cfg.greens_source))]
-        lines += [f"grid = {cfg.grid_points}"]
-    if cfg.lambda_star is not None:
-        lines += ["", "[optimize]",
-                  f"lambda_star = {lit(cfg.lambda_star)}"]
-        if cfg.opt_source is not None:
-            lines += ["source = %s, %s" % tuple(map(lit, cfg.opt_source))]
-        if cfg.receiver is not None:
-            lines += ["receiver = %s, %s" % tuple(map(lit, cfg.receiver))]
-        lines += [f"c_tol = {lit(cfg.c_tol)}",
-                  f"damping = {lit(cfg.damping)}",
-                  f"max_iterations = {cfg.max_iterations}",
-                  f"damping_mode = {cfg.damping_mode}",
-                  f"window = {cfg.window}"]
+    lines = [_HEADER]
+    for section, rows in _SECTIONS.items():
+        values = [(row, getattr(cfg, row.field) if row.field else row.default)
+                  for row in rows]
+        if (any(_unset(row.default) for row in rows)
+                and all(value == row.default for row, value in values)):
+            continue
+        lines += ["", f"[{section}]"]
+        lines += [f"{row.key} = {row.write(value)}"
+                  for row, value in values if not _unset(value)]
+        if section == "curve":
+            lines += [f"{key} = {_float(value)}" for key, value in cfg.curve_params]
     return "\n".join(lines) + "\n"
 
 
@@ -418,9 +405,8 @@ def interior_lattice(ops: OperatorSet, grid_points: int,
     block = np.repeat(np.arange(grid_points), grid_points)
 
     keep = interiority(ops, pts) >= 0.5
-    sep = np.linalg.norm(pts[:, None, :] - ops.points, axis=-1)
-    spacing = ops.weights[np.argmin(sep, axis=1)]
-    keep &= sep.min(axis=1) >= spacing
+    nearest, sep = nearest_node(pts, ops.points)
+    keep &= sep >= ops.weights[nearest]
     keep &= np.linalg.norm(pts - source, axis=1) > 1e-9
     return pts[keep], block[keep]
 
@@ -575,8 +561,8 @@ def format_report(checks: Sequence[CheckResult]) -> str:
 
 def cmd_validate(cfg: RunConfig | None, outdir: Path, echo: Callable,
                  n_nodes: int | None) -> int:
-    nodes = _check_nodes(n_nodes, "--nodes") if n_nodes is not None else (
-        cfg.n_nodes if cfg is not None else 256)
+    nodes = check_node_count(n_nodes, "--nodes") if n_nodes is not None else (
+        cfg.n_nodes if cfg is not None else _DEFAULTS["n_nodes"])
     checks = run_validation_suite(nodes)
     report = format_report(checks)
     _write(outdir / "validate_report.txt", report)

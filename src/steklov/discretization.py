@@ -57,7 +57,6 @@ import scipy.linalg as sla
 from . import kernels
 from .errors import GeometryError, MaskError
 from .geometry import (
-    NEUMANN,
     STEKLOV,
     TWO_PI,
     BoundaryCurve,
@@ -267,27 +266,3 @@ def mask_from_partition(ops: OperatorSet, partition: BoundaryPartition) -> Parti
     if not labels.any() or not np.any(frac > 0):
         raise MaskError("partition leaves no Steklov node")
     return PartitionMask(ops, partition, labels, frac)
-
-
-def l2_inner_product(f, g, ops: OperatorSet, mask: PartitionMask | None = None,
-                     label: str | None = None) -> float:
-    """Discrete L^2 boundary inner product, optionally restricted by label.
-
-    Without a mask (or with label None) integrates over the whole boundary;
-    with label 'steklov'/'neumann' the weights are scaled by the node
-    coverage fractions of that part.
-    """
-    f = np.asarray(f, dtype=float)
-    g = np.asarray(g, dtype=float)
-    w = ops.weights
-    if label is not None:
-        if mask is None:
-            raise MaskError("label restriction requires a mask")
-        if label == STEKLOV:
-            w = mask.steklov_weights
-        elif label == NEUMANN:
-            w = ops.weights * (1.0 - mask.steklov_fraction)
-        else:
-            raise MaskError(f"unknown restriction label '{label}'")
-    return float(np.sum(w * f * g))
-

@@ -525,7 +525,11 @@ def evaluate_layer_potential(ops: OperatorSet, density: np.ndarray, x,
         params = TWO_PI * np.arange(n_fine) / n_fine
         nodes = ops.curve.eval(params)
         w = (TWO_PI / n_fine) * ops.curve.speed(params)
-        rho = np.fft.irfft(np.fft.rfft(density), n_fine) * refine
+        coef = np.fft.rfft(density)
+        # the Nyquist coefficient stands for +-N/2 at once; halved, the fine
+        # density passes through the coarse one
+        coef[-1] *= 0.5
+        rho = np.fft.irfft(coef, n_fine) * refine
     kernel = kernels.gamma0(pts[:, None, :], nodes)
     # the kernel is monotone in the distance: its row minimum is the nearest node
     nearest = np.argmin(kernel, axis=1)

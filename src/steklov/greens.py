@@ -197,9 +197,8 @@ def eval_greens(field: GreensField, ops: OperatorSet, y, refine: int = 1):
     if np.any(np.linalg.norm(pts - field.source, axis=1) < _SOURCE_CLEARANCE):
         raise SingularityError("evaluation point coincides with the source")
 
-    node_sep = np.linalg.norm(pts[:, None, :] - ops.points, axis=-1)
-    nearest = np.argmin(node_sep, axis=1)
-    off = node_sep[np.arange(len(pts)), nearest] >= 1e-12
+    nearest, sep = kernels.nearest_node(pts, ops.points)
+    off = sep >= 1e-12
     vals = field.boundary_values[nearest]
     if np.any(off):
         vals[off] = (kernels.gamma0(pts[off], field.source)

@@ -34,15 +34,28 @@ def _differences(x, y):
     return [np.subtract(x[..., k], y[..., k], out=np.empty(shape)) for k in (0, 1)]
 
 
-def _distance(dx, dy):
+def _norm(dx, dy):
     """|x - y| = sqrt(dx*dx + dy*dy), the arithmetic of ``np.linalg.norm``,
     built in the buffer of ``dx``; overwrites both arguments."""
     dx *= dx
     dx += np.multiply(dy, dy, out=dy)
-    np.sqrt(dx, out=dx)
-    if np.any(dx < _MIN_SEPARATION):
+    return np.sqrt(dx, out=dx)
+
+
+def _distance(dx, dy):
+    """:func:`_norm`, refusing coincident points."""
+    dist = _norm(dx, dy)
+    if np.any(dist < _MIN_SEPARATION):
         raise SingularityError("kernel evaluated at coincident points")
-    return dx
+    return dist
+
+
+def nearest_node(x, nodes) -> tuple[np.ndarray, np.ndarray]:
+    """Index of the nearest of ``nodes`` (M, 2) and the distance to it, for
+    each point of ``x`` (P, 2); coincident points are allowed."""
+    dist = _norm(*_differences(np.asarray(x, dtype=float)[:, None, :], nodes))
+    nearest = np.argmin(dist, axis=1)
+    return nearest, dist[np.arange(len(nearest)), nearest]
 
 
 def gamma0(x, y) -> np.ndarray:

@@ -97,6 +97,19 @@ _SECULAR_SHARE = 12
 # configuration and trace
 # ---------------------------------------------------------------------------
 
+def check_node_count(n: int, what: str) -> int:
+    """``n`` if a run may use it: at least 32 and even for the log quadrature.
+
+    The one check of every node count a user sets; ``what`` names the setting
+    in the :class:`ConfigError` message.
+    """
+    if n < 32:
+        raise ConfigError(f"{what} {n} is below 32")
+    if n % 2:
+        raise ConfigError(f"{what} {n} is odd; the quadrature needs an even count")
+    return n
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Inputs of one tuning run.
@@ -134,12 +147,13 @@ class OptimizerConfig:
             raise ConfigError("eigenvalue target must be positive and finite")
         if not (self.C_tol > 0.0):
             raise ConfigError("convergence tolerance must be positive")
+        if not np.isfinite(self.C_tol):
+            raise ConfigError("convergence tolerance must be finite")
         if not (0.0 < self.damping < 1.0):
             raise ConfigError("damping factor must lie in (0, 1)")
         if self.max_iterations < 1:
             raise ConfigError("at least one trial is required")
-        if self.n_nodes < 32 or self.n_nodes % 2:
-            raise ConfigError("discretization needs an even node count of at least 32")
+        check_node_count(self.n_nodes, "node count")
         if self.damping_mode not in (DAMPING_CONSTANT, DAMPING_GAP_RATIO):
             raise ConfigError(f"unknown damping mode '{self.damping_mode}'")
         if self.spectrum_count < 4:

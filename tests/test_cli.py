@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from steklov.cli import (
     render_config,
 )
 from steklov.errors import ConfigError
+from steklov.optimizer import OptimizerConfig
 
 MINIMAL = """\
 [curve]
@@ -127,6 +129,9 @@ def test_full_config_parsed():
     ("[curve]\nname = circle\n[discretization]\nnodes = 33\n", "odd"),
     ("not ini at all", "not valid INI"),
     ("[curve]\nname = circle\n[spectrum]\ncount = 0\n", "positive"),
+    ("[curve]\nname = circle\n[greens]\nsource = nan, 0\n", "bad number"),
+    ("[curve]\nname = circle\n[greens]\nlambda = -1\n", "non-negative"),
+    ("[curve]\nname = circle\n[optimize]\nc_tol = inf\n", "bad number"),
 ])
 def test_parse_rejections(text, match):
     with pytest.raises(ConfigError, match=match):
@@ -178,6 +183,61 @@ def test_render_round_trip():
         rendered = render_config(cfg)
         assert rendered.startswith("# steklov run file, format 1\n")
         assert parse_config(rendered) == cfg
+
+
+EVERY_KEY = """\
+[curve]
+name = ellipse
+a = 1.25
+b = 0.75
+
+[discretization]
+nodes = 96
+
+[partition]
+neumann = 0.25pi : 0.5pi, pi : 1.25pi
+
+[spectrum]
+count = 7
+
+[greens]
+lambda = 1.75
+source = 0.1, -0.2
+grid = 12
+
+[optimize]
+lambda_star = 3.5
+source = -0.3, 0.2
+receiver = 0.2, -0.3
+c_tol = 1e-4
+damping = 0.6
+max_iterations = 40
+damping_mode = gap-ratio
+window = 16
+"""
+
+
+def test_render_round_trip_with_every_key_set():
+    cfg = parse_config(EVERY_KEY)
+    defaults = parse_config(MINIMAL)
+    for f in fields(RunConfig):
+        assert getattr(cfg, f.name) != getattr(defaults, f.name), f.name
+    assert parse_config(render_config(cfg)) == cfg
+
+
+def test_optimizer_tuning_defaults_are_the_library_defaults():
+    text = MINIMAL + """\
+[optimize]
+lambda_star = 2.5
+source = -0.9, 0.0
+receiver = 0.0, 0.9
+"""
+    built = parse_config(text).build_optimizer_config()
+    plain = OptimizerConfig(curve=built.curve, source=(-0.9, 0.0),
+                            receiver=(0.0, 0.9), lambda_star=2.5)
+    for f in fields(OptimizerConfig):
+        a, b = getattr(built, f.name), getattr(plain, f.name)
+        assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, f.name
 
 
 def test_load_config_nodes_override(tmp_path):

@@ -10,14 +10,11 @@ from steklov import kernels
 from steklov.discretization import (
     OperatorSet,
     assemble,
-    l2_inner_product,
     log_quadrature_weights,
     mask_from_partition,
 )
 from steklov.errors import GeometryError, MaskError
 from steklov.geometry import (
-    NEUMANN,
-    STEKLOV,
     TWO_PI,
     ArcSpec,
     BoundaryPartition,
@@ -221,28 +218,12 @@ def test_mask_requires_a_steklov_node():
         mask_from_partition(ops, part)
 
 
-def test_l2_inner_product_full_boundary():
+def test_boundary_quadrature_weights():
     ops = assemble(circle(), 64)
     t = ops.params
-    one = np.ones_like(t)
-    assert l2_inner_product(one, one, ops) == pytest.approx(TWO_PI, rel=1e-12)
-    assert l2_inner_product(np.cos(t), np.sin(t), ops) == pytest.approx(0.0, abs=1e-12)
-    assert l2_inner_product(np.cos(t), np.cos(t), ops) == pytest.approx(np.pi, rel=1e-12)
-
-
-def test_l2_inner_product_restricted_to_labels():
-    ops = assemble(circle(), 64)
-    part = BoundaryPartition.from_neumann_intervals(circle(), [(0.0, np.pi)])
-    mask = mask_from_partition(ops, part)
-    one = np.ones(64)
-    s = l2_inner_product(one, one, ops, mask, STEKLOV)
-    n = l2_inner_product(one, one, ops, mask, NEUMANN)
-    assert s == pytest.approx(np.pi, rel=1e-12)
-    assert n == pytest.approx(np.pi, rel=1e-12)
-    with pytest.raises(MaskError):
-        l2_inner_product(one, one, ops, mask, "dirichlet")
-    with pytest.raises(MaskError):
-        l2_inner_product(one, one, ops, None, STEKLOV)
+    assert np.sum(ops.weights) == pytest.approx(TWO_PI, rel=1e-12)
+    assert ops.weights @ (np.cos(t) * np.sin(t)) == pytest.approx(0.0, abs=1e-12)
+    assert ops.weights @ np.cos(t)**2 == pytest.approx(np.pi, rel=1e-12)
 
 
 def test_assembly_routes_through_kernel_module(monkeypatch):

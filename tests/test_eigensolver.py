@@ -10,7 +10,6 @@ from numpy.testing import assert_allclose
 from steklov import kernels
 from steklov.discretization import (
     assemble,
-    l2_inner_product,
     mask_from_partition,
 )
 from steklov.eigensolver import (
@@ -23,6 +22,7 @@ from steklov.eigensolver import (
     cluster_members,
     decompose,
     eval_eigenfunction_at,
+    evaluate_layer_potential,
     interiority,
     orthonormalize_cluster,
     solve_spectrum,
@@ -30,7 +30,6 @@ from steklov.eigensolver import (
 )
 from steklov.errors import ClusterError, EigenSolveError, GeometryError
 from steklov.geometry import (
-    STEKLOV,
     TWO_PI,
     BoundaryPartition,
     circle,
@@ -389,7 +388,7 @@ def test_orthonormalize_double_cluster_on_circle():
     assert len(cluster) == 2
     ortho = orthonormalize_cluster(cluster, ops, mask)
     gram = np.array([
-        [l2_inner_product(a.trace, b.trace, ops, mask, STEKLOV) for b in ortho]
+        [mask.steklov_weights @ (a.trace * b.trace) for b in ortho]
         for a in ortho
     ])
     assert_allclose(gram, np.eye(2), atol=1e-8)
@@ -405,7 +404,7 @@ def test_orthonormalize_simple_mode_normalizes():
     ops, mask = steklov_setup(circle(), 64)
     pairs = solve_spectrum(ops, mask, SpectrumRequest(count=1))
     (one,) = orthonormalize_cluster([pairs[0]], ops, mask)
-    norm = l2_inner_product(one.trace, one.trace, ops, mask, STEKLOV)
+    norm = mask.steklov_weights @ one.trace**2
     assert norm == pytest.approx(1.0, abs=1e-10)
 
 
@@ -481,6 +480,19 @@ def test_eigenfunction_is_harmonic_inside():
         - 4 * eval_eigenfunction_at(pair, ops, x0)
     )
     assert abs(stencil) / h**2 < 1e-4
+
+
+def test_upsampled_layer_keeps_the_nyquist_mode():
+    # on the unit circle S[cos k.](r, theta) = -r^k cos(k theta) / (2k): the
+    # upsampled density must carry the coarse Nyquist mode (-1)^j once
+    ops = assemble(circle(), 64)
+    t = ops.params
+    density = np.cos(3 * t) + np.cos(32 * t)
+    x = np.array([[0.9, 0.0], [0.0, 0.85], [-0.6, 0.6]])
+    r, theta = np.hypot(x[:, 0], x[:, 1]), np.arctan2(x[:, 1], x[:, 0])
+    exact = -(r**3 * np.cos(3 * theta) / 6 + r**32 * np.cos(32 * theta) / 64)
+    assert_allclose(evaluate_layer_potential(ops, density, x, refine=4), exact,
+                    rtol=0, atol=1e-12)
 
 
 def test_eval_outside_raises_and_near_boundary_warns():

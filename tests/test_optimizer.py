@@ -82,6 +82,7 @@ def table_run():
     dict(n_nodes=33),
     dict(damping_mode="random-restart"),
     dict(spectrum_count=2),
+    dict(C_tol=np.inf),
 ])
 def test_config_rejects_bad_values(kw):
     with pytest.raises(ConfigError):

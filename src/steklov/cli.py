@@ -71,7 +71,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .discretization import OperatorSet, PartitionMask, assemble, mask_from_partition
+from .discretization import (
+    DEFAULT_NODES,
+    OperatorSet,
+    PartitionMask,
+    assemble,
+    mask_from_partition,
+)
 from .eigensolver import EigenPair, SpectrumRequest, interiority, solve_spectrum
 from .errors import (
     ConfigError,
@@ -200,7 +206,7 @@ def _tuning(key: str, option: str, read, write) -> _Key:
 _KEYS = (
     _Key("config", "format", None, _format, str, CONFIG_FORMAT),
     _Key("curve", "name", "curve_name", _word, str),
-    _Key("discretization", "nodes", "n_nodes", _integer, str, 256, "n_nodes"),
+    _Key("discretization", "nodes", "n_nodes", _integer, str, DEFAULT_NODES, "n_nodes"),
     _Key("partition", "neumann", "neumann", _intervals, _spans, ()),
     _Key("spectrum", "count", "spectrum_count", _integer, str, SpectrumRequest.count),
     _Key("greens", "lambda", "greens_lambda", _number, _float),

@@ -65,6 +65,9 @@ from .geometry import (
 )
 
 _ROBIN_DEGENERATE_TOL = 1e-8
+# node count of a run that names none: the run-file default, the tuning
+# default and the validation suite's
+DEFAULT_NODES = 256
 
 
 class OperatorSet:

@@ -499,8 +499,12 @@ def interiority(ops: OperatorSet, x):
     ``x`` is one point (a float comes back) or an array of shape (..., 2).
     """
     x = np.asarray(x, dtype=float)
-    vals = kernels.gamma0_dnu(ops.points, ops.normals, x[..., None, :]) @ ops.weights
-    return float(vals) if vals.ndim == 0 else vals
+    pts = x.reshape(-1, 2)
+    vals = np.empty(len(pts))
+    for rows in kernels.row_blocks(len(pts), ops.n_nodes):
+        vals[rows] = kernels.gamma0_dnu(ops.points, ops.normals,
+                                        pts[rows, None, :]) @ ops.weights
+    return float(vals[0]) if x.ndim == 1 else vals.reshape(x.shape[:-1])
 
 
 def evaluate_layer_potential(ops: OperatorSet, density: np.ndarray, x,
@@ -514,6 +518,11 @@ def evaluate_layer_potential(ops: OperatorSet, density: np.ndarray, x,
     GeometryError for a point outside the curve and warns (AccuracyWarning)
     when a point comes closer to its nearest layer node than that node's
     weight, where the plain quadrature loses accuracy.
+
+    The points go in the row blocks of :func:`kernels.row_blocks`; a block's
+    kernel rows give its nearest layer nodes (for the warning) and its values
+    (one matrix-vector product), so memory stays at a few blocks of
+    ``kernels.BLOCK_ENTRIES`` doubles instead of a P x refine*N matrix.
     """
     x = np.asarray(x, dtype=float)
     pts = x.reshape(-1, 2)
@@ -530,14 +539,21 @@ def evaluate_layer_potential(ops: OperatorSet, density: np.ndarray, x,
         # density passes through the coarse one
         coef[-1] *= 0.5
         rho = np.fft.irfft(coef, n_fine) * refine
-    kernel = kernels.gamma0(pts[:, None, :], nodes)
-    # the kernel is monotone in the distance: its row minimum is the nearest node
-    nearest = np.argmin(kernel, axis=1)
-    if np.any(kernel[np.arange(len(pts)), nearest] < np.log(w[nearest]) / TWO_PI):
+    w_rho = w * rho
+    vals = np.empty(len(pts))
+    close = False
+    for rows in kernels.row_blocks(len(pts), len(nodes)):
+        kernel = kernels.gamma0(pts[rows, None, :], nodes)
+        # the kernel is monotone in the distance: its row minimum is the nearest node
+        nearest = np.argmin(kernel, axis=1)
+        close |= bool(np.any(kernel[np.arange(len(kernel)), nearest]
+                             < np.log(w[nearest]) / TWO_PI))
+        vals[rows] = kernel @ w_rho
+    if close:
         warnings.warn("evaluation point within one node spacing of the boundary; "
                       "layer potential accuracy degrades there", AccuracyWarning,
                       stacklevel=3)
-    vals = kernel @ (w * rho) + ops.weights @ density
+    vals += ops.weights @ density
     return float(vals[0]) if x.ndim == 1 else vals.reshape(x.shape[:-1])
 
 

@@ -127,14 +127,13 @@ def solve_greens(ops: OperatorSet, mask: PartitionMask, source, lam: float
     if not np.isfinite(lam) or lam < 0.0:
         raise ValueError("spectral parameter must be finite and nonnegative")
 
-    dist = np.linalg.norm(ops.points - source, axis=1)
-    j = int(np.argmin(dist))
-    if dist[j] < _SOURCE_CLEARANCE:
+    (j,), (sep,) = kernels.nearest_node(source[None, :], ops.points)
+    if sep < _SOURCE_CLEARANCE:
         raise GeometryError("source point sits on the boundary")
     if interiority(ops, source) < 0.5:
         raise GeometryError(
             "source point (%g, %g) is not inside the domain" % tuple(source))
-    if dist[j] < ops.weights[j]:
+    if sep < ops.weights[j]:
         warnings.warn(
             "source is within one node spacing of the boundary; "
             "the corrected field loses accuracy there", AccuracyWarning)

@@ -14,6 +14,11 @@ curvature; that limit supplies the Nystrom diagonal.
 
 All functions broadcast over leading axes; points live in the last axis of
 length 2.
+
+Interior evaluation at P points against M nodes (:func:`nearest_node`, and
+``interiority`` and ``evaluate_layer_potential`` in the eigensolver) walks
+the points in the row blocks of :func:`row_blocks`: no P x M array is formed,
+and the peak memory is a few blocks of ``BLOCK_ENTRIES`` doubles, whatever P.
 """
 
 from __future__ import annotations
@@ -24,6 +29,17 @@ from .errors import SingularityError
 from .geometry import BoundaryCurve
 
 _MIN_SEPARATION = 1e-14
+# entries of one row block of a points-by-nodes array: 2**16 doubles (0.5 MB)
+# stay in a core's L2 cache through the several passes that build a kernel
+BLOCK_ENTRIES = 1 << 16
+
+
+def row_blocks(n_rows: int, n_cols: int) -> list[slice]:
+    """Consecutive row slices of an (n_rows, n_cols) array, each of at most
+    ``BLOCK_ENTRIES`` entries (but at least one row); the last one holds the
+    rows that are left."""
+    step = max(1, BLOCK_ENTRIES // max(1, n_cols))
+    return [slice(start, start + step) for start in range(0, n_rows, step)]
 
 
 def _differences(x, y):
@@ -53,9 +69,11 @@ def _distance(dx, dy):
 def nearest_node(x, nodes) -> tuple[np.ndarray, np.ndarray]:
     """Index of the nearest of ``nodes`` (M, 2) and the distance to it, for
     each point of ``x`` (P, 2); coincident points are allowed."""
-    dist = _norm(*_differences(np.asarray(x, dtype=float)[:, None, :], nodes))
-    nearest = np.argmin(dist, axis=1)
-    return nearest, dist[np.arange(len(nearest)), nearest]
+    x = np.asarray(x, dtype=float)
+    nearest = np.empty(len(x), dtype=np.intp)
+    for rows in row_blocks(len(x), len(nodes)):
+        nearest[rows] = np.argmin(_norm(*_differences(x[rows, None, :], nodes)), axis=1)
+    return nearest, _norm(*_differences(x, nodes[nearest]))
 
 
 def gamma0(x, y) -> np.ndarray:

@@ -41,7 +41,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .asymptotics import predict_eigenfunction_limit
-from .discretization import OperatorSet, PartitionMask, assemble, mask_from_partition
+from .discretization import (
+    DEFAULT_NODES,
+    OperatorSet,
+    PartitionMask,
+    assemble,
+    mask_from_partition,
+)
 from .eigensolver import (
     ArcSpectrum,
     EigenPair,
@@ -130,7 +136,7 @@ class OptimizerConfig:
     C_tol: float = 1e-3
     damping: float = 0.8
     max_iterations: int = 200
-    n_nodes: int = 256
+    n_nodes: int = DEFAULT_NODES
     damping_mode: str = DAMPING_CONSTANT
     spectrum_count: int = 12
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .discretization import PartitionMask, assemble, mask_from_partition
+from .discretization import DEFAULT_NODES, PartitionMask, assemble, mask_from_partition
 from .eigensolver import SpectrumRequest, solve_spectrum
 from .errors import EigenSolveError, OracleError
 from .geometry import BoundaryPartition, circle, flower, kite
@@ -395,7 +395,7 @@ def _solver_values(curve, partition, n_nodes: int,
     return np.array([p.value for p in pairs]), mask
 
 
-def run_validation_suite(n_nodes: int = 256) -> list[CheckResult]:
+def run_validation_suite(n_nodes: int = DEFAULT_NODES) -> list[CheckResult]:
     """Run every oracle cross-check and report per-check residuals.
 
     Covers: disk solver-vs-closed-form, flower k=0 rescaling, square

@@ -1,11 +1,14 @@
 """Source-field solver: oracle agreement, conventions, guards, evaluation."""
 
+import inspect
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from steklov import greens, kernels
+from steklov.cli import interior_lattice
 from steklov.discretization import assemble, mask_from_partition
 from steklov.eigensolver import AccuracyWarning, solve_spectrum_near
 from steklov.errors import (
@@ -226,6 +229,39 @@ def test_near_boundary_warning_reads_the_layer_nodes(disk_steklov):
     with warnings.catch_warnings():
         warnings.simplefilter("error", AccuracyWarning)
         greens.eval_greens(field, ops, (0.988, 0.0), refine=4)
+
+
+def block_spanning_points(ops):
+    """Points of the disk of radius 0.8 (clear of the boundary and of XS):
+    three coarse row blocks and a partial fourth."""
+    rows = kernels.BLOCK_ENTRIES // ops.n_nodes
+    rng = np.random.default_rng(3)
+    angle = rng.uniform(0.0, TWO_PI, 3 * rows + rows // 3)
+    radius = rng.uniform(0.0, 0.8, len(angle))
+    return np.column_stack([radius * np.cos(angle), radius * np.sin(angle)])
+
+
+def test_near_boundary_point_in_the_last_partial_block_warns_once(disk_steklov):
+    ops, mask = disk_steklov
+    field = greens.solve_greens(ops, mask, XS, LAM)
+    pts = block_spanning_points(ops)
+    pts[-1] = (0.9995, 0.0)
+    assert len(pts) % (kernels.BLOCK_ENTRIES // (4 * ops.n_nodes))
+    with pytest.warns(AccuracyWarning) as caught:
+        line = inspect.currentframe().f_lineno + 1
+        greens.eval_greens(field, ops, pts, refine=4)
+    assert len(caught) == 1
+    assert (caught[0].filename, caught[0].lineno) == (__file__, line)
+
+
+def test_outside_point_in_a_middle_block_raises(disk_steklov):
+    ops, mask = disk_steklov
+    field = greens.solve_greens(ops, mask, XS, LAM)
+    pts = block_spanning_points(ops)
+    rows = kernels.BLOCK_ENTRIES // ops.n_nodes
+    pts[rows + rows // 2] = (1.2, 1.2)
+    with pytest.raises(GeometryError):
+        greens.eval_greens(field, ops, pts, refine=4)
 
 
 # --- evaluation -----------------------------------------------------------------
@@ -482,3 +518,24 @@ def test_repeat_solve_is_deterministic(disk_mixed):
     f2 = greens.solve_greens(ops, mask, XS, LAM)
     assert np.array_equal(f1.boundary_values, f2.boundary_values)
     assert np.array_equal(f1.correction_density, f2.correction_density)
+
+
+# --- memory ---------------------------------------------------------------------
+
+def test_lattice_evaluation_peak_memory():
+    # a 40 x 40 lattice (about 900 points kept) against the 2048-node layer
+    # of refine=4 at N=512: the whole kernel matrix alone would take 15 MB
+    ops = assemble(kite(), 512)
+    mask = mask_from_partition(ops, BoundaryPartition.from_neumann_intervals(
+        ops.curve, [(0.5, 1.2), (3.5, 4.2)]))
+    source = np.array([-0.5, 0.3])
+    field = greens.solve_greens(ops, mask, source, LAM)
+    pts, _ = interior_lattice(ops, 40, source)
+    assert len(pts) > 800
+    tracemalloc.start()
+    try:
+        greens.eval_greens(field, ops, pts, refine=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from steklov import kernels
 from steklov.discretization import assemble
+from steklov.eigensolver import evaluate_layer_potential, interiority
 from steklov.errors import SingularityError
 from steklov.geometry import TWO_PI, circle, flower, kite, point_normal_speed
 from steklov.kernels import gamma0, gamma0_dnu, gamma0_dnu_diagonal_limit
@@ -148,3 +149,72 @@ def test_kernels_match_stacked_difference_arithmetic(monkeypatch):
     stacked = assemble(kite(), 256)
     assert np.array_equal(ops.single_layer, stacked.single_layer)
     assert np.array_equal(ops.adjoint_double_layer, stacked.adjoint_double_layer)
+
+
+# --- row-blocked interior evaluation --------------------------------------------
+
+def spread_interior_points(ops, blocks):
+    """Random kite points clear of the boundary, ``blocks`` coarse row blocks
+    and a third of one more (a partial last block at every node count)."""
+    rows = kernels.BLOCK_ENTRIES // ops.n_nodes
+    rng = np.random.default_rng(5)
+    cand = rng.uniform((-1.6, -1.5), (1.0, 1.5), size=(4 * blocks * rows, 2))
+    dist = np.linalg.norm(cand[:, None, :] - ops.points, axis=-1).min(axis=1)
+    gauss = gamma0_dnu(ops.points, ops.normals, cand[:, None, :]) @ ops.weights
+    pts = cand[(gauss > 0.5) & (dist > 0.1)][:blocks * rows + rows // 3]
+    assert len(pts) == blocks * rows + rows // 3
+    return pts
+
+
+def full_layer_potential(ops, density, pts, refine):
+    """evaluate_layer_potential with the whole P x refine*N kernel at once."""
+    nodes, w, rho = ops.points, ops.weights, density
+    if refine > 1:
+        n_fine = refine * ops.n_nodes
+        params = TWO_PI * np.arange(n_fine) / n_fine
+        nodes = ops.curve.eval(params)
+        w = (TWO_PI / n_fine) * ops.curve.speed(params)
+        coef = np.fft.rfft(density)
+        coef[-1] *= 0.5
+        rho = np.fft.irfft(coef, n_fine) * refine
+    return gamma0(pts[:, None, :], nodes) @ (w * rho) + ops.weights @ density
+
+
+def assert_relative(actual, expected, rtol=1e-13):
+    assert_allclose(actual, expected, rtol=rtol, atol=rtol * np.max(np.abs(expected)))
+
+
+def test_row_blocks_cover_every_row_once():
+    for n_rows, n_cols in ((0, 512), (1, 512), (300, 512), (1000, 2048), (5, 10**6)):
+        blocks = kernels.row_blocks(n_rows, n_cols)
+        assert [i for b in blocks for i in range(n_rows)[b]] == list(range(n_rows))
+        for b in blocks:
+            assert b.stop - b.start == 1 or (b.stop - b.start) * n_cols <= kernels.BLOCK_ENTRIES
+
+
+@pytest.mark.parametrize("refine", [1, 4])
+def test_blocked_layer_potential_matches_full_kernel(refine):
+    ops = assemble(kite(), 256)
+    pts = spread_interior_points(ops, 3)
+    assert len(pts) % (kernels.BLOCK_ENTRIES // (refine * ops.n_nodes))  # partial last block
+    density = np.cos(3 * ops.params) + 0.4 * np.sin(ops.params) + 0.1
+    assert_relative(evaluate_layer_potential(ops, density, pts, refine),
+                    full_layer_potential(ops, density, pts, refine))
+
+
+def test_blocked_coarse_pass_matches_full_arrays():
+    ops = assemble(kite(), 256)
+    # interior points, two outside ones and some next to nodes, several
+    # blocks and a partial one
+    pts = np.concatenate([spread_interior_points(ops, 3), [[3.0, 3.0], [-2.0, 0.1]],
+                          ops.points[::37] + 1e-3])
+    assert len(pts) % (kernels.BLOCK_ENTRIES // ops.n_nodes)
+    assert_relative(interiority(ops, pts),
+                    gamma0_dnu(ops.points, ops.normals, pts[:, None, :]) @ ops.weights)
+    dist = np.linalg.norm(pts[:, None, :] - ops.points, axis=-1)
+    nearest, sep = kernels.nearest_node(pts, ops.points)
+    assert np.array_equal(nearest, np.argmin(dist, axis=1))
+    assert_relative(sep, dist[np.arange(len(pts)), nearest])
+    # a point on a node is at distance zero from it
+    on_node, zero = kernels.nearest_node(ops.points[[5, 200]], ops.points)
+    assert list(on_node) == [5, 200] and not np.any(zero)

@@ -8,8 +8,8 @@ form returns real eigenvalues, no spurious modes and an
 L2(Gamma_S)-orthonormal basis of every cluster.
 
 * :func:`solve_spectrum_near` -- the eigenpairs nearest a target.  The
-  optimizer falls back to it for large arcs; the resonance guard reads the
-  values it leaves on the mask.
+  optimizer falls back to it when the secular solve breaks down; the
+  resonance guard reads the values it leaves on the mask.
 * :func:`solve_spectrum` -- the lowest eigenpairs: the spectrum is
   nonnegative, so these are the ones nearest 0.
 * :func:`decompose` and :class:`ArcSpectrum` -- the tuning run's trial
@@ -17,10 +17,11 @@ L2(Gamma_S)-orthonormal basis of every cluster.
   Q diag(Lambda) Q^T; a mask whose Neumann part touches m nodes differs
   from it by a rank-m change, so its eigenvalues are the roots of an m x m
   secular equation (Golub, SIAM Rev. 15, 1973; Bunch, Nielsen and
-  Sorensen, Numer. Math. 31, 1978), counted exactly by Haynsworth inertia
-  and polished by Newton, at O(m^2 N) per evaluation instead of an N x N
-  eigensolve.  It is the exact form of the first-order arc formula the
-  optimizer steps with.
+  Sorensen, Numer. Math. 31, 1978).  The roots are counted exactly by the
+  inertia of one Bunch-Kaufman LDL^T factorization of the m x m matrix
+  (Haynsworth additivity, :func:`negative_inertia`) and polished by Newton,
+  at O(m^2 N) per evaluation instead of an N x N eigensolve.  It is the
+  exact form of the first-order arc formula the optimizer steps with.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 from scipy import sparse
+from scipy.linalg import lapack
 
 from . import kernels
 from .asymptotics import verify_orthonormal
@@ -153,7 +155,7 @@ def orthonormalize_cluster(pairs: list[EigenPair], ops: OperatorSet,
 
 
 # ---------------------------------------------------------------------------
-# small arcs: one decomposition, then a secular equation per mask
+# arcs: one decomposition, then a secular equation per mask
 # ---------------------------------------------------------------------------
 
 # Steklov eigenvalues this close (relatively) form one pole of the secular
@@ -163,7 +165,8 @@ _POLE_MERGE_TOL = 1e-9
 _DEFLATION_TOL = 1e-7
 # Steklov eigenvalues this small (relative to the largest) are the constant mode
 _ZERO_POLE_TOL = 1e-12
-# count evaluations allowed per root before the secular solve gives up
+# count evaluations allowed per root, or per comparison of two roots, before
+# the secular solve gives up
 _MAX_EVALUATIONS = 80
 # Newton roots and the Rayleigh-Ritz values of their traces must agree
 _RITZ_AGREEMENT = 1e-9
@@ -221,6 +224,30 @@ def decompose(ops: OperatorSet) -> SteklovDecomposition:
     return SteklovDecomposition(ops, values, vectors, groups, ids)
 
 
+def negative_inertia(g: np.ndarray) -> int:
+    """Number of negative eigenvalues of the symmetric matrix ``g``.
+
+    Sylvester's law of inertia on the Bunch-Kaufman factorization
+    g = L D L^T (LAPACK dsytrf on the lower triangle; Bunch and Kaufman,
+    Math. Comp. 31, 1977): D has the inertia of g.  A 1 x 1 block of D counts
+    by its sign; a 2 x 2 block holds one negative eigenvalue when its
+    determinant is negative, two when it is positive with a negative
+    diagonal.  The workspace is queried, since the default one runs the
+    unblocked factorization.
+    """
+    lwork = int(lapack.dsytrf_lwork(len(g), lower=1)[0])
+    ldu, ipiv, info = lapack.dsytrf(g, lower=1, lwork=lwork)
+    if info < 0:
+        raise EigenSolveError(f"dsytrf rejected argument {-info}")
+    d = np.diagonal(ldu)
+    # a 2 x 2 block at (i, i + 1) marks both rows negative in ipiv
+    two = np.flatnonzero(ipiv < 0)[::2]
+    a, c, e = d[two], d[two + 1], ldu[two + 1, two]
+    det = a * c - e * e
+    return int(np.count_nonzero(d[ipiv > 0] < 0.0) + np.count_nonzero(det < 0.0)
+               + 2 * np.count_nonzero((det > 0.0) & (a < 0.0)))
+
+
 class ArcSpectrum:
     """Mixed spectrum of a mask from the secular equation on its arc nodes.
 
@@ -233,10 +260,11 @@ class ArcSpectrum:
     is singular (M(lambda) = I/lambda + B diag(1/(Lambda - lambda)) B^T).
     G is nondecreasing between poles, and Haynsworth inertia additivity
     counts the mixed eigenvalues below lambda as #{Lambda_j < lambda} minus
-    the number of negative eigenvalues of G(lambda).  The count brackets
-    each root and safeguarded Newton on the matching eigenvalue of G
-    polishes it; the root's trace is W^-1/2 Q diag(1/(Lambda - lambda)) B^T z
-    with z the null vector of G.
+    the number of negative eigenvalues of G(lambda), read from an LDL^T
+    factorization.  The count brackets each root and orders roots without
+    solving them; safeguarded Newton on the matching eigenvalue of G
+    polishes a root only when its pair is needed.  The root's trace is
+    W^-1/2 Q diag(1/(Lambda - lambda)) B^T z with z the null vector of G.
 
     Equal Steklov eigenvalues are rotated so that each pole direction
     carries its own arc weight, and directions of negligible weight are
@@ -295,26 +323,44 @@ class ArcSpectrum:
 
     # -- the secular equation --------------------------------------------------
 
-    def _evaluate(self, lam: float):
-        """(count of secular roots below lam, eigenvalues of G, eigenvectors)."""
+    def _matrix(self, lam: float) -> tuple[float, np.ndarray]:
+        """(lam, G(lam)), with lam moved one ulp up when it sits on a pole."""
         if np.any(self.poles == lam):
             lam = float(np.nextafter(lam, np.inf))
         g = (self.cols * (self.poles / (self.poles - lam))) @ self.cols.T
         g[np.diag_indices(self.m)] += self.fm
-        mu, z = np.linalg.eigh(g)
-        count = int(np.searchsorted(self.poles, lam)) - int(np.count_nonzero(mu < 0.0))
+        return lam, g
+
+    def _record(self, lam: float, negative: int) -> int:
+        """Secular roots below lam, given the negative eigenvalues of G(lam)."""
+        count = int(np.searchsorted(self.poles, lam)) - negative
         self._probes.append((lam, count))
-        return count, mu, z
+        return count
+
+    def _count(self, lam: float) -> int:
+        """Secular roots below lam, from the inertia of G(lam) alone."""
+        lam, g = self._matrix(float(lam))
+        return self._record(lam, negative_inertia(g))
+
+    def _eigen(self, lam: float) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues and eigenvectors of G(lam); the count is recorded too."""
+        lam, g = self._matrix(lam)
+        mu, z = np.linalg.eigh(g)
+        self._record(lam, int(np.count_nonzero(mu < 0.0)))
+        return mu, z
 
     def count_below(self, lam: float) -> int:
         """Number of mixed eigenvalues strictly below lam (lam > 0)."""
-        return (self._evaluate(float(lam))[0]
-                + int(np.searchsorted(self.deflated, lam)))
+        return self._count(lam) + int(np.searchsorted(self.deflated, lam))
 
-    def _root(self, k: int) -> tuple[float, np.ndarray]:
-        """Secular root k (ascending from 0) and its null vector z."""
+    def _span(self, root: tuple[str, int]) -> tuple[float, float]:
+        """Interval known to hold ``root`` without solving it: for a secular
+        root, from interlacing, the counts so far and the solved roots."""
+        kind, k = root
+        if kind == "d":
+            return float(self.deflated[k]), float(self.deflated[k])
         if k in self._roots:
-            return self._roots[k]
+            return self._roots[k][0], self._roots[k][0]
         poles, m = self.poles, self.m
         if not 0 <= k < len(poles) - m:
             raise SecularBreakdown(f"secular root {k} has no interlacing bracket")
@@ -330,6 +376,14 @@ class ArcSpectrum:
                 lo = max(lo, x)
             else:
                 hi = min(hi, x)
+        return lo, hi
+
+    def _root(self, k: int) -> tuple[float, np.ndarray]:
+        """Secular root k (ascending from 0) and its null vector z."""
+        if k in self._roots:
+            return self._roots[k]
+        poles, m = self.poles, self.m
+        lo, hi = self._span(("s", k))
         for _ in range(_MAX_EVALUATIONS):
             inside = poles[np.searchsorted(poles, lo, "right"):np.searchsorted(poles, hi)]
             if inside.size == 0:
@@ -338,7 +392,7 @@ class ArcSpectrum:
             edges = np.unique(np.concatenate(([lo], inside, [hi])))
             mids = 0.5 * (edges[:-1] + edges[1:])
             x = float(mids[np.argmin(np.abs(mids - 0.5 * (lo + hi)))])
-            if self._evaluate(x)[0] <= k:
+            if self._count(x) <= k:
                 lo = x
             else:
                 hi = x
@@ -352,7 +406,7 @@ class ArcSpectrum:
         tiny = 4.0 * np.finfo(float).eps
         x = 0.5 * (lo + hi)
         for _ in range(_MAX_EVALUATIONS):
-            _, mu, z = self._evaluate(x)
+            mu, z = self._eigen(x)
             phi, vec = mu[branch], z[:, branch]
             if phi < 0.0:
                 lo = x
@@ -377,26 +431,50 @@ class ArcSpectrum:
         kind, i = root
         return self._root(i)[0] if kind == "s" else float(self.deflated[i])
 
+    def _reached(self, k: int, x: float, up: bool) -> bool:
+        """Whether secular root k lies at or below x (``up``), or at or above;
+        counted at x when its bracket does not decide."""
+        lo, hi = self._span(("s", k))
+        if (hi <= x) if up else (lo >= x):
+            return True
+        if (lo > x) if up else (hi < x):
+            return False
+        below = self._count(float(np.nextafter(x, np.inf if up else -np.inf)))
+        return below > k if up else below <= k
+
     def _next(self, up: bool, bound: float | None = None):
         """Next unvisited root above (``up``) or below the visited run; with
-        ``bound``, only a root within it, counted before it is solved."""
+        ``bound``, only a root within it.  Counts order the candidates."""
         k, d = self._heads[up]
-        candidates = []
-        if 0 <= k < len(self.poles) - self.m:
-            if bound is None or k in self._roots:
-                candidates.append(("s", k))
-            else:
-                below = self._evaluate(float(np.nextafter(bound, np.inf if up else -np.inf)))[0]
-                if (below > k) if up else (below <= k):
-                    candidates.append(("s", k))
-        if 0 <= d < len(self.deflated):
-            candidates.append(("d", d))
-        if not candidates:
-            return None
-        root = (min if up else max)(candidates, key=self._value)
-        if bound is not None and (self._value(root) - bound) * (1 if up else -1) > 0.0:
-            return None
-        return root
+        secular = (0 <= k < len(self.poles) - self.m
+                   and (bound is None or self._reached(k, bound, up)))
+        deflated = 0 <= d < len(self.deflated) and (
+            bound is None or (self.deflated[d] <= bound if up else self.deflated[d] >= bound))
+        if secular and (not deflated or self._reached(k, float(self.deflated[d]), up)):
+            return ("s", k)
+        return ("d", d) if deflated else None
+
+    def _nearer_above(self, above, below, center: float) -> bool:
+        """Whether ``above`` lies at least as close to ``center`` as ``below``.
+
+        Counts at center + delta and center - delta narrow both brackets
+        until their distance ranges separate, so neither root is solved just
+        to be compared; a tie the counts cannot split solves both.
+        """
+        for _ in range(_MAX_EVALUATIONS):
+            (a_lo, a_hi), (b_lo, b_hi) = self._span(above), self._span(below)
+            if a_hi - center <= center - b_hi:
+                return True
+            if center - b_lo < a_lo - center:
+                return False
+            delta = 0.5 * (max(a_lo - center, center - b_hi)
+                           + min(a_hi - center, center - b_lo))
+            for lo, hi, x in ((a_lo, a_hi, center + delta), (b_lo, b_hi, center - delta)):
+                if lo < x < hi:
+                    self._count(x)
+            if ((a_lo, a_hi), (b_lo, b_hi)) == (self._span(above), self._span(below)):
+                break
+        return self._value(above) - center <= center - self._value(below)
 
     def _take(self, root: tuple[str, int], up: bool) -> None:
         """Add ``root`` to the visited run on one side."""
@@ -413,7 +491,7 @@ class ArcSpectrum:
         :meth:`store_run` writes to the mask.
         """
         tol = CLUSTER_TOL
-        k = self._evaluate(float(center))[0]
+        k = self._count(center)
         d = int(np.searchsorted(self.deflated, center))
         self._heads = {True: (k, d), False: (k - 1, d - 1)}
         seen = 0
@@ -421,8 +499,8 @@ class ArcSpectrum:
             above, below = self._next(True), self._next(False)
             if above is None and below is None:
                 return
-            up = below is None or (above is not None and
-                                   self._value(above) - center <= center - self._value(below))
+            up = below is None or (above is not None
+                                   and self._nearer_above(above, below, center))
             members = [above if up else below]
             self._take(members[0], up)
             # a cluster chains values within CLUSTER_TOL; later ones can only

@@ -18,14 +18,14 @@ with unrelated modes do not derail the run.
 The uncovered boundary is decomposed once per run
 (:func:`~steklov.eigensolver.decompose`): the start eigenvalue, its
 cluster and the spectrum the first source solves check against all come
-from that decomposition.  A trial whose arc touches at most N/12 nodes is
-solved on those nodes alone (:class:`~steklov.eigensolver.ArcSpectrum`):
-clusters are solved outward from the predicted eigenvalue until one member
-overlaps the tracked trace by more than ``_OVERLAP_FLOOR``, and the roots
-visited, extended to bracket lambda_star, go to the candidate mask for the
-final source solve.  Larger arcs, and any root the secular count cannot
-certify, fall back to a windowed eigensolve of the candidate mask; both
-routes choose the same pair.
+from that decomposition.  Every trial is solved on the nodes its arc
+touches (:class:`~steklov.eigensolver.ArcSpectrum`): clusters are solved
+outward from the predicted eigenvalue until one member overlaps the tracked
+trace by more than ``_OVERLAP_FLOOR``.  On the trial that reaches the
+target, the roots visited, extended to bracket lambda_star, go to its mask
+for the final source solve.  A root the secular count cannot certify, or a
+continuation it leaves ambiguous, falls back to a windowed eigensolve of the
+candidate mask; both routes choose the same pair.
 
 Source fields enter twice: the insertion point comes from the boundary
 profile of the two fields solved at lambda_star on the uncovered boundary,
@@ -94,9 +94,6 @@ _WEIGHT_FLOOR = 1e-12
 _OVERLAP_FLOOR = 0.5
 # eigenvalues below this are treated as the constant mode
 _ZERO_MODE_TOL = 1e-8
-# trials whose arc touches more than 1/_SECULAR_SHARE of the nodes solve the
-# candidate mask directly: the secular solve costs about m^2 N per count
-_SECULAR_SHARE = 12
 
 
 # ---------------------------------------------------------------------------
@@ -342,40 +339,34 @@ def select_insertion_point(field_x: GreensField, field_y: GreensField,
 # the growth loop
 # ---------------------------------------------------------------------------
 
-def _secular_applies(mask: PartitionMask) -> bool:
-    """Whether the trial's arc is small enough for the secular solve."""
-    return np.count_nonzero(mask.steklov_fraction < 1.0) <= mask.ops.n_nodes // _SECULAR_SHARE
-
-
 def _continuation(spectrum: SteklovDecomposition, mask: PartitionMask,
                   lam0: float, predicted: float, reference: np.ndarray,
-                  config: OptimizerConfig, index: int) -> tuple[EigenPair, list[EigenPair]]:
-    """Tracked pair and its cluster on the candidate mask.
+                  config: OptimizerConfig, index: int
+                  ) -> tuple[EigenPair, list[EigenPair], ArcSpectrum | None]:
+    """Tracked pair, its cluster on the candidate mask, and the secular solve.
 
-    When the arc is small (:func:`_secular_applies`), clusters are solved by
-    the secular equation outward from the predicted value until one member's
-    overlap score exceeds ``_OVERLAP_FLOOR``: the candidate's Steklov
-    weights are at most the current ones, so by Bessel's inequality the
-    scores of all pairs sum to at most 1 and no other pair can score higher.
-    Otherwise, or when a root cannot be certified or no such member lies
-    among the ``spectrum_count`` nearest pairs, a windowed eigensolve between
-    lam0 and the prediction decides, retried once with twice the window.
+    Clusters are solved by the secular equation outward from the predicted
+    value until one member's overlap score exceeds ``_OVERLAP_FLOOR``: the
+    candidate's Steklov weights are at most the current ones, so by Bessel's
+    inequality the scores of all pairs sum to at most 1 and no other pair
+    can score higher.  When a root cannot be certified, or no such member
+    lies among the ``spectrum_count`` nearest pairs, a windowed eigensolve
+    between lam0 and the prediction decides, retried once with twice the
+    window; the third item is then None.
     """
-    if _secular_applies(mask):
-        try:
-            arc = ArcSpectrum(spectrum, mask)
-            for members in arc.clusters_outward(predicted, config.spectrum_count):
-                chosen, score = _best_continuation(members, reference, mask.steklov_weights)
-                if score > _OVERLAP_FLOOR:
-                    arc.store_run(config.lambda_star)
-                    return chosen, members
-        except SecularBreakdown:
-            pass
+    try:
+        arc = ArcSpectrum(spectrum, mask)
+        for members in arc.clusters_outward(predicted, config.spectrum_count):
+            chosen, score = _best_continuation(members, reference, mask.steklov_weights)
+            if score > _OVERLAP_FLOOR:
+                return chosen, members, arc
+    except SecularBreakdown:
+        pass
     for count in (config.spectrum_count, 2 * config.spectrum_count):
         pairs = solve_spectrum_near(spectrum.ops, mask, 0.5 * (lam0 + predicted), count=count)
         chosen, score = _best_continuation(pairs, reference, mask.steklov_weights)
         if score >= _OVERLAP_FLOOR:
-            return chosen, cluster_members(pairs, chosen.cluster_id)
+            return chosen, cluster_members(pairs, chosen.cluster_id), None
     raise ClusterError(
         f"eigenvalue continuation is ambiguous at trial {index}: "
         f"best squared trace overlap {score:.3f}")
@@ -446,8 +437,8 @@ def run(config: OptimizerConfig,
         candidate_mask = mask_from_partition(ops, candidate)
 
         predicted = lam0 + f * (config.lambda_star - lam0)
-        chosen, members = _continuation(spectrum, candidate_mask, lam0, predicted,
-                                        reference, config, index)
+        chosen, members, arc = _continuation(spectrum, candidate_mask, lam0, predicted,
+                                             reference, config, index)
         lam = chosen.value
 
         t_lo, t_hi = candidate.neumann_intervals()[0]
@@ -468,6 +459,13 @@ def run(config: OptimizerConfig,
             lam0 = lam
             f = 1.0
             if done:
+                # only the final mask's spectrum is read, by the source solve's
+                # guard, which solves the mask itself when none is stored
+                if arc is not None:
+                    try:
+                        arc.store_run(config.lambda_star)
+                    except SecularBreakdown:
+                        pass
                 break
         else:
             f = _shrink_f(config, f, lam0, lam)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 from numpy.testing import assert_allclose
+from scipy.linalg import lapack
 
 from steklov import kernels
 from steklov.discretization import (
@@ -24,6 +25,7 @@ from steklov.eigensolver import (
     eval_eigenfunction_at,
     evaluate_layer_potential,
     interiority,
+    negative_inertia,
     orthonormalize_cluster,
     solve_spectrum,
     solve_spectrum_near,
@@ -355,6 +357,46 @@ def test_secular_count_matches_the_eigensolver(case):
     assert len(probes) > 30
     for lam in probes:
         assert arc.count_below(lam) == np.count_nonzero(reference < lam)
+
+
+def test_inertia_count_reads_two_by_two_pivots():
+    rng = np.random.default_rng(11)
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    matrices = [swap, -2.0 * swap]
+    for n in (3, 8, 31, 64):
+        # a zero diagonal leaves Bunch-Kaufman no 1 x 1 pivot to start with
+        a = rng.standard_normal((n, n))
+        a = a + a.T
+        np.fill_diagonal(a, 0.0)
+        matrices.append(a)
+        blocks = sla.block_diag(*[s * swap for s in rng.uniform(-3.0, 3.0, n)],
+                                np.diag(rng.uniform(-1.0, 1.0, 3)))
+        perm = rng.permutation(len(blocks))
+        matrices.append(blocks[np.ix_(perm, perm)])
+    two_by_two = 0
+    for g in matrices:
+        two_by_two += np.count_nonzero(lapack.dsytrf(g, lower=1)[1] < 0) // 2
+        assert negative_inertia(g) == np.count_nonzero(np.linalg.eigvalsh(g) < 0.0)
+    assert two_by_two > 50
+
+
+def test_inertia_count_one_ulp_above_a_pole():
+    # the secular count moves a probe that lands on a pole one ulp up, where
+    # G holds a rank-one term of order 1e15 next to terms of order 1; an
+    # eigenvalue within m * eps * |G| of 0 (the backward error of eigvalsh)
+    # has no certain sign, so only those may disagree
+    ops, mask = SECULAR_CASES["kite-arc-N256"]()
+    arc = ArcSpectrum(decompose(ops), mask)
+    certain = certain_two_by_two = 0
+    for pole in arc.poles[:60]:
+        lam, g = arc._matrix(float(pole))
+        assert lam == np.nextafter(pole, np.inf)
+        mu = np.linalg.eigvalsh(g)
+        unsure = np.count_nonzero(np.abs(mu) <= arc.m * np.finfo(float).eps * np.max(np.abs(mu)))
+        assert abs(negative_inertia(g) - np.count_nonzero(mu < 0.0)) <= unsure
+        certain += unsure == 0
+        certain_two_by_two += unsure == 0 and np.any(lapack.dsytrf(g, lower=1)[1] < 0)
+    assert certain >= 15 and certain_two_by_two >= 4
 
 
 def test_shift_invert_is_deterministic():

@@ -1,13 +1,20 @@
 """Arc-growth driver: step control, continuation, insertion choice, reports."""
 
+import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
+import steklov
 from steklov import greens, optimizer
 from steklov.discretization import assemble, mask_from_partition
-from steklov.eigensolver import AccuracyWarning, EigenPair
+from steklov.eigensolver import AccuracyWarning, EigenPair, SecularBreakdown
 from steklov.errors import (
     ClusterError,
     ConfigError,
@@ -362,6 +369,36 @@ def test_run_kite_converges_on_true_spectrum():
     assert trace.amplification > 50.0
 
 
+# the test_11 inputs, whose arcs touch 27 of 256 nodes
+KITE_RUN = dict(source=(-1.25, 1.25), receiver=(-1.25, -1.25), lambda_star=2.5, n_nodes=256)
+
+_ONE_THREAD_RUN = f"""
+import json, sys
+from steklov.geometry import kite
+from steklov.optimizer import OptimizerConfig, run
+trace = run(OptimizerConfig(curve=kite(), **{KITE_RUN!r}))
+json.dump(dict(node=trace.insertion_index, accepted=[r.accepted for r in trace.records],
+               eigenvalues=[r.eigenvalue for r in trace.records], s_end=trace.s_end),
+          sys.stdout)
+"""
+
+
+def test_run_does_not_depend_on_the_blas_thread_count():
+    # a child process runs the same inputs on one BLAS thread
+    src = str(Path(steklov.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = json.loads(subprocess.run([sys.executable, "-c", _ONE_THREAD_RUN], env=env,
+                                      capture_output=True, text=True, check=True,
+                                      timeout=300).stdout)
+    trace = run(OptimizerConfig(curve=kite(), **KITE_RUN))
+    assert trace.insertion_index == child["node"]
+    assert [r.accepted for r in trace.records] == child["accepted"]
+    assert_allclose([r.eigenvalue for r in trace.records], child["eigenvalues"],
+                    rtol=1e-12, atol=0)
+    assert trace.s_end == pytest.approx(child["s_end"], rel=1e-8)
+
+
 @pytest.mark.parametrize("config", [
     disk_config(),
     OptimizerConfig(curve=kite(), source=(-1.25, 1.25), receiver=(-1.25, -1.25),
@@ -378,32 +415,38 @@ def test_run_guard_reads_the_solved_spectrum(config, monkeypatch):
     assert calls == []
 
 
-SMALL_ARC_RUNS = {
+SECULAR_RUNS = {
     "disk": disk_config(lambda_star=2.2),
     "kite": OptimizerConfig(curve=kite(), source=(-1.25, 1.25), receiver=(-1.25, -1.25),
                             lambda_star=3.5, n_nodes=128),
+    # the test_09 inputs at N=256, whose arcs touch 33-53 of 256 nodes
+    "disk-large-arc": disk_config(receiver=(0.0, 0.5), n_nodes=256),
 }
 
 
-@pytest.mark.parametrize("name", list(SMALL_ARC_RUNS))
+def _secular_breakdown(*args):
+    raise SecularBreakdown("windowed route forced")
+
+
+@pytest.mark.parametrize("name", list(SECULAR_RUNS))
 def test_small_arc_run_makes_no_windowed_solve(name, monkeypatch):
-    # every trial's arc touches at most N/12 nodes: the trials solve the
-    # secular equation, and the final source solve reads the run they left
+    # the trials solve the secular equation whatever the arc size, and the
+    # final source solve reads the run the converged trial left
     calls = []
     for module in (optimizer, greens):
         original = module.solve_spectrum_near
         monkeypatch.setattr(module, "solve_spectrum_near",
                             lambda *a, _f=original, **k: calls.append(a) or _f(*a, **k))
-    trace = run(SMALL_ARC_RUNS[name])
+    trace = run(SECULAR_RUNS[name])
     assert trace.converged and trace.trials > 2
     assert calls == []
 
 
-@pytest.mark.parametrize("name", list(SMALL_ARC_RUNS))
+@pytest.mark.parametrize("name", list(SECULAR_RUNS))
 def test_windowed_fallback_gives_the_same_records(name, monkeypatch):
-    secular = run(SMALL_ARC_RUNS[name])
-    monkeypatch.setattr(optimizer, "_secular_applies", lambda mask: False)
-    windowed = run(SMALL_ARC_RUNS[name])
+    secular = run(SECULAR_RUNS[name])
+    monkeypatch.setattr(optimizer, "ArcSpectrum", _secular_breakdown)
+    windowed = run(SECULAR_RUNS[name])
     assert len(windowed.records) == len(secular.records)
     for a, b in zip(secular.records, windowed.records):
         assert (a.index, a.f, a.accepted) == (b.index, b.f, b.accepted)

@@ -21,48 +21,11 @@ behind the caller's back would hide real bugs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import ClusterError, StagnationError
 
 _ORTHONORMAL_TOL = 1e-8
-
-
-# ---------------------------------------------------------------------------
-# prediction record
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PerturbationPrediction:
-    """Predicted eigenvalue after covering a short arc, with its inputs.
-
-    ``epsilon`` is the arclength *half*-length of the covered arc, and
-    ``eigenfunction_values_at_center`` the orthonormal cluster's values at
-    the arc center.
-    """
-
-    base_eigenvalue: float
-    predicted_eigenvalue: float
-    eigenfunction_values_at_center: np.ndarray
-    epsilon: float
-    order_note: str = field(default="O(eps^2 log(1/eps))")
-
-    def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError("arc half-length epsilon must be >= 0")
-        center = np.atleast_1d(np.asarray(
-            self.eigenfunction_values_at_center, dtype=float))
-        center.setflags(write=False)
-        object.__setattr__(self, "eigenfunction_values_at_center", center)
-        if self.predicted_eigenvalue < self.base_eigenvalue - 1e-12:
-            raise ValueError("covering part of the Steklov boundary cannot "
-                             "lower the tracked eigenvalue")
-
-    @property
-    def shift(self) -> float:
-        return self.predicted_eigenvalue - self.base_eigenvalue
 
 
 # ---------------------------------------------------------------------------
@@ -82,18 +45,6 @@ def predict_eigenvalue_shift(lambda0: float, center_values, epsilon: float) -> f
         raise ValueError("arc half-length epsilon must be >= 0")
     center = np.atleast_1d(np.asarray(center_values, dtype=float))
     return float(lambda0 + 2.0 * epsilon * lambda0 * np.sum(center ** 2))
-
-
-def eigenvalue_prediction(lambda0: float, center_values,
-                          epsilon: float) -> PerturbationPrediction:
-    """Bundle :func:`predict_eigenvalue_shift` with its inputs."""
-    predicted = predict_eigenvalue_shift(lambda0, center_values, epsilon)
-    center = np.atleast_1d(np.asarray(center_values, dtype=float))
-    note = "O(eps^2 log(1/eps))"
-    if not np.any(center):
-        note = "o(eps^2 log(1/eps)): cluster vanishes at the arc center"
-    return PerturbationPrediction(float(lambda0), predicted, center,
-                                  float(epsilon), note)
 
 
 def verify_orthonormal(cluster_traces, steklov_weights,

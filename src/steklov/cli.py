@@ -30,8 +30,8 @@ to the values of :class:`~steklov.optimizer.OptimizerConfig`, and
 ``[greens]``           ``lambda`` (>= 0), ``source``, optional ``grid``
                        (lattice points per axis; 0 skips the grid file).
 ``[optimize]``         ``lambda_star``, ``source``, ``receiver``, optional
-                       tuning keys ``c_tol``, ``damping``, ``max_iterations``,
-                       ``damping_mode`` (constant | gap-ratio), ``window``.
+                       tuning keys ``c_tol`` (target band) and
+                       ``max_iterations`` (trial budget).
 
 Outputs (all byte-deterministic for identical configs)
 -------------------------------------------------------
@@ -216,10 +216,7 @@ _KEYS = (
     _Key("optimize", "source", "opt_source", _point, _pair, None, "source"),
     _Key("optimize", "receiver", "receiver", _point, _pair, None, "receiver"),
     _tuning("c_tol", "C_tol", _number, _float),
-    _tuning("damping", "damping", _number, _float),
     _tuning("max_iterations", "max_iterations", _integer, str),
-    _tuning("damping_mode", "damping_mode", _word, str),
-    _tuning("window", "spectrum_count", _integer, str),
 )
 _SECTIONS = {section: [row for row in _KEYS if row.section == section]
              for section in dict.fromkeys(row.section for row in _KEYS)}
@@ -252,10 +249,7 @@ class RunConfig:
     opt_source: tuple[float, float] | None
     receiver: tuple[float, float] | None
     c_tol: float
-    damping: float
     max_iterations: int
-    damping_mode: str
-    window: int
 
     def build_curve(self) -> BoundaryCurve:
         try:

@@ -272,7 +272,8 @@ class ArcSpectrum:
     with their Steklov trace.  So is the constant mode, the eigenvalue 0
     of every mask.  Roots of the remaining *secular* problem are
     indexed from 0 upwards; the deflated values form a second sorted list.
-    Any root the count cannot certify raises SecularBreakdown.
+    Any root the count cannot certify raises SecularBreakdown, and so does
+    a mask with no Neumann node.
     """
 
     def __init__(self, spectrum: SteklovDecomposition, mask: PartitionMask):
@@ -280,6 +281,8 @@ class ArcSpectrum:
         frac = mask.steklov_fraction
         nodes = np.flatnonzero(frac < 1.0)
         self.m = len(nodes)
+        if self.m == 0:
+            raise SecularBreakdown("a mask without Neumann nodes has no secular equation")
         self.fm = frac[nodes]
         b = np.sqrt(1.0 - self.fm)[:, None] * spectrum.vectors[nodes]
         # one pole direction per (group g, column q): sum_i rot[g, i, q] Q_rows[g, i]
@@ -483,19 +486,19 @@ class ArcSpectrum:
         step = 1 if up else -1
         self._heads[up] = (i + step, d) if kind == "s" else (k, i + step)
 
-    def clusters_outward(self, center: float, limit: int):
+    def clusters_outward(self, center: float):
         """Multiplicity clusters of mixed eigenpairs, nearest ``center`` first.
 
-        Stops after ``limit`` eigenpairs.  The visited roots are always all
-        the roots between the lowest and the highest, a contiguous run that
-        :meth:`store_run` writes to the mask.
+        Roots are solved only as the caller asks for the next cluster.  The
+        visited roots are always all the roots between the lowest and the
+        highest, a contiguous run that :meth:`store_run` writes to the mask.
         """
         tol = CLUSTER_TOL
         k = self._count(center)
         d = int(np.searchsorted(self.deflated, center))
         self._heads = {True: (k, d), False: (k - 1, d - 1)}
-        seen = 0
-        while seen < limit:
+        first = True
+        while True:
             above, below = self._next(True), self._next(False)
             if above is None and below is None:
                 return
@@ -505,7 +508,7 @@ class ArcSpectrum:
             self._take(members[0], up)
             # a cluster chains values within CLUSTER_TOL; later ones can only
             # grow outward, since the visited run ends in a wider gap
-            for side in ((True, False) if seen == 0 else (up,)):
+            for side in ((True, False) if first else (up,)):
                 v = self._value(members[0])
                 while True:
                     bound = (v + tol) / (1.0 - tol) if side else v - tol * (1.0 + abs(v))
@@ -516,7 +519,7 @@ class ArcSpectrum:
                     members.append(root)
                     v = self._value(root)
             members.sort(key=self._value)
-            seen += len(members)
+            first = False
             yield self.pairs(members)
 
     def pairs(self, roots) -> list[EigenPair]:
@@ -634,7 +637,3 @@ def evaluate_layer_potential(ops: OperatorSet, density: np.ndarray, x,
     vals += ops.weights @ density
     return float(vals[0]) if x.ndim == 1 else vals.reshape(x.shape[:-1])
 
-
-def eval_eigenfunction_at(pair: EigenPair, ops: OperatorSet, x):
-    """Value of the eigenfunction at interior points (see evaluate_layer_potential)."""
-    return evaluate_layer_potential(ops, pair.density, x)

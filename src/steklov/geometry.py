@@ -410,10 +410,6 @@ class BoundaryPartition:
         """Neumann arcs as (t_start, t_start + span) pairs, markers included."""
         return [(a.t_start, a.t_end) for a in self.arcs if a.label == NEUMANN]
 
-    def label_at(self, t: float) -> str:
-        """Label of the positive-length arc containing parameter t."""
-        return str(self.labels_at(np.array([float(t)]))[0])
-
     def labels_at(self, t) -> np.ndarray:
         """Labels of the parameters in the array t, elementwise.
 

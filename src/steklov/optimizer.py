@@ -10,7 +10,7 @@ perturbation theory,
 
 where the u_i are the tracked eigenvalue's cluster orthonormalized on the
 current Steklov part and evaluated at the insertion node L.  Trials that
-overshoot the target are rolled back and the damping factor f is reduced;
+overshoot the target are rolled back and f shrinks by ``_SHRINK``;
 accepted trials reset f to one.  The tracked eigenvalue is continued
 through partition changes by trace overlap, not by index, so crossings
 with unrelated modes do not derail the run.
@@ -21,11 +21,12 @@ cluster and the spectrum the first source solves check against all come
 from that decomposition.  Every trial is solved on the nodes its arc
 touches (:class:`~steklov.eigensolver.ArcSpectrum`): clusters are solved
 outward from the predicted eigenvalue until one member overlaps the tracked
-trace by more than ``_OVERLAP_FLOOR``.  On the trial that reaches the
-target, the roots visited, extended to bracket lambda_star, go to its mask
-for the final source solve.  A root the secular count cannot certify, or a
-continuation it leaves ambiguous, falls back to a windowed eigensolve of the
-candidate mask; both routes choose the same pair.
+trace by more than ``_OVERLAP_FLOOR``, or until Parseval's identity shows
+that no unvisited pair can.  On the trial that reaches the target, the
+roots visited, extended to bracket lambda_star, go to its mask for the
+final source solve.  A root the secular count cannot certify falls back to
+a windowed eigensolve of the candidate mask; both routes choose the same
+pair.
 
 Source fields enter twice: the insertion point comes from the boundary
 profile of the two fields solved at lambda_star on the uncovered boundary,
@@ -85,13 +86,14 @@ from .greens import (
 
 TWO_PI = 2.0 * np.pi
 
-DAMPING_CONSTANT = "constant"
-DAMPING_GAP_RATIO = "gap-ratio"
-
 # below this cluster weight at the insertion node the predicted step diverges
 _WEIGHT_FLOOR = 1e-12
 # minimum squared trace overlap accepted as an unambiguous continuation
 _OVERLAP_FLOOR = 0.5
+# eigenpairs of the windowed eigensolve a secular breakdown falls back to
+_WINDOWED_PAIRS = 24
+# factor f shrinks by after a rejected trial
+_SHRINK = 0.8
 # eigenvalues below this are treated as the constant mode
 _ZERO_MODE_TOL = 1e-8
 
@@ -121,9 +123,8 @@ class OptimizerConfig:
     ``lambda_star`` is the eigenvalue target, which must not
     lie below the first nonzero eigenvalue of the uncovered boundary (that
     is checked against the spectrum when the run starts, not here).
-    ``damping_mode`` selects how f shrinks after a rejected trial: the
-    default multiplies by ``damping``; "gap-ratio" uses the overshoot ratio
-    (lambda_star - lam0) / (lam - lam0) instead.
+    The run stops once the tracked eigenvalue lies within ``C_tol`` of the
+    target, and gives up after ``max_iterations`` trials.
     """
 
     curve: BoundaryCurve
@@ -131,11 +132,8 @@ class OptimizerConfig:
     receiver: np.ndarray
     lambda_star: float
     C_tol: float = 1e-3
-    damping: float = 0.8
     max_iterations: int = 200
     n_nodes: int = DEFAULT_NODES
-    damping_mode: str = DAMPING_CONSTANT
-    spectrum_count: int = 12
 
     def __post_init__(self):
         src = np.array(self.source, dtype=float).reshape(2)
@@ -152,15 +150,9 @@ class OptimizerConfig:
             raise ConfigError("convergence tolerance must be positive")
         if not np.isfinite(self.C_tol):
             raise ConfigError("convergence tolerance must be finite")
-        if not (0.0 < self.damping < 1.0):
-            raise ConfigError("damping factor must lie in (0, 1)")
         if self.max_iterations < 1:
             raise ConfigError("at least one trial is required")
         check_node_count(self.n_nodes, "node count")
-        if self.damping_mode not in (DAMPING_CONSTANT, DAMPING_GAP_RATIO):
-            raise ConfigError(f"unknown damping mode '{self.damping_mode}'")
-        if self.spectrum_count < 4:
-            raise ConfigError("continuation window needs at least 4 eigenvalues")
 
 
 @dataclass(frozen=True)
@@ -291,20 +283,28 @@ def _normalized_combination(ortho: Sequence[EigenPair], node: int,
     return combo / np.sqrt(float(np.sum(weights * combo * combo))), weight
 
 
+def _overlap_scores(pairs: Sequence[EigenPair], reference: np.ndarray,
+                    weights: np.ndarray) -> np.ndarray:
+    """Squared weighted overlap of each pair's normalized trace with ``reference``.
+
+    Over a basis of the nodes of positive weight, orthonormal in that
+    weight, the scores sum to sum(weights * reference**2) (Parseval).
+    """
+    scores = np.empty(len(pairs))
+    for i, p in enumerate(pairs):
+        norm2 = float(np.sum(weights * p.trace * p.trace))
+        if norm2 <= 0.0:
+            raise ClusterError("a candidate trace vanishes on the Steklov part")
+        scores[i] = float(np.sum(weights * p.trace * reference)) ** 2 / norm2
+    return scores
+
+
 def _best_continuation(pairs: Sequence[EigenPair], reference: np.ndarray,
                        weights: np.ndarray) -> tuple[EigenPair, float]:
     """Pair whose normalized trace has the largest squared overlap."""
-    best, best_score = None, -1.0
-    for p in pairs:
-        norm2 = float(np.sum(weights * p.trace * p.trace))
-        if norm2 <= 0.0:
-            continue
-        score = float(np.sum(weights * p.trace * reference)) ** 2 / norm2
-        if score > best_score:
-            best, best_score = p, score
-    if best is None:
-        raise ClusterError("continuation window contained no usable trace")
-    return best, best_score
+    scores = _overlap_scores(pairs, reference, weights)
+    best = int(np.argmax(scores))
+    return pairs[best], float(scores[best])
 
 
 # ---------------------------------------------------------------------------
@@ -340,45 +340,44 @@ def select_insertion_point(field_x: GreensField, field_y: GreensField,
 # ---------------------------------------------------------------------------
 
 def _continuation(spectrum: SteklovDecomposition, mask: PartitionMask,
-                  lam0: float, predicted: float, reference: np.ndarray,
-                  config: OptimizerConfig, index: int
+                  lam0: float, predicted: float, reference: np.ndarray, index: int
                   ) -> tuple[EigenPair, list[EigenPair], ArcSpectrum | None]:
     """Tracked pair, its cluster on the candidate mask, and the secular solve.
 
+    The candidate's pairs are an orthonormal basis in its Steklov weights,
+    which are at most the current ones, so by Parseval's identity the
+    scores of all pairs sum to total = sum(weights * reference**2) <= 1.
     Clusters are solved by the secular equation outward from the predicted
-    value until one member's overlap score exceeds ``_OVERLAP_FLOOR``: the
-    candidate's Steklov weights are at most the current ones, so by Bessel's
-    inequality the scores of all pairs sum to at most 1 and no other pair
-    can score higher.  When a root cannot be certified, or no such member
-    lies among the ``spectrum_count`` nearest pairs, a windowed eigensolve
-    between lam0 and the prediction decides, retried once with twice the
-    window; the third item is then None.
+    value until one member scores above ``_OVERLAP_FLOOR`` (no other pair
+    can then score higher), or until the unvisited pairs share at most
+    ``_OVERLAP_FLOOR`` of the total, when no pair can win and ClusterError
+    is certain.  When the secular solve breaks down, one windowed eigensolve
+    of ``_WINDOWED_PAIRS`` pairs between lam0 and the prediction decides;
+    the third item is then None.
     """
+    weights = mask.steklov_weights
+    total = left = float(np.sum(weights * reference * reference))
     try:
         arc = ArcSpectrum(spectrum, mask)
-        for members in arc.clusters_outward(predicted, config.spectrum_count):
-            chosen, score = _best_continuation(members, reference, mask.steklov_weights)
-            if score > _OVERLAP_FLOOR:
-                return chosen, members, arc
+        clusters = arc.clusters_outward(predicted)
+        while left > _OVERLAP_FLOOR:
+            members = next(clusters, None)
+            if members is None:
+                raise SecularBreakdown("the bracketed secular roots hold no continuation")
+            scores = _overlap_scores(members, reference, weights)
+            best = int(np.argmax(scores))
+            if scores[best] > _OVERLAP_FLOOR:
+                return members[best], members, arc
+            left -= float(np.sum(scores))
     except SecularBreakdown:
-        pass
-    for count in (config.spectrum_count, 2 * config.spectrum_count):
-        pairs = solve_spectrum_near(spectrum.ops, mask, 0.5 * (lam0 + predicted), count=count)
-        chosen, score = _best_continuation(pairs, reference, mask.steklov_weights)
+        pairs = solve_spectrum_near(spectrum.ops, mask, 0.5 * (lam0 + predicted),
+                                    count=_WINDOWED_PAIRS)
+        chosen, score = _best_continuation(pairs, reference, weights)
         if score >= _OVERLAP_FLOOR:
             return chosen, cluster_members(pairs, chosen.cluster_id), None
     raise ClusterError(
-        f"eigenvalue continuation is ambiguous at trial {index}: "
-        f"best squared trace overlap {score:.3f}")
-
-
-def _shrink_f(config: OptimizerConfig, f: float, lam0: float,
-              lam_rejected: float) -> float:
-    if config.damping_mode == DAMPING_GAP_RATIO:
-        gap = lam_rejected - lam0
-        if gap > config.lambda_star - lam0 > 0.0:
-            return f * (config.lambda_star - lam0) / gap
-    return f * config.damping
+        f"eigenvalue continuation is ambiguous at trial {index}: no squared "
+        f"trace overlap exceeds {_OVERLAP_FLOOR} of a total {total:.3f}")
 
 
 def run(config: OptimizerConfig,
@@ -438,7 +437,7 @@ def run(config: OptimizerConfig,
 
         predicted = lam0 + f * (config.lambda_star - lam0)
         chosen, members, arc = _continuation(spectrum, candidate_mask, lam0, predicted,
-                                             reference, config, index)
+                                             reference, index)
         lam = chosen.value
 
         t_lo, t_hi = candidate.neumann_intervals()[0]
@@ -468,7 +467,7 @@ def run(config: OptimizerConfig,
                         pass
                 break
         else:
-            f = _shrink_f(config, f, lam0, lam)
+            f *= _SHRINK
     else:
         raise ConvergenceError(
             f"target {config.lambda_star:g} not reached within "

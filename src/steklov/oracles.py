@@ -72,15 +72,6 @@ class OracleSpectrum:
     def __len__(self) -> int:
         return len(self.values)
 
-    def multiplicity_of(self, value: float, tol: float = 1e-9) -> int:
-        """Multiplicity of the reference value nearest ``value``."""
-        if not len(self.values):
-            raise OracleError("empty spectrum")
-        i = int(np.argmin(np.abs(self.values - value)))
-        if abs(self.values[i] - value) > tol:
-            raise OracleError(f"{value!r} is not a reference value of this spectrum")
-        return int(self.multiplicities[i])
-
 
 def _expand(entries: list[tuple[float, int]], count: int, label: str) -> OracleSpectrum:
     """Expand (value, multiplicity) pairs ascending and truncate to count."""

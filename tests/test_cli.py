@@ -210,10 +210,7 @@ lambda_star = 3.5
 source = -0.3, 0.2
 receiver = 0.2, -0.3
 c_tol = 1e-4
-damping = 0.6
 max_iterations = 40
-damping_mode = gap-ratio
-window = 16
 """
 
 

@@ -18,11 +18,11 @@ from steklov.eigensolver import (
     AccuracyWarning,
     ArcSpectrum,
     EigenPair,
+    SecularBreakdown,
     SpectrumRequest,
     _assign_clusters,
     cluster_members,
     decompose,
-    eval_eigenfunction_at,
     evaluate_layer_potential,
     interiority,
     negative_inertia,
@@ -303,8 +303,13 @@ SECULAR_CASES = {
 
 
 def secular_pairs(ops, mask, center, count):
+    """Clusters nearest ``center`` until they hold ``count`` pairs, ascending."""
     arc = ArcSpectrum(decompose(ops), mask)
-    pairs = [p for cluster in arc.clusters_outward(center, count) for p in cluster]
+    pairs = []
+    for cluster in arc.clusters_outward(center):
+        pairs += cluster
+        if len(pairs) >= count:
+            break
     return arc, sorted(pairs, key=lambda p: p.value)
 
 
@@ -343,6 +348,13 @@ def test_secular_solve_deflates_modes_vanishing_on_the_arc():
     assert_allclose(arc.deflated[:4], [0.0, 1.0, 2.0, 3.0], atol=1e-10)
     _, pairs = secular_pairs(ops, mask, 2.0, 4)
     assert min(abs(p.value - 2.0) for p in pairs) < 1e-10
+
+
+def test_secular_solve_of_a_mask_without_neumann_nodes_breaks_down():
+    # no arc node means no secular equation; the caller solves the mask directly
+    ops, mask = steklov_setup(circle(), 64)
+    with pytest.raises(SecularBreakdown, match="no secular equation"):
+        ArcSpectrum(decompose(ops), mask)
 
 
 @pytest.mark.parametrize("case", ["disk-two-arcs-N256", "kite-two-arcs-N512",
@@ -481,7 +493,8 @@ def test_eigenfunction_of_first_mode_vanishes_at_origin():
     ops, mask = steklov_setup(circle(), 128)
     pairs = solve_spectrum(ops, mask, SpectrumRequest(count=3))
     lam1 = pairs[1]
-    assert eval_eigenfunction_at(lam1, ops, (0.0, 0.0)) == pytest.approx(0.0, abs=1e-10)
+    value = evaluate_layer_potential(ops, lam1.density, (0.0, 0.0))
+    assert value == pytest.approx(0.0, abs=1e-10)
 
 
 def test_eigenfunction_radial_power_scaling():
@@ -491,8 +504,8 @@ def test_eigenfunction_radial_power_scaling():
     for pair in (pairs[1], pairs[3]):  # lam = 1 and lam = 2 members
         p = round(pair.value)
         direction = np.array([np.cos(0.3), np.sin(0.3)])
-        u1 = eval_eigenfunction_at(pair, ops, 0.25 * direction)
-        u2 = eval_eigenfunction_at(pair, ops, 0.5 * direction)
+        u1 = evaluate_layer_potential(ops, pair.density, 0.25 * direction)
+        u2 = evaluate_layer_potential(ops, pair.density, 0.5 * direction)
         if abs(u2) > 1e-8:
             assert u1 / u2 == pytest.approx(0.5**p, abs=1e-6)
 
@@ -504,7 +517,7 @@ def test_eigenfunction_matches_boundary_trace_near_node():
     p = 1
     j = 17
     direction = ops.points[j]
-    val = eval_eigenfunction_at(pair, ops, 0.5 * direction)
+    val = evaluate_layer_potential(ops, pair.density, 0.5 * direction)
     assert val == pytest.approx(0.5**p * pair.trace[j], abs=1e-6)
 
 
@@ -515,11 +528,11 @@ def test_eigenfunction_is_harmonic_inside():
     x0 = np.array([0.2, -0.1])
     h = 1e-3
     stencil = (
-        eval_eigenfunction_at(pair, ops, x0 + [h, 0])
-        + eval_eigenfunction_at(pair, ops, x0 - [h, 0])
-        + eval_eigenfunction_at(pair, ops, x0 + [0, h])
-        + eval_eigenfunction_at(pair, ops, x0 - [0, h])
-        - 4 * eval_eigenfunction_at(pair, ops, x0)
+        evaluate_layer_potential(ops, pair.density, x0 + [h, 0])
+        + evaluate_layer_potential(ops, pair.density, x0 - [h, 0])
+        + evaluate_layer_potential(ops, pair.density, x0 + [0, h])
+        + evaluate_layer_potential(ops, pair.density, x0 - [0, h])
+        - 4 * evaluate_layer_potential(ops, pair.density, x0)
     )
     assert abs(stencil) / h**2 < 1e-4
 
@@ -541,6 +554,6 @@ def test_eval_outside_raises_and_near_boundary_warns():
     ops, mask = steklov_setup(circle(), 64)
     pairs = solve_spectrum(ops, mask, SpectrumRequest(count=1))
     with pytest.raises(GeometryError):
-        eval_eigenfunction_at(pairs[0], ops, (2.0, 0.0))
+        evaluate_layer_potential(ops, pairs[0].density, (2.0, 0.0))
     with pytest.warns(AccuracyWarning):
-        eval_eigenfunction_at(pairs[0], ops, (0.9999, 0.0))
+        evaluate_layer_potential(ops, pairs[0].density, (0.9999, 0.0))

@@ -162,7 +162,7 @@ def test_parameter_at_arclength_handles_wraps():
 def test_all_steklov_partition():
     p = BoundaryPartition.all_steklov(circle())
     assert p.has_steklov
-    assert p.label_at(1.0) == STEKLOV
+    assert list(p.labels_at([0.0, 1.0, 6.2])) == [STEKLOV] * 3
     assert p.length_of(STEKLOV) == pytest.approx(TWO_PI, rel=1e-12)
     assert p.length_of(NEUMANN) == 0.0
 
@@ -178,8 +178,7 @@ def test_insert_zero_length_marker_keeps_measure():
 def test_insert_neumann_arc_on_circle():
     p = BoundaryPartition.all_steklov(circle())
     q = insert_neumann_arc(p, ArcSpec(center=np.pi, half_length=0.1))
-    assert q.label_at(np.pi) == NEUMANN
-    assert q.label_at(np.pi - 0.2) == STEKLOV
+    assert list(q.labels_at([np.pi, np.pi - 0.2])) == [NEUMANN, STEKLOV]
     (nid,) = q.neumann_arc_ids()
     arc = q.arcs[nid]
     assert arc.t_start == pytest.approx(np.pi - 0.1, abs=1e-12)
@@ -270,9 +269,7 @@ def test_partition_measure_is_conserved_by_surgery():
 
 def test_wrapping_neumann_interval():
     p = BoundaryPartition.from_neumann_intervals(circle(), [(6.0, 0.5)])
-    assert p.label_at(0.1) == NEUMANN
-    assert p.label_at(6.1) == NEUMANN
-    assert p.label_at(3.0) == STEKLOV
+    assert list(p.labels_at([0.1, 6.1, 3.0])) == [NEUMANN, NEUMANN, STEKLOV]
     assert p.length_of(NEUMANN) == pytest.approx((0.5 - 6.0) % TWO_PI, rel=1e-12)
 
 
@@ -327,7 +324,7 @@ def test_covered_measure_array_matches_scalar_calls():
 
 
 def label_at_reference(p, t):
-    """The per-parameter arc search of ``label_at`` in plain Python floats."""
+    """The per-parameter arc search of ``labels_at`` in plain Python floats."""
     for arc in p.arcs:
         length = arc.parameter_length
         shifted = (float(t) - arc.t_start) % TWO_PI
@@ -367,7 +364,9 @@ def test_labels_at_matches_scalar_search():
         labels = p.labels_at(t)
         reference = [label_at_reference(p, ti) for ti in t]
         assert list(labels) == reference
-        assert [p.label_at(ti) for ti in t[:: max(1, n // 16)]] == reference[:: max(1, n // 16)]
+        # one parameter at a time labels the same as the whole array
+        step = max(1, n // 16)
+        assert [p.labels_at([ti])[0] for ti in t[::step]] == reference[::step]
 
 
 def test_partition_validation_rejects_bad_cover():

@@ -23,7 +23,7 @@ from steklov.errors import (
     ResonanceError,
     StagnationError,
 )
-from steklov.geometry import BoundaryPartition, circle, kite
+from steklov.geometry import BoundaryPartition, circle, ellipse, kite
 from steklov.greens import (
     GreensField,
     eval_greens,
@@ -31,7 +31,6 @@ from steklov.greens import (
     solve_greens,
 )
 from steklov.optimizer import (
-    DAMPING_GAP_RATIO,
     OptimizerConfig,
     OptimizerTrace,
     _best_continuation,
@@ -82,14 +81,12 @@ def table_run():
     dict(lambda_star=np.inf),
     dict(C_tol=0.0),
     dict(C_tol=-1e-3),
-    dict(damping=0.0),
-    dict(damping=1.0),
     dict(max_iterations=0),
     dict(n_nodes=8),
     dict(n_nodes=33),
-    dict(damping_mode="random-restart"),
-    dict(spectrum_count=2),
     dict(C_tol=np.inf),
+    dict(lambda_star=np.nan),
+    dict(C_tol=np.nan),
 ])
 def test_config_rejects_bad_values(kw):
     with pytest.raises(ConfigError):
@@ -327,13 +324,6 @@ def test_run_requires_reachable_target():
         run(disk_config(lambda_star=0.5))
 
 
-def test_run_gap_ratio_damping_converges_faster(disk_run):
-    trace = run(disk_config(damping_mode=DAMPING_GAP_RATIO))
-    assert trace.converged
-    assert abs(trace.final_eigenvalue - 2.5) <= 1e-3
-    assert trace.trials <= disk_run.trials
-
-
 def test_run_target_on_eigenvalue_ends_resonant():
     # The marker alone already satisfies the tolerance, so the run
     # converges with zero covered length; the closing field evaluation
@@ -455,6 +445,30 @@ def test_windowed_fallback_gives_the_same_records(name, monkeypatch):
         assert a.half_length == pytest.approx(b.half_length, rel=1e-9)
     assert secular.insertion_index == windowed.insertion_index
     assert secular.s_end == pytest.approx(windowed.s_end, rel=1e-8)
+
+
+# Continuations that are ambiguous at trial 1.  The candidate's pairs share a
+# Parseval total of squared overlaps: 0.81 on the ellipse, so the walk stops
+# once the unvisited pairs share at most 1/2, and 0.378 on the kite, below
+# 1/2 before any root is solved.
+AMBIGUOUS_RUNS = {
+    "ellipse": OptimizerConfig(curve=ellipse(1.0, 0.5), source=(-0.01, 0.08),
+                               receiver=(0.1, 0.12), lambda_star=3.51, n_nodes=128),
+    "kite": OptimizerConfig(curve=kite(), source=(-0.6, 0.69), receiver=(-0.71, 0.2),
+                            lambda_star=10.95, n_nodes=256),
+}
+
+
+@pytest.mark.parametrize("name, total", [("ellipse", "0.810"), ("kite", "0.378")])
+def test_certain_ambiguity_makes_no_windowed_solve(name, total, monkeypatch):
+    calls = []
+    original = optimizer.solve_spectrum_near
+    monkeypatch.setattr(optimizer, "solve_spectrum_near",
+                        lambda *a, **k: calls.append(a) or original(*a, **k))
+    with pytest.raises(ClusterError, match="continuation is ambiguous at trial 1") as err:
+        run(AMBIGUOUS_RUNS[name])
+    assert calls == []
+    assert f"total {total}" in str(err.value)
 
 
 def test_trace_defaults_are_inert():

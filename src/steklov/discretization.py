@@ -21,7 +21,10 @@ weights
 
 and the smooth remainder by the plain trapezoidal rule, which is itself
 spectrally accurate on periodic integrands.  The adjoint double layer has a
-smooth kernel whose diagonal is the curvature limit kappa/(4*pi).
+smooth kernel whose diagonal is the curvature limit kappa/(4*pi).  Both
+operators are filled in the row blocks of ``kernels.row_blocks``, with the
+same per-entry arithmetic as a whole-matrix build, so no N x N temporary is
+formed beside the two results.
 
 Capacity completion
 -------------------
@@ -32,7 +35,8 @@ therefore use the completed representation
 
     u = S[phi] + integral of phi  (a constant),
 
-whose discrete trace map is ``trace_map = S + 1 w^T``.  The completion does
+whose discrete trace map is ``trace_map = S + 1 w^T`` (built when asked for;
+only its LU factors are cached).  The completion does
 not change normal derivatives (constants are harmonic with zero flux), is
 invertible for every catalog curve, and coincides with the plain map up to
 the induced reparametrization of densities whenever S itself is invertible.
@@ -73,9 +77,10 @@ DEFAULT_NODES = 256
 class OperatorSet:
     """Immutable bundle of discretized boundary operators on N nodes.
 
-    Build through :func:`assemble`.  All arrays are read-only views; the
-    completed trace map, its LU factors, the weighted Dirichlet-to-Neumann
-    matrix and the Robin constant are computed lazily and cached.
+    Build through :func:`assemble`.  All arrays are read-only views.  The LU
+    factors of the completed trace map, the weighted Dirichlet-to-Neumann
+    matrix and the Robin constant are computed lazily and cached; the trace
+    map itself is not kept, since only its factors are read again.
     """
 
     def __init__(self, curve: BoundaryCurve, params, points, normals, speeds,
@@ -91,7 +96,6 @@ class OperatorSet:
         for arr in (params, points, normals, speeds, weights,
                     single_layer, adjoint_double_layer):
             arr.setflags(write=False)
-        self._trace_map: np.ndarray | None = None
         self._trace_map_lu: tuple[np.ndarray, np.ndarray] | None = None
         self._weighted_dtn: np.ndarray | None = None
         self._robin: float | None = None
@@ -102,18 +106,17 @@ class OperatorSet:
 
     @property
     def trace_map(self) -> np.ndarray:
-        """Completed boundary trace of the single-layer ansatz: S + 1 w^T."""
-        if self._trace_map is None:
-            tm = self.single_layer + np.outer(np.ones(self.n_nodes), self.weights)
-            tm.setflags(write=False)
-            self._trace_map = tm
-        return self._trace_map
+        """Completed boundary trace of the single-layer ansatz: S + 1 w^T.
+
+        A new array on every access, in Fortran order so that
+        :attr:`trace_map_lu` factors it in place."""
+        return np.add(self.single_layer, self.weights, order="F")
 
     @property
     def trace_map_lu(self) -> tuple[np.ndarray, np.ndarray]:
         """LU factors of the completed trace map, for ``scipy.linalg.lu_solve``."""
         if self._trace_map_lu is None:
-            self._trace_map_lu = sla.lu_factor(self.trace_map)
+            self._trace_map_lu = sla.lu_factor(self.trace_map, overwrite_a=True)
             for arr in self._trace_map_lu:
                 arr.setflags(write=False)
         return self._trace_map_lu
@@ -124,9 +127,13 @@ class OperatorSet:
 
         Symmetric to about 1e-13 relative; stored symmetrized."""
         if self._weighted_dtn is None:
-            a = -0.5 * np.eye(self.n_nodes) + self.adjoint_double_layer
-            h = self.weights[:, None] * sla.lu_solve(self.trace_map_lu, a.T, trans=1).T
-            h = 0.5 * (h + h.T)
+            a = np.array(self.adjoint_double_layer)
+            a[np.diag_indices_from(a)] -= 0.5
+            # a.T is Fortran-ordered, so LAPACK solves T^T X = (-I/2 + K')^T in it
+            h = sla.lu_solve(self.trace_map_lu, a.T, trans=1, overwrite_b=True).T
+            h *= self.weights[:, None]
+            h = h + h.T
+            h *= 0.5
             h.setflags(write=False)
             self._weighted_dtn = h
         return self._weighted_dtn
@@ -163,7 +170,10 @@ def log_quadrature_weights(n: int) -> np.ndarray:
 
 
 def assemble(curve: BoundaryCurve, n_nodes: int) -> OperatorSet:
-    """Assemble the dense operator set on n_nodes equispaced parameter nodes."""
+    """Assemble the dense operator set on n_nodes equispaced parameter nodes.
+
+    Both operators are filled in the row blocks of :func:`kernels.row_blocks`,
+    so beyond the two N x N results only a few blocks of temporaries live."""
     N = int(n_nodes)
     if N % 2 != 0:
         raise GeometryError("node count must be even for the log quadrature")
@@ -173,27 +183,33 @@ def assemble(curve: BoundaryCurve, n_nodes: int) -> OperatorSet:
     t = TWO_PI * np.arange(N) / N
     pts, nus, sps = point_normal_speed(curve, t)
     w = (TWO_PI / N) * sps
-
-    # --- single layer ------------------------------------------------------
-    # smooth remainder M_ij = gamma0(x_i, x_j) - (1/4 pi) log(4 sin^2(..));
-    # the diagonal is patched afterwards, so displace it before calling the
-    # kernel (which rejects coincident points)
-    rows = pts[:, None, :]
-    cols = np.broadcast_to(pts[None, :, :], (N, N, 2)).copy()
     idx = np.arange(N)
-    cols[idx, idx, 0] += 1.0  # unit displacement; diagonal overwritten below
-    g0 = kernels.gamma0(rows, cols)
-    sin2 = 4.0 * np.sin((t[:, None] - t[None, :]) / 2.0) ** 2
-    np.fill_diagonal(sin2, 1.0)
-    M = g0 - np.log(sin2) / (4.0 * np.pi)
-    np.fill_diagonal(M, np.log(sps) / (2.0 * np.pi))
-    R = log_quadrature_weights(n)[np.abs(np.subtract.outer(idx, idx))]
-    single = (R / (4.0 * np.pi) + (TWO_PI / N) * M) * sps[None, :]
-
-    # --- adjoint double layer ------------------------------------------------
-    kst = kernels.gamma0_dnu(rows, np.broadcast_to(nus[:, None, :], (N, N, 2)), cols)
-    np.fill_diagonal(kst, kernels.gamma0_dnu_diagonal_limit(curve, t))
-    adjoint = (TWO_PI / N) * kst * sps[None, :]
+    R = log_quadrature_weights(n)
+    log_speed = np.log(sps) / (2.0 * np.pi)
+    curvature = kernels.gamma0_dnu_diagonal_limit(curve, t)
+    single = np.empty((N, N))
+    adjoint = np.empty((N, N))
+    for rows in kernels.row_blocks(N, N):
+        i = idx[rows]
+        diag = (np.arange(len(i)), i)          # the block's diagonal entries
+        x = pts[rows, None, :]
+        # --- single layer ----------------------------------------------------
+        # smooth remainder M_ij = gamma0(x_i, x_j) - (1/4 pi) log(4 sin^2(..));
+        # the diagonal is patched afterwards, so displace it before calling
+        # the kernel (which rejects coincident points)
+        cols = np.broadcast_to(pts, (len(i), N, 2)).copy()
+        cols[diag + (0,)] += 1.0  # unit displacement; diagonal overwritten below
+        g0 = kernels.gamma0(x, cols)
+        sin2 = 4.0 * np.sin((t[rows, None] - t[None, :]) / 2.0) ** 2
+        sin2[diag] = 1.0
+        M = g0 - np.log(sin2) / (4.0 * np.pi)
+        M[diag] = log_speed[i]
+        single[rows] = (R[np.abs(i[:, None] - idx)] / (4.0 * np.pi)
+                        + (TWO_PI / N) * M) * sps
+        # --- adjoint double layer --------------------------------------------
+        kst = kernels.gamma0_dnu(x, np.broadcast_to(nus[rows, None, :], cols.shape), cols)
+        kst[diag] = curvature[i]
+        adjoint[rows] = (TWO_PI / N) * kst * sps
 
     return OperatorSet(curve, t, pts, nus, sps, w, single, adjoint)
 
@@ -244,7 +260,7 @@ class PartitionMask:
             self._source = None        # free the old factors before building
             k = np.array(self.ops.weighted_dtn, order="F")   # LAPACK factors it in place
             k[np.diag_indices_from(k)] -= lam * self.steklov_weights
-            anorm = np.linalg.norm(k, 1)
+            anorm = sla.lapack.dlange("1", k)
             lu = sla.lu_factor(k, overwrite_a=True)
             rcond = sla.lapack.dgecon(lu[0], anorm, norm="1")[0]
             cond = 1.0 / max(rcond, np.finfo(float).tiny)

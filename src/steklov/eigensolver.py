@@ -119,7 +119,9 @@ def solve_spectrum_near(ops: OperatorSet, mask: PartitionMask, sigma: float,
         scaled = h[np.ix_(on, on)] - h[np.ix_(on, off)] @ coupling
         scale = 1.0 / np.sqrt(b[on])
         scaled *= np.outer(scale, scale)
-        values, vecs = sla.eigh(scaled, subset_by_value=(sigma - half, top))
+        # a request for every pair skips the window: it would hold too few
+        window = None if count >= len(scale) else (sigma - half, top)
+        values, vecs = sla.eigh(scaled, subset_by_value=window)
         if len(values) < k:
             values, vecs = sla.eigh(scaled)
         nearest = np.sort(np.argsort(np.abs(values - sigma), kind="stable")[:k])
@@ -206,7 +208,8 @@ class SteklovDecomposition:
 def decompose(ops: OperatorSet) -> SteklovDecomposition:
     """Decompose the all-Steklov problem of ``ops`` (one ``eigh``, driver evd)."""
     scale = 1.0 / np.sqrt(ops.weights)
-    a = ops.weighted_dtn * scale[:, None]
+    # Fortran order, so eigh works in this array instead of a copy of it
+    a = np.multiply(ops.weighted_dtn, scale[:, None], order="F")
     a *= scale
     try:
         values, vectors = sla.eigh(a, driver="evd", overwrite_a=True,

@@ -154,9 +154,10 @@ def solve_greens(ops: OperatorSet, mask: PartitionMask, source, lam: float
         return sla.lu_solve(ops.trace_map_lu, sla.lu_solve(lu, ops.weights * r))
 
     def density_residual(rho):
-        # rhs - ((-I/2 + K') rho - lam frac (T rho)), the conditions on rho
+        # rhs - ((-I/2 + K') rho - lam frac (T rho)), the conditions on rho,
+        # with T rho = S rho + (w . rho)
         return rhs - (ops.adjoint_double_layer @ rho - 0.5 * rho
-                      - steklov_lam * (ops.trace_map @ rho))
+                      - steklov_lam * (ops.single_layer @ rho + ops.weights @ rho))
 
     rho = density(rhs)
     rho += density(density_residual(rho))        # one refinement pass

@@ -19,6 +19,8 @@ Interior evaluation at P points against M nodes (:func:`nearest_node`, and
 ``interiority`` and ``evaluate_layer_potential`` in the eigensolver) walks
 the points in the row blocks of :func:`row_blocks`: no P x M array is formed,
 and the peak memory is a few blocks of ``BLOCK_ENTRIES`` doubles, whatever P.
+The Nystrom assembly (``discretization.assemble``) fills its two N x N
+operators in the same row blocks, one kernel call of each kind per block.
 """
 
 from __future__ import annotations

@@ -409,6 +409,7 @@ def run(config: OptimizerConfig,
 
     field_x = solve_greens(ops, mask0, config.source, config.lambda_star)
     field_y = solve_greens(ops, mask0, config.receiver, config.lambda_star)
+    del mask0       # and with it an N x N source factorization no trial reads
     s_steklov = reported_value(ops, field_x, eval_greens(field_x, ops, config.receiver))
     node = select_insertion_point(field_x, field_y, s_steklov, ops=ops)
 

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from numpy.testing import assert_allclose
 
 from steklov import kernels
@@ -23,6 +26,7 @@ from steklov.geometry import (
     flower,
     insert_neumann_arc,
     kite,
+    point_normal_speed,
 )
 
 
@@ -235,3 +239,73 @@ def test_assembly_routes_through_kernel_module(monkeypatch):
     t = ops.params
     got = ops.single_layer @ np.cos(t)
     assert np.max(np.abs(got + np.cos(t) / 2.0)) > 0.1
+
+
+# ---------------------------------------------------------------------------
+# row-blocked assembly
+# ---------------------------------------------------------------------------
+
+def one_shot_operators(curve, N):
+    """Reference: both layer operators built as whole N x N arrays, one
+    kernel call each, with the arithmetic the row blocks must reproduce."""
+    n = N // 2
+    t = TWO_PI * np.arange(N) / N
+    pts, nus, sps = point_normal_speed(curve, t)
+    rows = pts[:, None, :]
+    cols = np.broadcast_to(pts[None, :, :], (N, N, 2)).copy()
+    idx = np.arange(N)
+    cols[idx, idx, 0] += 1.0
+    g0 = kernels.gamma0(rows, cols)
+    sin2 = 4.0 * np.sin((t[:, None] - t[None, :]) / 2.0) ** 2
+    np.fill_diagonal(sin2, 1.0)
+    M = g0 - np.log(sin2) / (4.0 * np.pi)
+    np.fill_diagonal(M, np.log(sps) / (2.0 * np.pi))
+    R = log_quadrature_weights(n)[np.abs(np.subtract.outer(idx, idx))]
+    single = (R / (4.0 * np.pi) + (TWO_PI / N) * M) * sps[None, :]
+    kst = kernels.gamma0_dnu(rows, np.broadcast_to(nus[:, None, :], (N, N, 2)), cols)
+    np.fill_diagonal(kst, kernels.gamma0_dnu_diagonal_limit(curve, t))
+    adjoint = (TWO_PI / N) * kst * sps[None, :]
+    return single, adjoint
+
+
+CURVES = {"circle": circle, "kite": kite, "ellipse": lambda: ellipse(1.0, 0.5)}
+
+
+@pytest.mark.parametrize("name", list(CURVES))
+def test_row_blocked_assembly_is_bitwise_the_one_shot_arithmetic(name):
+    # 768 rows come in blocks of 85: a partial last block of 3
+    curve = CURVES[name]()
+    ops = assemble(curve, 768)
+    single, adjoint = one_shot_operators(curve, 768)
+    assert np.array_equal(ops.single_layer, single)
+    assert np.array_equal(ops.adjoint_double_layer, adjoint)
+    # the trace-map factors and H, built in place, are the plain formulas
+    lu, piv = sla.lu_factor(single + np.outer(np.ones(768), ops.weights))
+    assert np.array_equal(ops.trace_map_lu[0], lu)
+    assert np.array_equal(ops.trace_map_lu[1], piv)
+    a = -0.5 * np.eye(768) + adjoint
+    h = ops.weights[:, None] * sla.lu_solve((lu, piv), a.T, trans=1).T
+    assert np.array_equal(ops.weighted_dtn, 0.5 * (h + h.T))
+
+
+def test_assembly_in_many_small_blocks_is_bitwise_the_one_shot_arithmetic(monkeypatch):
+    # blocks of 5 rows: 13 blocks, the last one of 4
+    monkeypatch.setattr(kernels, "BLOCK_ENTRIES", 5 * 64)
+    assert len(kernels.row_blocks(64, 64)) == 13
+    ops = assemble(kite(), 64)
+    single, adjoint = one_shot_operators(kite(), 64)
+    assert np.array_equal(ops.single_layer, single)
+    assert np.array_equal(ops.adjoint_double_layer, adjoint)
+
+
+def test_assembly_peak_memory():
+    # the two 1024 x 1024 results take 16.8 MB; the one-shot build peaked at
+    # about six times that
+    tracemalloc.start()
+    try:
+        ops = assemble(kite(), 1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = ops.single_layer.nbytes + ops.adjoint_double_layer.nbytes
+    assert peak <= 1.5 * outputs

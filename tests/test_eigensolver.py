@@ -262,6 +262,56 @@ def test_lowest_spectrum_window_holds_count_values(monkeypatch):
         assert len(calls) == 2 and "subset_by_value" in calls[0]
 
 
+def windowed_values(ops, mask, sigma, count):
+    """Reference: the values of the windowed solve, which falls back to a
+    full eigh when its window holds fewer than ``count`` values."""
+    h = ops.weighted_dtn
+    b = mask.steklov_weights
+    on, off = b > 0, b <= 0
+    k = min(count, int(np.sum(on)))
+    half = count * np.pi / float(np.sum(b))
+    coupling = sla.solve(h[np.ix_(off, off)], h[np.ix_(off, on)], assume_a="pos")
+    scaled = h[np.ix_(on, on)] - h[np.ix_(on, off)] @ coupling
+    scale = 1.0 / np.sqrt(b[on])
+    scaled *= np.outer(scale, scale)
+    values, vecs = sla.eigh(scaled, subset_by_value=(sigma - half, half + max(sigma, half)))
+    if len(values) < k:
+        values, vecs = sla.eigh(scaled)
+    nearest = np.sort(np.argsort(np.abs(values - sigma), kind="stable")[:k])
+    traces = np.empty((ops.n_nodes, k))
+    traces[on] = scale[:, None] * vecs[:, nearest]
+    traces[off] = -coupling @ traces[on]
+    return sla.eigh(traces.T @ h @ traces, (traces.T * b) @ traces)[0]
+
+
+def test_full_spectrum_request_skips_the_window(monkeypatch):
+    # asking for every pair of a mask: a window sized by Weyl's law holds
+    # too few of them, so the solve goes straight to the full eigh
+    ops, mask = neumann_setup(kite(), 128, [(0.5, 0.9)])
+    expected = windowed_values(ops, mask, 0.0, 128)
+    calls = []
+    true_eigh = sla.eigh
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(kwargs)
+        return true_eigh(*args, **kwargs)
+
+    monkeypatch.setattr(sla, "eigh", counting_eigh)
+    pairs = solve_spectrum(ops, mask, SpectrumRequest(count=128))
+    # the full solve plus the Rayleigh-Ritz pass
+    assert len(calls) == 2 and calls[0].get("subset_by_value") is None
+    assert np.array_equal([p.value for p in pairs], expected)
+
+
+def test_decomposition_scales_in_fortran_order_without_changing_a_bit():
+    ops = assemble(kite(), 256)
+    scale = 1.0 / np.sqrt(ops.weights)
+    values, vectors = sla.eigh(ops.weighted_dtn * scale[:, None] * scale, driver="evd")
+    spectrum = decompose(ops)
+    assert np.array_equal(spectrum.values, values)
+    assert np.array_equal(spectrum.vectors, vectors)
+
+
 def test_indefinite_neumann_block_raises_eigensolve_error(monkeypatch):
     # a flipped free-space kernel makes H_nn indefinite, so the Cholesky
     # of the Neumann-block elimination fails

@@ -70,8 +70,6 @@ from .greens import (
     GreensField,
     boundary_product_profile,
     eval_greens,
-    reported_value,
-    reporting_offset,
     solve_greens,
 )
 from .optimizer import (
@@ -100,8 +98,7 @@ __all__ = [
     "curve_from_name", "ellipse", "extend_neumann_arc", "flower",
     "insert_neumann_arc", "kite",
     # source fields
-    "GreensField", "boundary_product_profile", "eval_greens",
-    "reported_value", "reporting_offset", "solve_greens",
+    "GreensField", "boundary_product_profile", "eval_greens", "solve_greens",
     # optimizer
     "IterationRecord", "OptimizerConfig", "OptimizerTrace",
     "next_lower_steklov_eigenvalue", "run_optimizer",

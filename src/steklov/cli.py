@@ -49,8 +49,9 @@ optimize   ``optimize_trace.csv``      iteration, epsilon_delta, f,
 validate   ``validate_report.txt``     one residual/threshold line per check
 
 Angles (``parameter_over_pi``, ``theta_center``, ``l_N``) are reported as
-multiples of pi.  Source-field values follow the reported convention: on
-degenerate-capacity curves the arclength boundary mean is subtracted.
+multiples of pi.  Source-field values are reported less the field's
+``offset`` (:func:`~steklov.greens.solve_greens` sets it to the arclength
+boundary mean on capacity-one curves and to zero elsewhere).
 
 Exit codes: 0 success, 2 configuration error (also raised when a requested
 target is infeasible for the domain), 3 numerical error (resonance, solver
@@ -88,7 +89,7 @@ from .errors import (
     SteklovError,
 )
 from .geometry import BoundaryCurve, BoundaryPartition, curve_from_name
-from .greens import GreensField, eval_greens, reporting_offset, solve_greens
+from .greens import GreensField, eval_greens, solve_greens
 from .kernels import nearest_node
 from .optimizer import (
     IterationRecord,
@@ -376,14 +377,13 @@ def write_spectrum_csv(path: Path, pairs: Sequence[EigenPair]) -> None:
 
 def write_boundary_csv(path: Path, ops: OperatorSet, mask: PartitionMask,
                        field: GreensField) -> None:
-    offset = reporting_offset(ops, field)
     rows = ["parameter_over_pi,x,y,value,label"]
     for i in range(ops.n_nodes):
         label = "steklov" if mask.is_steklov[i] else "neumann"
         rows.append(",".join((
             _fmt(ops.params[i] / math.pi),
             _fmt(ops.points[i, 0]), _fmt(ops.points[i, 1]),
-            _fmt(field.boundary_values[i] - offset), label)))
+            _fmt(field.boundary_values[i] - field.offset), label)))
     _write(path, "\n".join(rows) + "\n")
 
 
@@ -419,8 +419,7 @@ def write_grid_dat(path: Path, ops: OperatorSet, field: GreensField,
     accurate out to the one-node-spacing clipping margin.
     """
     pts, block = interior_lattice(ops, grid_points, field.source)
-    values = np.atleast_1d(eval_greens(field, ops, pts, refine=4))
-    values = values - reporting_offset(ops, field)
+    values = np.atleast_1d(eval_greens(field, ops, pts, refine=4)) - field.offset
     rows = ["# x y value"]
     last = -1
     for (x, y), b, v in zip(pts, block, values):

@@ -68,7 +68,6 @@ from .geometry import (
     point_normal_speed,
 )
 
-_ROBIN_DEGENERATE_TOL = 1e-8
 # node count of a run that names none: the run-file default, the tuning
 # default and the validation suite's
 DEFAULT_NODES = 256
@@ -150,11 +149,6 @@ class OperatorSet:
             ones = sla.lu_solve(self.trace_map_lu, np.ones(self.n_nodes))
             self._robin = float(1.0 / (self.weights @ ones) - 1.0)
         return self._robin
-
-    @property
-    def capacity_degenerate(self) -> bool:
-        """True when the plain single layer (numerically) kills constants."""
-        return abs(self.robin_constant) < _ROBIN_DEGENERATE_TOL
 
 
 def log_quadrature_weights(n: int) -> np.ndarray:

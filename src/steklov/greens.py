@@ -11,6 +11,10 @@ residual in the boundary conditions on the density themselves,
 of the representation, and interior values reuse the layer potential plus
 the constant w.rho.
 
+Reported values are ``value - field.offset``; :func:`solve_greens` sets the
+offset to the arclength boundary mean on curves of logarithmic capacity one
+(|Robin constant| < 1e-8) and to zero elsewhere.
+
 The factored source system and the spectrum the resonance guard reads
 belong to the :class:`~steklov.discretization.PartitionMask`; this module
 keeps no state of its own.
@@ -45,7 +49,12 @@ RESONANCE_GUARD = 1e-6
 # relative linear-system residual accepted after one refinement pass
 RESIDUAL_TOL = 1e-10
 
+# eigenvalues solved near lam when the mask's stored run does not reach it
+NEAREST_COUNT = 6
+
 _SOURCE_CLEARANCE = 1e-8
+# |Robin constant| below which a curve counts as capacity one
+_CAPACITY_ONE_TOL = 1e-8
 
 
 @dataclass
@@ -70,6 +79,9 @@ class GreensField:
         Relative residual of the boundary conditions on the density.
     condition_estimate : float
         1-norm condition estimate of the solved system H - lam diag(b).
+    offset : float
+        Constant every reported value drops: the arclength boundary mean of
+        the field on capacity-one curves, 0.0 elsewhere.
     """
 
     source: np.ndarray
@@ -80,18 +92,19 @@ class GreensField:
     boundary_values: np.ndarray
     residual: float
     condition_estimate: float
+    offset: float
 
 
-def nearest_eigenvalue(ops: OperatorSet, mask: PartitionMask, lam: float,
-                       count: int = 6) -> float:
+def nearest_eigenvalue(ops: OperatorSet, mask: PartitionMask, lam: float) -> float:
     """Eigenvalue of the masked problem closest to ``lam``.
 
     Read from ``mask.eigenvalues`` when ``lam`` lies within that contiguous
-    run of the spectrum; otherwise ``count`` eigenvalues are solved near it.
+    run of the spectrum; otherwise ``NEAREST_COUNT`` eigenvalues are solved
+    near it.
     """
     values = mask.eigenvalues
     if values is None or not values[0] <= lam <= values[-1]:
-        pairs = solve_spectrum_near(ops, mask, float(lam), count=count)
+        pairs = solve_spectrum_near(ops, mask, float(lam), count=NEAREST_COUNT)
         values = np.array([p.value for p in pairs])
     return float(values[np.argmin(np.abs(values - lam))])
 
@@ -170,16 +183,18 @@ def solve_greens(ops: OperatorSet, mask: PartitionMask, source, lam: float
 
     constant = float(ops.weights @ rho)
     boundary = g0 + ops.single_layer @ rho + constant
+    # on capacity-one curves the layer cannot carry constants: report mean-free
+    offset = (float((ops.weights @ boundary) / np.sum(ops.weights))
+              if abs(ops.robin_constant) < _CAPACITY_ONE_TOL else 0.0)
 
     source.setflags(write=False)
     rho.setflags(write=False)
     boundary.setflags(write=False)
-    fraction = mask.steklov_fraction.copy()
-    fraction.setflags(write=False)
     return GreensField(
-        source=source, lam=lam, steklov_fraction=fraction,
+        source=source, lam=lam, steklov_fraction=mask.steklov_fraction,
         correction_density=rho, completion_constant=constant,
-        boundary_values=boundary, residual=residual, condition_estimate=cond)
+        boundary_values=boundary, residual=residual, condition_estimate=cond,
+        offset=offset)
 
 
 # --- evaluation ----------------------------------------------------------------
@@ -226,26 +241,3 @@ def boundary_product_profile(field_x: GreensField, field_y: GreensField
         raise PartitionError("boundary product needs fields solved "
                              "on the same partition")
     return field_x.boundary_values * field_y.boundary_values
-
-
-def reporting_offset(ops: OperatorSet, field: GreensField) -> float:
-    """Constant removed from reported source-field values.
-
-    On degenerate-capacity curves the representable fields are only
-    determined up to the constant the layer cannot carry; reported values
-    are therefore taken relative to the boundary average.  Elsewhere the
-    offset is zero and reported values equal raw values.
-    """
-    if not ops.capacity_degenerate:
-        return 0.0
-    w = ops.weights
-    return float((w @ field.boundary_values) / np.sum(w))
-
-
-def reported_value(ops: OperatorSet, field: GreensField, values):
-    """Shift raw field values into the reporting convention."""
-    offset = reporting_offset(ops, field)
-    out = np.asarray(values, dtype=float) - offset
-    if out.ndim == 0:
-        return float(out)
-    return out

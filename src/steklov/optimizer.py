@@ -31,7 +31,8 @@ pair.
 Source fields enter twice: the insertion point comes from the boundary
 profile of the two fields solved at lambda_star on the uncovered boundary,
 and the final report compares the field value at the receiver before and
-after covering (both in the mean-free convention of `greens.reported_value`).
+after covering (both less the field's ``offset``, the reporting convention
+:func:`~steklov.greens.solve_greens` decides).
 """
 
 from __future__ import annotations
@@ -80,7 +81,6 @@ from .greens import (
     GreensField,
     boundary_product_profile,
     eval_greens,
-    reported_value,
     solve_greens,
 )
 
@@ -233,8 +233,8 @@ def _largest_at_or_below(spectrum: SteklovDecomposition,
                             side="right")) - 1
     if j < 0:
         raise EigenSolveError(
-            f"found no eigenvalue at or below {lambda_star:g} in the "
-            f"continuation window")
+            f"found no eigenvalue at or below {lambda_star:g} on the "
+            f"uncovered boundary")
     if values[j] < _ZERO_MODE_TOL:
         above = values[values >= _ZERO_MODE_TOL]
         hint = f"; the first nonzero eigenvalue is {above[0]:.6g}" if len(above) else ""
@@ -312,22 +312,19 @@ def _best_continuation(pairs: Sequence[EigenPair], reference: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def select_insertion_point(field_x: GreensField, field_y: GreensField,
-                           s_xy: float, ops: OperatorSet | None = None) -> int:
+                           s_xy: float) -> int:
     """Node index where covering the boundary helps the receiver most.
 
-    Takes the two source fields on the uncovered boundary and their value
-    ``s_xy`` at the receiver: the node is the argmax of the pointwise
-    product of the boundary profiles when ``s_xy`` is nonnegative and the
-    argmin otherwise.  Ties resolve to the smallest index, and products
-    within 1e-12 max|profile| of the extreme count as tied, so mirror
-    nodes of a symmetric input do not compete in rounding.  When ``ops``
-    is given the profiles are shifted into the mean-free reporting
-    convention first; on curves without the capacity degeneracy this is a
-    no-op.
+    Takes the two source fields on the uncovered boundary and their reported
+    value ``s_xy`` at the receiver: the node is the argmax of the pointwise
+    product of the reported boundary profiles (each less its field's
+    ``offset``) when ``s_xy`` is nonnegative and the argmin otherwise.  Ties
+    resolve to the smallest index, and products within 1e-12 max|profile|
+    of the extreme count as tied, so mirror nodes of a symmetric input do
+    not compete in rounding.
     """
-    if ops is not None:
-        field_x, field_y = (replace(f, boundary_values=reported_value(ops, f, f.boundary_values))
-                            for f in (field_x, field_y))
+    field_x, field_y = (replace(f, boundary_values=f.boundary_values - f.offset)
+                        for f in (field_x, field_y))
     profile = boundary_product_profile(field_x, field_y)
     if s_xy < 0.0:
         profile = -profile
@@ -410,8 +407,8 @@ def run(config: OptimizerConfig,
     field_x = solve_greens(ops, mask0, config.source, config.lambda_star)
     field_y = solve_greens(ops, mask0, config.receiver, config.lambda_star)
     del mask0       # and with it an N x N source factorization no trial reads
-    s_steklov = reported_value(ops, field_x, eval_greens(field_x, ops, config.receiver))
-    node = select_insertion_point(field_x, field_y, s_steklov, ops=ops)
+    s_steklov = eval_greens(field_x, ops, config.receiver) - field_x.offset
+    node = select_insertion_point(field_x, field_y, s_steklov)
 
     trace = OptimizerTrace(
         insertion_index=node,
@@ -475,8 +472,7 @@ def run(config: OptimizerConfig,
             f"{config.max_iterations} trials (last eigenvalue {lam0:.9g})")
 
     field_end = solve_greens(ops, mask, config.source, config.lambda_star)
-    trace.s_end = reported_value(ops, field_end,
-                                 eval_greens(field_end, ops, config.receiver))
+    trace.s_end = eval_greens(field_end, ops, config.receiver) - field_end.offset
     trace.converged = True
     trace.final_eigenvalue = lam0
     trace.final_partition = partition

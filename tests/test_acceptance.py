@@ -31,7 +31,7 @@ from steklov.eigensolver import (
     solve_spectrum,
 )
 from steklov.geometry import BoundaryPartition, circle, flower, kite
-from steklov.greens import eval_greens, reported_value, solve_greens
+from steklov.greens import eval_greens, solve_greens
 from steklov.optimizer import OptimizerConfig, run
 from steklov.oracles import (
     disk_spectrum,

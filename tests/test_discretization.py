@@ -28,6 +28,7 @@ from steklov.geometry import (
     kite,
     point_normal_speed,
 )
+from steklov.greens import solve_greens
 
 
 def all_steklov_mask(ops):
@@ -159,9 +160,14 @@ def test_robin_constant_on_circles():
 
 
 def test_capacity_degeneracy_flags():
-    assert assemble(circle(), 64).capacity_degenerate
-    assert not assemble(kite(), 64).capacity_degenerate
-    assert not assemble(ellipse(1, 0.5), 64).capacity_degenerate
+    # only the capacity-one circle reports its fields less the boundary mean
+    for curve, degenerate in ((circle(), True), (kite(), False),
+                              (ellipse(1, 0.5), False)):
+        ops = assemble(curve, 64)
+        field = solve_greens(ops, all_steklov_mask(ops), (0.1, 0.2), 1.5)
+        mean = float((ops.weights @ field.boundary_values) / np.sum(ops.weights))
+        assert mean != 0.0
+        assert field.offset == (mean if degenerate else 0.0)
 
 
 def test_trace_map_completes_constants_on_circle():

@@ -123,7 +123,7 @@ def test_kite_source_value_frozen(kite_setup):
     val = greens.eval_greens(field, ops, (-1.25, -1.25))
     assert abs(val - KITE_SOURCE_VALUE) < 2e-5
     # no reporting shift away from the degenerate-capacity case
-    assert greens.reported_value(ops, field, val) == val
+    assert field.offset == 0.0
 
 
 # --- reporting convention -----------------------------------------------------
@@ -133,10 +133,9 @@ def test_reporting_offset_is_boundary_mean_reciprocal(disk_steklov):
     # 1/(2 pi lam) exactly, so reported values drop that constant
     ops, mask = disk_steklov
     field = greens.solve_greens(ops, mask, XS, LAM)
-    offset = greens.reporting_offset(ops, field)
-    assert abs(offset - 1.0 / (2 * np.pi * LAM)) < 1e-10
+    assert abs(field.offset - 1.0 / (2 * np.pi * LAM)) < 1e-10
     val = greens.eval_greens(field, ops, (0.0, 0.9))
-    rep = greens.reported_value(ops, field, val)
+    rep = val - field.offset
     assert abs(rep - (disk_source_oracle(XS, (0.0, 0.9), LAM)
                       - 1.0 / (2 * np.pi * LAM))) < 1e-8
 
@@ -149,7 +148,7 @@ def test_centered_source_reported_values_vanish(disk_steklov):
         assert np.max(np.abs(field.boundary_values
                              - 1.0 / (2 * np.pi * lam))) < 1e-10
         # ... so the reported trace is identically zero, independent of lam
-        rep = greens.reported_value(ops, field, field.boundary_values)
+        rep = field.boundary_values - field.offset
         assert np.max(np.abs(rep)) < 1e-10
 
 
@@ -159,8 +158,7 @@ def test_centered_source_interior_values_lam_independent(disk_steklov):
     out = []
     for lam in (1.7, 2.5):
         field = greens.solve_greens(ops, mask, (0.0, 0.0), lam)
-        out.append(greens.reported_value(ops, field,
-                                         greens.eval_greens(field, ops, pts)))
+        out.append(greens.eval_greens(field, ops, pts) - field.offset)
     assert np.max(np.abs(out[0] - out[1])) < 1e-10
     # and they coincide with the bare log potential of the source
     log_part = np.log(np.linalg.norm(pts, axis=1)) / (2 * np.pi)
@@ -172,7 +170,7 @@ def test_centered_source_mixed_partition_is_not_constant(disk_mixed):
     # carry the source flux, so the centered-source trace must vary
     ops, mask, _ = disk_mixed
     field = greens.solve_greens(ops, mask, (0.0, 0.0), 1.5)
-    rep = greens.reported_value(ops, field, field.boundary_values)
+    rep = field.boundary_values - field.offset
     assert np.max(np.abs(rep)) > 0.05
 
 

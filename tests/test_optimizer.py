@@ -27,7 +27,6 @@ from steklov.geometry import BoundaryPartition, circle, ellipse, kite
 from steklov.greens import (
     GreensField,
     eval_greens,
-    reported_value,
     solve_greens,
 )
 from steklov.optimizer import (
@@ -161,7 +160,7 @@ def synthetic_field(values, lam=2.5):
         source=np.array([0.1, 0.0]), lam=lam,
         steklov_fraction=np.ones(n), correction_density=np.zeros(n),
         completion_constant=0.0, boundary_values=values,
-        residual=0.0, condition_estimate=1.0)
+        residual=0.0, condition_estimate=1.0, offset=0.0)
 
 
 def test_insertion_argmax_for_nonnegative_value():
@@ -211,9 +210,9 @@ def test_insertion_disk_matches_published_angle():
     mask = mask_from_partition(ops, BoundaryPartition.all_steklov(DISK))
     fx = solve_greens(ops, mask, (-0.9, 0.0), 2.5)
     fy = solve_greens(ops, mask, (0.0, 0.75), 2.5)
-    s_xy = reported_value(ops, fx, eval_greens(fx, ops, np.array([0.0, 0.75])))
+    s_xy = eval_greens(fx, ops, np.array([0.0, 0.75])) - fx.offset
     assert s_xy < 0.0
-    node = select_insertion_point(fx, fy, s_xy, ops=ops)
+    node = select_insertion_point(fx, fy, s_xy)
     assert ops.params[node] / np.pi == pytest.approx(1.96, abs=0.1)
 
 
@@ -359,17 +358,19 @@ def test_run_kite_converges_on_true_spectrum():
     assert trace.amplification > 50.0
 
 
-# the test_11 inputs, whose arcs touch 27 of 256 nodes
-KITE_RUN = dict(source=(-1.25, 1.25), receiver=(-1.25, -1.25), lambda_star=2.5, n_nodes=256)
+# the test_11 inputs, whose arcs touch 27 of 256 nodes, and the kite tuning
+# workload's N=768 run at lambda_star 3.5
+KITE_RUNS = [dict(source=(-1.25, 1.25), receiver=(-1.25, -1.25), lambda_star=2.5, n_nodes=256),
+             dict(source=(-1.25, 1.25), receiver=(-1.25, -1.25), lambda_star=3.5, n_nodes=768)]
 
 _ONE_THREAD_RUN = f"""
 import json, sys
 from steklov.geometry import kite
 from steklov.optimizer import OptimizerConfig, run
-trace = run(OptimizerConfig(curve=kite(), **{KITE_RUN!r}))
-json.dump(dict(node=trace.insertion_index, accepted=[r.accepted for r in trace.records],
-               eigenvalues=[r.eigenvalue for r in trace.records], s_end=trace.s_end),
-          sys.stdout)
+traces = [run(OptimizerConfig(curve=kite(), **kw)) for kw in {KITE_RUNS!r}]
+json.dump([dict(node=t.insertion_index, accepted=[r.accepted for r in t.records],
+                eigenvalues=[r.eigenvalue for r in t.records], s_end=t.s_end)
+           for t in traces], sys.stdout)
 """
 
 
@@ -378,15 +379,17 @@ def test_run_does_not_depend_on_the_blas_thread_count():
     src = str(Path(steklov.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    child = json.loads(subprocess.run([sys.executable, "-c", _ONE_THREAD_RUN], env=env,
-                                      capture_output=True, text=True, check=True,
-                                      timeout=300).stdout)
-    trace = run(OptimizerConfig(curve=kite(), **KITE_RUN))
-    assert trace.insertion_index == child["node"]
-    assert [r.accepted for r in trace.records] == child["accepted"]
-    assert_allclose([r.eigenvalue for r in trace.records], child["eigenvalues"],
-                    rtol=1e-12, atol=0)
-    assert trace.s_end == pytest.approx(child["s_end"], rel=1e-8)
+    children = json.loads(subprocess.run([sys.executable, "-c", _ONE_THREAD_RUN], env=env,
+                                         capture_output=True, text=True, check=True,
+                                         timeout=300).stdout)
+    assert len(children) == len(KITE_RUNS)
+    for kw, child in zip(KITE_RUNS, children):
+        trace = run(OptimizerConfig(curve=kite(), **kw))
+        assert trace.insertion_index == child["node"]
+        assert [r.accepted for r in trace.records] == child["accepted"]
+        assert_allclose([r.eigenvalue for r in trace.records], child["eigenvalues"],
+                        rtol=1e-12, atol=0)
+        assert trace.s_end == pytest.approx(child["s_end"], rel=1e-8)
 
 
 @pytest.mark.parametrize("config", [

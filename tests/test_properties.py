@@ -75,3 +75,20 @@ def test_overlap_scores_sum_to_the_parseval_total(curve, n, center, half, grow, 
     assert float(np.sum(_overlap_scores(pairs, reference, weights))) == pytest.approx(
         total, rel=0, abs=1e-10)
     assert total <= 1.0 + 1e-10
+
+
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(curve=st.sampled_from(sorted(CURVES)), n=st.sampled_from([64, 128]),
+       center=st.floats(0.0, TWO_PI), half=st.floats(0.0, 1.0),
+       grow=st.floats(1e-3, 0.5))
+def test_growing_the_arc_raises_every_eigenvalue(curve, n, center, half, grow):
+    # covering more boundary shrinks the Steklov part, so by min-max each
+    # eigenvalue, counted by index, can only rise
+    ops, _ = decomposed(curve, n)
+    smaller = insert_neumann_arc(BoundaryPartition.all_steklov(ops.curve),
+                                 ArcSpec(center, half))
+    grown = extend_neumann_arc(smaller, smaller.neumann_arc_ids()[0], grow)
+    small, large = (np.array([p.value for p in solve_spectrum(
+        ops, mask_from_partition(ops, p), SpectrumRequest(count=8))])
+        for p in (smaller, grown))
+    assert np.all(large >= small - 1e-9 * (1.0 + small))

@@ -22,6 +22,15 @@ L2(Gamma_S)-orthonormal basis of every cluster.
   (Haynsworth additivity, :func:`negative_inertia`) and polished by Newton,
   at O(m^2 N) per evaluation instead of an N x N eigensolve.  It is the
   exact form of the first-order arc formula the optimizer steps with.
+
+All dense algebra with an N-sized operand runs on scipy's OpenBLAS: the
+factorizations and eigensolves call scipy's LAPACK, and the products go
+through :func:`kernels.product` instead of numpy's ``@``.  numpy and scipy
+each bundle their own OpenBLAS with its own thread pool; after a threaded
+call one pool's threads keep spinning, and the other pool's next threaded
+call has to share the cores with them (an N=768 LU after a numpy ``eigh``
+took 0.09-0.21 s instead of 0.013 s on two cores).  Kept on one library,
+the trial loop never wakes the second pool.
 """
 
 from __future__ import annotations
@@ -86,6 +95,15 @@ def _signed_pairs(ops: OperatorSet, values: np.ndarray, traces: np.ndarray,
             in zip(values, densities.T, traces.T, np.broadcast_to(cluster_ids, k))]
 
 
+def _rayleigh_ritz(h: np.ndarray, b: np.ndarray, traces: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Ritz values and vectors of (H, diag(b)) on the span of the trace
+    columns; ``scipy.linalg.eigh`` raises LinAlgError on failure."""
+    values, rotation = sla.eigh(kernels.product(traces.T, kernels.product(h, traces)),
+                                kernels.product(traces.T * b, traces))
+    return values, kernels.product(traces, rotation)
+
+
 def solve_spectrum(ops: OperatorSet, mask: PartitionMask,
                    req: SpectrumRequest = SpectrumRequest()) -> list[EigenPair]:
     """Lowest eigenpairs of the mixed problem, sorted ascending and clustered."""
@@ -116,7 +134,7 @@ def solve_spectrum_near(ops: OperatorSet, mask: PartitionMask, sigma: float,
     try:
         # Neumann rows read H_nn u_n + H_ns u_s = 0, so u_n = -coupling @ u_s
         coupling = sla.solve(h[np.ix_(off, off)], h[np.ix_(off, on)], assume_a="pos")
-        scaled = h[np.ix_(on, on)] - h[np.ix_(on, off)] @ coupling
+        scaled = h[np.ix_(on, on)] - kernels.product(h[np.ix_(on, off)], coupling)
         scale = 1.0 / np.sqrt(b[on])
         scaled *= np.outer(scale, scale)
         # a request for every pair skips the window: it would hold too few
@@ -127,13 +145,13 @@ def solve_spectrum_near(ops: OperatorSet, mask: PartitionMask, sigma: float,
         nearest = np.sort(np.argsort(np.abs(values - sigma), kind="stable")[:k])
         traces = np.empty((ops.n_nodes, k))
         traces[on] = scale[:, None] * vecs[:, nearest]
-        traces[off] = -coupling @ traces[on]
-        values, rotation = sla.eigh(traces.T @ h @ traces, (traces.T * b) @ traces)
+        traces[off] = -kernels.product(coupling, traces[on])
+        values, traces = _rayleigh_ritz(h, b, traces)
     except np.linalg.LinAlgError as exc:
         raise EigenSolveError(f"self-adjoint eigensolve failed: {exc}") from exc
     values.setflags(write=False)
     mask.eigenvalues = values
-    return _signed_pairs(ops, values, traces @ rotation, _assign_clusters(values))
+    return _signed_pairs(ops, values, traces, _assign_clusters(values))
 
 
 def cluster_members(pairs: list[EigenPair], cluster_id: int) -> list[EigenPair]:
@@ -172,6 +190,10 @@ _ZERO_POLE_TOL = 1e-12
 _MAX_EVALUATIONS = 80
 # Newton roots and the Rayleigh-Ritz values of their traces must agree
 _RITZ_AGREEMENT = 1e-9
+# a count this many ulps from a pole narrows no bracket: G(lambda) there holds
+# a rank-one term of order eps^-1 whose rounding can hide a negative
+# eigenvalue, so the count may read one root too few
+_POLE_ULPS = 16
 
 
 class SecularBreakdown(EigenSolveError):
@@ -196,7 +218,7 @@ class SteklovDecomposition:
 
     def traces(self, coefficients: np.ndarray) -> np.ndarray:
         """Boundary traces W^-1/2 Q c of coefficient columns c."""
-        return (self.vectors @ coefficients) / np.sqrt(self.ops.weights)[:, None]
+        return kernels.product(self.vectors, coefficients) / np.sqrt(self.ops.weights)[:, None]
 
     def cluster_at(self, j: int) -> list[EigenPair]:
         """All-Steklov pairs of the multiplicity cluster holding value j."""
@@ -333,15 +355,23 @@ class ArcSpectrum:
         """(lam, G(lam)), with lam moved one ulp up when it sits on a pole."""
         if np.any(self.poles == lam):
             lam = float(np.nextafter(lam, np.inf))
-        g = (self.cols * (self.poles / (self.poles - lam))) @ self.cols.T
+        g = kernels.product(self.cols * (self.poles / (self.poles - lam)), self.cols.T)
         g[np.diag_indices(self.m)] += self.fm
         return lam, g
 
     def _record(self, lam: float, negative: int) -> int:
-        """Secular roots below lam, given the negative eigenvalues of G(lam)."""
+        """Secular roots below lam, given the negative eigenvalues of G(lam);
+        kept to narrow brackets unless lam lies beside a pole."""
         count = int(np.searchsorted(self.poles, lam)) - negative
-        self._probes.append((lam, count))
+        if not self._beside_pole(lam):
+            self._probes.append((lam, count))
         return count
+
+    def _beside_pole(self, x: float) -> bool:
+        """Whether x lies within ``_POLE_ULPS`` ulps of a pole."""
+        i = int(np.searchsorted(self.poles, x))
+        near = self.poles[max(i - 1, 0):i + 1]
+        return bool(np.any(np.abs(near - x) <= _POLE_ULPS * np.spacing(near)))
 
     def _count(self, lam: float) -> int:
         """Secular roots below lam, from the inertia of G(lam) alone."""
@@ -351,7 +381,7 @@ class ArcSpectrum:
     def _eigen(self, lam: float) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues and eigenvectors of G(lam); the count is recorded too."""
         lam, g = self._matrix(lam)
-        mu, z = np.linalg.eigh(g)
+        mu, z = sla.eigh(g, driver="evd", overwrite_a=True, check_finite=False)
         self._record(lam, int(np.count_nonzero(mu < 0.0)))
         return mu, z
 
@@ -418,7 +448,7 @@ class ArcSpectrum:
                 lo = x
             else:
                 hi = x
-            y = vec @ self.cols
+            y = kernels.product(vec, self.cols)
             slope = float(np.sum(poles * (y / (poles - x)) ** 2))
             step = phi / slope if slope > 0.0 else np.inf
             if abs(step) <= tiny * max(abs(x), 1.0) or hi - lo <= tiny * max(abs(x), 1.0):
@@ -536,7 +566,7 @@ class ArcSpectrum:
             if kind == "s":
                 lam, z = self._root(i)
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    weights[:, j] = (z @ self._cols) / (self._values - lam)
+                    weights[:, j] = kernels.product(z, self._cols) / (self._values - lam)
             else:
                 weights[len(self.poles) + i, j] = 1.0
         if not np.all(np.isfinite(weights)):
@@ -544,14 +574,13 @@ class ArcSpectrum:
         traces = self.spectrum.traces(self._lift @ weights)
         ops, b = self.spectrum.ops, self.mask.steklov_weights
         try:
-            values, rotation = sla.eigh(traces.T @ ops.weighted_dtn @ traces,
-                                        (traces.T * b) @ traces)
+            values, traces = _rayleigh_ritz(ops.weighted_dtn, b, traces)
         except np.linalg.LinAlgError as exc:
             raise SecularBreakdown(f"Rayleigh-Ritz pass failed: {exc}") from exc
         roots_v = np.array([self._value(r) for r in roots])
         if np.any(np.abs(values - roots_v) > _RITZ_AGREEMENT * (1.0 + np.abs(roots_v))):
             raise SecularBreakdown("secular roots and Rayleigh-Ritz values disagree")
-        return _signed_pairs(ops, values, traces @ rotation, 0)
+        return _signed_pairs(ops, values, traces, 0)
 
     def store_run(self, target: float) -> None:
         """Write the visited roots, extended to bracket ``target``, to the mask.
@@ -586,8 +615,8 @@ def interiority(ops: OperatorSet, x):
     pts = x.reshape(-1, 2)
     vals = np.empty(len(pts))
     for rows in kernels.row_blocks(len(pts), ops.n_nodes):
-        vals[rows] = kernels.gamma0_dnu(ops.points, ops.normals,
-                                        pts[rows, None, :]) @ ops.weights
+        vals[rows] = kernels.product(kernels.gamma0_dnu(ops.points, ops.normals,
+                                                        pts[rows, None, :]), ops.weights)
     return float(vals[0]) if x.ndim == 1 else vals.reshape(x.shape[:-1])
 
 
@@ -632,7 +661,7 @@ def evaluate_layer_potential(ops: OperatorSet, density: np.ndarray, x,
         nearest = np.argmin(kernel, axis=1)
         close |= bool(np.any(kernel[np.arange(len(kernel)), nearest]
                              < np.log(w[nearest]) / TWO_PI))
-        vals[rows] = kernel @ w_rho
+        vals[rows] = kernels.product(kernel, w_rho)
     if close:
         warnings.warn("evaluation point within one node spacing of the boundary; "
                       "layer potential accuracy degrades there", AccuracyWarning,

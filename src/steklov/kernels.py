@@ -21,11 +21,16 @@ the points in the row blocks of :func:`row_blocks`: no P x M array is formed,
 and the peak memory is a few blocks of ``BLOCK_ENTRIES`` doubles, whatever P.
 The Nystrom assembly (``discretization.assemble``) fills its two N x N
 operators in the same row blocks, one kernel call of each kind per block.
+
+:func:`product` is the library's dense matrix product with an N-sized
+operand: it runs on scipy's BLAS, so that these products share one thread
+pool with the LAPACK calls around them (see the ``eigensolver`` docstring).
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import blas
 
 from .errors import SingularityError
 from .geometry import BoundaryCurve
@@ -42,6 +47,31 @@ def row_blocks(n_rows: int, n_cols: int) -> list[slice]:
     rows that are left."""
     step = max(1, BLOCK_ENTRIES // max(1, n_cols))
     return [slice(start, start + step) for start in range(0, n_rows, step)]
+
+
+def _fortran(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(f, trans)`` with a = f, or a = f^T when ``trans`` is 1.  A
+    C-contiguous array passes as its transposed view, which is Fortran-ordered,
+    so the BLAS wrappers take it without a copy; any other passes as it is."""
+    if a.flags.c_contiguous and not a.flags.f_contiguous:
+        return a.T, 1
+    return a, 0
+
+
+def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for float arrays of one or two dimensions, not both vectors,
+    on scipy's BLAS (``dgemm``, or ``dgemv`` when one factor is a vector).
+
+    A matrix result comes back in Fortran order.  A strided operand is
+    copied; a contiguous one in either order is not."""
+    if b.ndim == 1:
+        f, trans = _fortran(a)
+        return blas.dgemv(1.0, f, b, trans=trans)
+    f, trans = _fortran(b)
+    if a.ndim == 1:                   # a @ b = b^T a
+        return blas.dgemv(1.0, f, a, trans=1 - trans)
+    fa, trans_a = _fortran(a)
+    return blas.dgemm(1.0, fa, f, trans_a=trans_a, trans_b=trans)
 
 
 def _differences(x, y):

@@ -263,15 +263,16 @@ def test_lowest_spectrum_window_holds_count_values(monkeypatch):
 
 
 def windowed_values(ops, mask, sigma, count):
-    """Reference: the values of the windowed solve, which falls back to a
-    full eigh when its window holds fewer than ``count`` values."""
+    """Reference: the values of the windowed solve, with the library's
+    products (``kernels.product``), which falls back to a full eigh when its
+    window holds fewer than ``count`` values."""
     h = ops.weighted_dtn
     b = mask.steklov_weights
     on, off = b > 0, b <= 0
     k = min(count, int(np.sum(on)))
     half = count * np.pi / float(np.sum(b))
     coupling = sla.solve(h[np.ix_(off, off)], h[np.ix_(off, on)], assume_a="pos")
-    scaled = h[np.ix_(on, on)] - h[np.ix_(on, off)] @ coupling
+    scaled = h[np.ix_(on, on)] - kernels.product(h[np.ix_(on, off)], coupling)
     scale = 1.0 / np.sqrt(b[on])
     scaled *= np.outer(scale, scale)
     values, vecs = sla.eigh(scaled, subset_by_value=(sigma - half, half + max(sigma, half)))
@@ -280,8 +281,9 @@ def windowed_values(ops, mask, sigma, count):
     nearest = np.sort(np.argsort(np.abs(values - sigma), kind="stable")[:k])
     traces = np.empty((ops.n_nodes, k))
     traces[on] = scale[:, None] * vecs[:, nearest]
-    traces[off] = -coupling @ traces[on]
-    return sla.eigh(traces.T @ h @ traces, (traces.T * b) @ traces)[0]
+    traces[off] = -kernels.product(coupling, traces[on])
+    return sla.eigh(kernels.product(traces.T, kernels.product(h, traces)),
+                    kernels.product(traces.T * b, traces))[0]
 
 
 def test_full_spectrum_request_skips_the_window(monkeypatch):
@@ -459,6 +461,32 @@ def test_inertia_count_one_ulp_above_a_pole():
         certain += unsure == 0
         certain_two_by_two += unsure == 0 and np.any(lapack.dsytrf(g, lower=1)[1] < 0)
     assert certain >= 15 and certain_two_by_two >= 4
+
+
+def test_count_beside_a_pole_narrows_no_bracket():
+    # a count a few ulps from a pole can miss a root by one (G holds a rank-one
+    # term of order 1e15 there); recorded, it must not move root 13's bracket
+    # (between the double poles at 8 and 9) past the root
+    ops, mask = SECULAR_CASES["steklov-fraction-1e-8"]()
+    reference = ArcSpectrum(decompose(ops), mask)._root(13)[0]
+    arc = ArcSpectrum(decompose(ops), mask)
+    pole_9 = arc.poles[np.searchsorted(arc.poles, 8.5)]
+    pole_8 = arc.poles[np.searchsorted(arc.poles, 8.5) - 1]
+    assert pole_9 > reference > pole_8
+
+    def record(x, count):
+        arc._record(x, int(np.searchsorted(arc.poles, x)) - count)
+
+    # 2 ulps below the pole at 9, reading 13 roots below; 2 ulps above the
+    # pole at 8, reading 14
+    record(np.nextafter(np.nextafter(pole_9, 0.0), 0.0), 13)
+    record(np.nextafter(np.nextafter(pole_8, 9.0), 9.0), 14)
+    lo, hi = arc._span(("s", 13))
+    assert lo <= reference <= hi
+    # a count away from the poles still narrows it
+    record(8.5, 13)
+    assert arc._span(("s", 13))[0] == 8.5
+    assert arc._root(13)[0] == pytest.approx(reference, rel=1e-13)
 
 
 def test_shift_invert_is_deterministic():

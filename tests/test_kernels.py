@@ -218,3 +218,20 @@ def test_blocked_coarse_pass_matches_full_arrays():
     # a point on a node is at distance zero from it
     on_node, zero = kernels.nearest_node(ops.points[[5, 200]], ops.points)
     assert list(on_node) == [5, 200] and not np.any(zero)
+
+
+def test_product_matches_numpy_in_every_operand_order():
+    # matrices in C order, Fortran order and strided, and vectors on either side
+    rng = np.random.default_rng(3)
+    a, b = rng.standard_normal((7, 5)), rng.standard_normal((5, 4))
+    v5, v7 = rng.standard_normal(5), rng.standard_normal(14)[::2]
+    orders = [lambda x: x, np.asfortranarray, lambda x: np.repeat(x, 2, axis=1)[:, ::2]]
+    for order_a in orders:
+        for order_b in orders:
+            c = kernels.product(order_a(a), order_b(b))
+            assert c.flags.f_contiguous
+            assert_allclose(c, a @ b, rtol=1e-14, atol=1e-14)
+        assert_allclose(kernels.product(order_a(a), v5), a @ v5, rtol=1e-14, atol=1e-14)
+        assert_allclose(kernels.product(v7, order_a(a)), v7 @ a, rtol=1e-14, atol=1e-14)
+    # an empty inner dimension (no Neumann node to eliminate) gives zeros
+    assert np.array_equal(kernels.product(np.ones((3, 0)), np.ones((0, 2))), np.zeros((3, 2)))

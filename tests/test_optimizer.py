@@ -358,16 +358,32 @@ def test_run_kite_converges_on_true_spectrum():
     assert trace.amplification > 50.0
 
 
-# the test_11 inputs, whose arcs touch 27 of 256 nodes, and the kite tuning
-# workload's N=768 run at lambda_star 3.5
-KITE_RUNS = [dict(source=(-1.25, 1.25), receiver=(-1.25, -1.25), lambda_star=2.5, n_nodes=256),
-             dict(source=(-1.25, 1.25), receiver=(-1.25, -1.25), lambda_star=3.5, n_nodes=768)]
+SECULAR_RUNS = {
+    "disk": disk_config(lambda_star=2.2),
+    "kite": OptimizerConfig(curve=kite(), source=(-1.25, 1.25), receiver=(-1.25, -1.25),
+                            lambda_star=3.5, n_nodes=128),
+    # the test_09 inputs at N=256, whose arcs touch 33-53 of 256 nodes
+    "disk-large-arc": disk_config(receiver=(0.0, 0.5), n_nodes=256),
+}
 
-_ONE_THREAD_RUN = f"""
+
+# the test_11 inputs, whose arcs touch 27 of 256 nodes, the kite tuning
+# workload's N=768 run at lambda_star 3.5, and the test_09 inputs at N=256
+THREAD_RUNS = [
+    OptimizerConfig(curve=kite(), source=(-1.25, 1.25), receiver=(-1.25, -1.25),
+                    lambda_star=2.5, n_nodes=256),
+    OptimizerConfig(curve=kite(), source=(-1.25, 1.25), receiver=(-1.25, -1.25),
+                    lambda_star=3.5, n_nodes=768),
+    SECULAR_RUNS["disk-large-arc"],
+]
+
+# reads the runs from stdin as (curve factory name, keyword arguments) pairs
+_ONE_THREAD_RUN = """
 import json, sys
-from steklov.geometry import kite
+from steklov import geometry
 from steklov.optimizer import OptimizerConfig, run
-traces = [run(OptimizerConfig(curve=kite(), **kw)) for kw in {KITE_RUNS!r}]
+traces = [run(OptimizerConfig(curve=getattr(geometry, curve)(), **kw))
+          for curve, kw in json.load(sys.stdin)]
 json.dump([dict(node=t.insertion_index, accepted=[r.accepted for r in t.records],
                 eigenvalues=[r.eigenvalue for r in t.records], s_end=t.s_end)
            for t in traces], sys.stdout)
@@ -379,12 +395,16 @@ def test_run_does_not_depend_on_the_blas_thread_count():
     src = str(Path(steklov.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    inputs = json.dumps([(c.curve.name, dict(source=c.source.tolist(), receiver=c.receiver.tolist(),
+                                             lambda_star=c.lambda_star, C_tol=c.C_tol,
+                                             max_iterations=c.max_iterations, n_nodes=c.n_nodes))
+                         for c in THREAD_RUNS])
     children = json.loads(subprocess.run([sys.executable, "-c", _ONE_THREAD_RUN], env=env,
-                                         capture_output=True, text=True, check=True,
-                                         timeout=300).stdout)
-    assert len(children) == len(KITE_RUNS)
-    for kw, child in zip(KITE_RUNS, children):
-        trace = run(OptimizerConfig(curve=kite(), **kw))
+                                         input=inputs, capture_output=True, text=True,
+                                         check=True, timeout=300).stdout)
+    assert len(children) == len(THREAD_RUNS)
+    for config, child in zip(THREAD_RUNS, children):
+        trace = run(config)
         assert trace.insertion_index == child["node"]
         assert [r.accepted for r in trace.records] == child["accepted"]
         assert_allclose([r.eigenvalue for r in trace.records], child["eigenvalues"],
@@ -406,15 +426,6 @@ def test_run_guard_reads_the_solved_spectrum(config, monkeypatch):
                         lambda *a, **k: calls.append(a) or original(*a, **k))
     assert run(config).converged
     assert calls == []
-
-
-SECULAR_RUNS = {
-    "disk": disk_config(lambda_star=2.2),
-    "kite": OptimizerConfig(curve=kite(), source=(-1.25, 1.25), receiver=(-1.25, -1.25),
-                            lambda_star=3.5, n_nodes=128),
-    # the test_09 inputs at N=256, whose arcs touch 33-53 of 256 nodes
-    "disk-large-arc": disk_config(receiver=(0.0, 0.5), n_nodes=256),
-}
 
 
 def _secular_breakdown(*args):

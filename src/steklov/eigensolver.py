@@ -297,8 +297,14 @@ class ArcSpectrum:
     with their Steklov trace.  So is the constant mode, the eigenvalue 0
     of every mask.  Roots of the remaining *secular* problem are
     indexed from 0 upwards; the deflated values form a second sorted list.
-    Any root the count cannot certify raises SecularBreakdown, and so does
-    a mask with no Neumann node.
+
+    The mixed eigenvalues are read by their index j in the whole spectrum
+    (the constant mode is 0): :meth:`value` locates eigenvalue j among the
+    secular roots and deflated values by counts, :meth:`cluster` gives the
+    first and last index of its multiplicity cluster, :meth:`pairs` the
+    eigenpairs of given indices, and :meth:`store_run` writes a run of
+    whole clusters to the mask.  Any root the count cannot certify raises
+    SecularBreakdown, and so does a mask with no Neumann node.
     """
 
     def __init__(self, spectrum: SteklovDecomposition, mask: PartitionMask):
@@ -344,10 +350,8 @@ class ArcSpectrum:
         self._values, self._cols = values[order], cols[order].T
         self.poles, self.cols = self._values[:na], self._cols[:, :na]
         self.deflated = self._values[na:]
-        self._probes: list[tuple[float, int]] = []
+        self._probes: dict[float, int] = {}
         self._roots: dict[int, tuple[float, np.ndarray]] = {}
-        # next unvisited (secular, deflated) index above (True) and below
-        self._heads: dict[bool, tuple[int, int]] = {}
 
     # -- the secular equation --------------------------------------------------
 
@@ -364,7 +368,7 @@ class ArcSpectrum:
         kept to narrow brackets unless lam lies beside a pole."""
         count = int(np.searchsorted(self.poles, lam)) - negative
         if not self._beside_pole(lam):
-            self._probes.append((lam, count))
+            self._probes[lam] = count
         return count
 
     def _beside_pole(self, x: float) -> bool:
@@ -374,7 +378,12 @@ class ArcSpectrum:
         return bool(np.any(np.abs(near - x) <= _POLE_ULPS * np.spacing(near)))
 
     def _count(self, lam: float) -> int:
-        """Secular roots below lam, from the inertia of G(lam) alone."""
+        """Secular roots below lam, from the inertia of G(lam) alone, unless
+        the counts kept on both sides of lam already agree."""
+        lower = [c for x, c in self._probes.items() if x <= lam]
+        upper = [c for x, c in self._probes.items() if x >= lam]
+        if lower and upper and max(lower) == min(upper):
+            return max(lower)
         lam, g = self._matrix(float(lam))
         return self._record(lam, negative_inertia(g))
 
@@ -389,12 +398,9 @@ class ArcSpectrum:
         """Number of mixed eigenvalues strictly below lam (lam > 0)."""
         return self._count(lam) + int(np.searchsorted(self.deflated, lam))
 
-    def _span(self, root: tuple[str, int]) -> tuple[float, float]:
-        """Interval known to hold ``root`` without solving it: for a secular
-        root, from interlacing, the counts so far and the solved roots."""
-        kind, k = root
-        if kind == "d":
-            return float(self.deflated[k]), float(self.deflated[k])
+    def _span(self, k: int) -> tuple[float, float]:
+        """Interval known to hold secular root k without solving it, from
+        interlacing, the counts so far and the solved roots."""
         if k in self._roots:
             return self._roots[k][0], self._roots[k][0]
         poles, m = self.poles, self.m
@@ -402,7 +408,7 @@ class ArcSpectrum:
             raise SecularBreakdown(f"secular root {k} has no interlacing bracket")
         # interlacing: root k lies in [poles[k], poles[k + m]]
         lo, hi = poles[k], poles[k + m]
-        for x, c in self._probes:
+        for x, c in self._probes.items():
             if c <= k:
                 lo = max(lo, x)
             else:
@@ -414,12 +420,20 @@ class ArcSpectrum:
                 hi = min(hi, x)
         return lo, hi
 
-    def _root(self, k: int) -> tuple[float, np.ndarray]:
-        """Secular root k (ascending from 0) and its null vector z."""
+    def _root(self, k: int, near: float | None = None) -> tuple[float, np.ndarray]:
+        """Secular root k (ascending from 0) and its null vector z.
+
+        The bracket is split halfway between poles, at the gap midpoint
+        nearest its middle.  From a predicted value ``near`` it gallops
+        first: the first split is the midpoint nearest ``near``, and while
+        the root lies beyond each split the next one skips 0, 1, 3, 7, ...
+        gaps further out.
+        """
         if k in self._roots:
             return self._roots[k]
         poles, m = self.poles, self.m
-        lo, hi = self._span(("s", k))
+        lo, hi = self._span(k)
+        skip, up = 0, None      # while galloping: gaps to skip, side of the root
         for _ in range(_MAX_EVALUATIONS):
             inside = poles[np.searchsorted(poles, lo, "right"):np.searchsorted(poles, hi)]
             if inside.size == 0:
@@ -427,11 +441,23 @@ class ArcSpectrum:
             # split halfway between poles, never next to one
             edges = np.unique(np.concatenate(([lo], inside, [hi])))
             mids = 0.5 * (edges[:-1] + edges[1:])
-            x = float(mids[np.argmin(np.abs(mids - 0.5 * (lo + hi)))])
-            if self._count(x) <= k:
+            if near is None:
+                i = int(np.argmin(np.abs(mids - 0.5 * (lo + hi))))
+            elif up is None:
+                i = int(np.argmin(np.abs(mids - near)))
+            else:
+                i = min(skip, len(mids) - 1) if up else max(len(mids) - 1 - skip, 0)
+            x = float(mids[i])
+            above = self._count(x) <= k
+            if above:
                 lo = x
             else:
                 hi = x
+            if near is not None:
+                if up is not None and above != up:  # back past the last split: bisect
+                    near = None
+                else:
+                    skip, up = (0 if up is None else 2 * skip + 1), above
         else:
             raise SecularBreakdown(f"could not isolate secular root {k}")
         # between poles the (P - k)-th smallest eigenvalue of G crosses zero
@@ -461,106 +487,66 @@ class ArcSpectrum:
         self._roots[k] = (x, vec)
         return self._roots[k]
 
-    # -- roots in order of distance ----------------------------------------------
+    # -- eigenvalues by index -----------------------------------------------------
 
-    def _value(self, root: tuple[str, int]) -> float:
-        kind, i = root
-        return self._root(i)[0] if kind == "s" else float(self.deflated[i])
-
-    def _reached(self, k: int, x: float, up: bool) -> bool:
-        """Whether secular root k lies at or below x (``up``), or at or above;
-        counted at x when its bracket does not decide."""
-        lo, hi = self._span(("s", k))
-        if (hi <= x) if up else (lo >= x):
+    def _below(self, k: int, x: float) -> bool:
+        """Whether secular root k lies below x; solved when its span holds x."""
+        lo, hi = self._span(k)
+        if hi < x:
             return True
-        if (lo > x) if up else (hi < x):
+        if lo >= x:
             return False
-        below = self._count(float(np.nextafter(x, np.inf if up else -np.inf)))
-        return below > k if up else below <= k
+        return self._root(k)[0] < x
 
-    def _next(self, up: bool, bound: float | None = None):
-        """Next unvisited root above (``up``) or below the visited run; with
-        ``bound``, only a root within it.  Counts order the candidates."""
-        k, d = self._heads[up]
-        secular = (0 <= k < len(self.poles) - self.m
-                   and (bound is None or self._reached(k, bound, up)))
-        deflated = 0 <= d < len(self.deflated) and (
-            bound is None or (self.deflated[d] <= bound if up else self.deflated[d] >= bound))
-        if secular and (not deflated or self._reached(k, float(self.deflated[d]), up)):
-            return ("s", k)
-        return ("d", d) if deflated else None
+    def _locate(self, j: int) -> tuple[str, int]:
+        """Mixed eigenvalue j as secular root ("s", k) or deflated value ("d", i).
 
-    def _nearer_above(self, above, below, center: float) -> bool:
-        """Whether ``above`` lies at least as close to ``center`` as ``below``.
-
-        Counts at center + delta and center - delta narrow both brackets
-        until their distance ranges separate, so neither root is solved just
-        to be compared; a tie the counts cannot split solves both.
+        Deflated value i precedes eigenvalue j exactly when secular root
+        j - i - 1 does not lie below it, so the number of deflated values
+        before j is found by bisection.
         """
-        for _ in range(_MAX_EVALUATIONS):
-            (a_lo, a_hi), (b_lo, b_hi) = self._span(above), self._span(below)
-            if a_hi - center <= center - b_hi:
-                return True
-            if center - b_lo < a_lo - center:
-                return False
-            delta = 0.5 * (max(a_lo - center, center - b_hi)
-                           + min(a_hi - center, center - b_lo))
-            for lo, hi, x in ((a_lo, a_hi, center + delta), (b_lo, b_hi, center - delta)):
-                if lo < x < hi:
-                    self._count(x)
-            if ((a_lo, a_hi), (b_lo, b_hi)) == (self._span(above), self._span(below)):
-                break
-        return self._value(above) - center <= center - self._value(below)
+        d = self.deflated
+        lo, hi = 0, min(j, len(d))
+        while lo < hi:
+            i = (lo + hi) // 2
+            if self._below(j - i - 1, d[i]):
+                hi = i
+            else:
+                lo = i + 1
+        if lo < len(d) and not self._below(j - lo, d[lo]):
+            return "d", lo
+        return "s", j - lo
 
-    def _take(self, root: tuple[str, int], up: bool) -> None:
-        """Add ``root`` to the visited run on one side."""
-        kind, i = root
-        k, d = self._heads[up]
-        step = 1 if up else -1
-        self._heads[up] = (i + step, d) if kind == "s" else (k, i + step)
+    def value(self, j: int, near: float | None = None) -> float:
+        """Mixed eigenvalue j (ascending from 0, the constant mode first)."""
+        kind, i = self._locate(j)
+        return self._root(i, near)[0] if kind == "s" else float(self.deflated[i])
 
-    def clusters_outward(self, center: float):
-        """Multiplicity clusters of mixed eigenpairs, nearest ``center`` first.
+    def cluster(self, j: int, near: float | None = None) -> tuple[int, int]:
+        """First and last index of the multiplicity cluster of eigenvalue j.
 
-        Roots are solved only as the caller asks for the next cluster.  The
-        visited roots are always all the roots between the lowest and the
-        highest, a contiguous run that :meth:`store_run` writes to the mask.
+        Neighbours chain as in :func:`_assign_clusters`; whether the next
+        eigenvalue out lies within CLUSTER_TOL is read from one count at
+        the bound.  ``near`` is passed on to the root search of eigenvalue j.
         """
         tol = CLUSTER_TOL
-        k = self._count(center)
-        d = int(np.searchsorted(self.deflated, center))
-        self._heads = {True: (k, d), False: (k - 1, d - 1)}
-        first = True
-        while True:
-            above, below = self._next(True), self._next(False)
-            if above is None and below is None:
-                return
-            up = below is None or (above is not None
-                                   and self._nearer_above(above, below, center))
-            members = [above if up else below]
-            self._take(members[0], up)
-            # a cluster chains values within CLUSTER_TOL; later ones can only
-            # grow outward, since the visited run ends in a wider gap
-            for side in ((True, False) if first else (up,)):
-                v = self._value(members[0])
-                while True:
-                    bound = (v + tol) / (1.0 - tol) if side else v - tol * (1.0 + abs(v))
-                    root = self._next(side, bound)
-                    if root is None:
-                        break
-                    self._take(root, side)
-                    members.append(root)
-                    v = self._value(root)
-            members.sort(key=self._value)
-            first = False
-            yield self.pairs(members)
+        first = last = j
+        top = bottom = self.value(j, near)
+        while self.count_below(np.nextafter((top + tol) / (1.0 - tol), np.inf)) > last + 1:
+            last += 1
+            top = self.value(last)
+        while first > 0 and self.count_below(bottom - tol * (1.0 + abs(bottom))) < first:
+            first -= 1
+            bottom = self.value(first)
+        return first, last
 
-    def pairs(self, roots) -> list[EigenPair]:
-        """Eigenpairs of the given roots, one cluster, Steklov-orthonormal.
+    def pairs(self, indices) -> list[EigenPair]:
+        """Eigenpairs of the given mixed eigenvalues, one cluster, Steklov-orthonormal.
 
         A Rayleigh-Ritz pass of (H, diag(b)) on the secular traces gives the
         returned values and traces; its values must match the roots.
         """
+        roots = [self._locate(j) for j in indices]
         weights = np.zeros((self._lift.shape[1], len(roots)))
         for j, (kind, i) in enumerate(roots):
             if kind == "s":
@@ -577,27 +563,25 @@ class ArcSpectrum:
             values, traces = _rayleigh_ritz(ops.weighted_dtn, b, traces)
         except np.linalg.LinAlgError as exc:
             raise SecularBreakdown(f"Rayleigh-Ritz pass failed: {exc}") from exc
-        roots_v = np.array([self._value(r) for r in roots])
+        roots_v = np.array([self.value(j) for j in indices])
         if np.any(np.abs(values - roots_v) > _RITZ_AGREEMENT * (1.0 + np.abs(roots_v))):
             raise SecularBreakdown("secular roots and Rayleigh-Ritz values disagree")
         return _signed_pairs(ops, values, traces, 0)
 
-    def store_run(self, target: float) -> None:
-        """Write the visited roots, extended to bracket ``target``, to the mask.
+    def store_run(self, j: int, target: float) -> None:
+        """Write a run of whole clusters from eigenvalue j to ``target`` to the mask.
 
-        The run is contiguous, so the resonance guard can read the eigenvalue
+        The run grows from the cluster of j by whole clusters until it
+        brackets ``target``, so the resonance guard can read the eigenvalue
         nearest any lambda inside it from ``mask.eigenvalues``.  Its values
         are the Newton roots, good to about 1e-12 relative.
         """
-        while True:
-            (k_dn, d_dn), (k_up, d_up) = self._heads[False], self._heads[True]
-            run = sorted([self._root(k)[0] for k in range(k_dn + 1, k_up)]
-                         + list(self.deflated[d_dn + 1:d_up]))
-            up = run[-1] < target
-            if not (up or run[0] > target) or (root := self._next(up)) is None:
-                break
-            self._take(root, up)
-        values = np.array(run)
+        first, last = self.cluster(j)
+        while first > 0 and self.value(first) > target:
+            first = self.cluster(first - 1)[0]
+        while self.value(last) < target:
+            last = self.cluster(last + 1)[1]
+        values = np.array(sorted(self.value(i) for i in range(first, last + 1)))
         values.setflags(write=False)
         self.mask.eigenvalues = values
 

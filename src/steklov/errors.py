@@ -31,7 +31,7 @@ class EigenSolveError(SteklovError):
 
 
 class ClusterError(SteklovError):
-    """A cluster is mixed, not orthonormal, or cannot be continued."""
+    """A cluster is mixed or not orthonormal."""
 
 
 class ResonanceError(SteklovError):

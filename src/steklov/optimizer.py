@@ -11,22 +11,24 @@ perturbation theory,
 where the u_i are the tracked eigenvalue's cluster orthonormalized on the
 current Steklov part and evaluated at the insertion node L.  Trials that
 overshoot the target are rolled back and f shrinks by ``_SHRINK``;
-accepted trials reset f to one.  The tracked eigenvalue is continued
-through partition changes by trace overlap, not by index, so crossings
-with unrelated modes do not derail the run.
+accepted trials reset f to one.
+
+The tracked eigenvalue is followed by its index j in the spectrum, the
+top member of the start cluster.  The arc only grows, so every Steklov
+weight stays the same or falls, and by Courant-Fischer the eigenvalue of
+index j can only rise: the index names the same eigenvalue on every
+trial, whatever crosses it.
 
 The uncovered boundary is decomposed once per run
 (:func:`~steklov.eigensolver.decompose`): the start eigenvalue, its
 cluster and the spectrum the first source solves check against all come
 from that decomposition.  Every trial is solved on the nodes its arc
-touches (:class:`~steklov.eigensolver.ArcSpectrum`): clusters are solved
-outward from the predicted eigenvalue until one member overlaps the tracked
-trace by more than ``_OVERLAP_FLOOR``, or until Parseval's identity shows
-that no unvisited pair can.  On the trial that reaches the target, the
-roots visited, extended to bracket lambda_star, go to its mask for the
-final source solve.  A root the secular count cannot certify falls back to
-a windowed eigensolve of the candidate mask; both routes choose the same
-pair.
+touches (:class:`~steklov.eigensolver.ArcSpectrum`), which locates
+eigenvalue j by counts, starting its root search at the first-order
+prediction.  On the trial that reaches the target, whole clusters from j
+to lambda_star go to its mask for the final source solve.  A root the
+secular count cannot certify falls back to a windowed eigensolve of the
+candidate mask, which reads pair j.
 
 Source fields enter twice: the insertion point comes from the boundary
 profile of the two fields solved at lambda_star on the uncovered boundary,
@@ -38,11 +40,11 @@ after covering (both less the field's ``offset``, the reporting convention
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .asymptotics import predict_eigenfunction_limit
+from .asymptotics import predict_eigenvalue_shift
 from .discretization import (
     DEFAULT_NODES,
     OperatorSet,
@@ -61,7 +63,6 @@ from .eigensolver import (
     solve_spectrum_near,
 )
 from .errors import (
-    ClusterError,
     ConfigError,
     ConvergenceError,
     EigenSolveError,
@@ -88,9 +89,7 @@ TWO_PI = 2.0 * np.pi
 
 # below this cluster weight at the insertion node the predicted step diverges
 _WEIGHT_FLOOR = 1e-12
-# minimum squared trace overlap accepted as an unambiguous continuation
-_OVERLAP_FLOOR = 0.5
-# eigenpairs of the windowed eigensolve a secular breakdown falls back to
+# pairs above the tracked index that the windowed fallback solves
 _WINDOWED_PAIRS = 24
 # factor f shrinks by after a rejected trial
 _SHRINK = 0.8
@@ -225,9 +224,8 @@ class OptimizerTrace:
 # spectral bookkeeping
 # ---------------------------------------------------------------------------
 
-def _largest_at_or_below(spectrum: SteklovDecomposition,
-                         lambda_star: float) -> tuple[float, list[EigenPair]]:
-    """Largest uncovered-boundary eigenvalue <= lambda_star with its cluster."""
+def _largest_at_or_below(spectrum: SteklovDecomposition, lambda_star: float) -> int:
+    """Index of the largest uncovered-boundary eigenvalue <= lambda_star."""
     values = spectrum.values
     j = int(np.searchsorted(values, lambda_star + 1e-9 * (1.0 + abs(lambda_star)),
                             side="right")) - 1
@@ -241,8 +239,7 @@ def _largest_at_or_below(spectrum: SteklovDecomposition,
         raise RequirementError(
             f"target {lambda_star:g} admits only the constant mode below "
             f"it{hint}")
-    cluster = spectrum.cluster_at(j)
-    return float(values[j]), cluster
+    return j
 
 
 def next_lower_steklov_eigenvalue(
@@ -260,51 +257,22 @@ def next_lower_steklov_eigenvalue(
         raise ConfigError("eigenvalue target must be positive and finite")
     if ops is None:
         ops = assemble(curve, n_nodes)
-    return _largest_at_or_below(decompose(ops), lambda_star)
+    spectrum = decompose(ops)
+    j = _largest_at_or_below(spectrum, lambda_star)
+    return float(spectrum.values[j]), spectrum.cluster_at(j)
 
 
-def _normalized_combination(ortho: Sequence[EigenPair], node: int,
-                            weights: np.ndarray) -> tuple[np.ndarray, float]:
-    """Cluster combination concentrated at a node, plus the cluster weight.
+def _cluster_weight(at_node: np.ndarray) -> float:
+    """sum_i u_i(L)^2 of an orthonormalized cluster's values at the node L.
 
-    The weight is sum_i u_i(node)^2 for the orthonormalized cluster; the
-    trace is :func:`~steklov.asymptotics.predict_eigenfunction_limit` at the
-    node, the member of the eigenspace that first-order theory moves when
-    the arc grows there, normalized on the Steklov part.
+    Raises StagnationError when it is too small for the first-order step.
     """
-    traces = np.array([p.trace for p in ortho])
-    at_node = traces[:, node]
     weight = float(at_node @ at_node)
     if weight < _WEIGHT_FLOOR:
         raise StagnationError(
             f"cluster weight {weight:.3e} at the insertion node is too small "
             f"to move the eigenvalue at first order")
-    combo = predict_eigenfunction_limit(traces, at_node, traces)
-    return combo / np.sqrt(float(np.sum(weights * combo * combo))), weight
-
-
-def _overlap_scores(pairs: Sequence[EigenPair], reference: np.ndarray,
-                    weights: np.ndarray) -> np.ndarray:
-    """Squared weighted overlap of each pair's normalized trace with ``reference``.
-
-    Over a basis of the nodes of positive weight, orthonormal in that
-    weight, the scores sum to sum(weights * reference**2) (Parseval).
-    """
-    scores = np.empty(len(pairs))
-    for i, p in enumerate(pairs):
-        norm2 = float(np.sum(weights * p.trace * p.trace))
-        if norm2 <= 0.0:
-            raise ClusterError("a candidate trace vanishes on the Steklov part")
-        scores[i] = float(np.sum(weights * p.trace * reference)) ** 2 / norm2
-    return scores
-
-
-def _best_continuation(pairs: Sequence[EigenPair], reference: np.ndarray,
-                       weights: np.ndarray) -> tuple[EigenPair, float]:
-    """Pair whose normalized trace has the largest squared overlap."""
-    scores = _overlap_scores(pairs, reference, weights)
-    best = int(np.argmax(scores))
-    return pairs[best], float(scores[best])
+    return weight
 
 
 # ---------------------------------------------------------------------------
@@ -336,45 +304,25 @@ def select_insertion_point(field_x: GreensField, field_y: GreensField,
 # the growth loop
 # ---------------------------------------------------------------------------
 
-def _continuation(spectrum: SteklovDecomposition, mask: PartitionMask,
-                  lam0: float, predicted: float, reference: np.ndarray, index: int
-                  ) -> tuple[EigenPair, list[EigenPair], ArcSpectrum | None]:
-    """Tracked pair, its cluster on the candidate mask, and the secular solve.
+def _tracked_cluster(spectrum: SteklovDecomposition, mask: PartitionMask, j: int,
+                     predicted: float) -> tuple[list[EigenPair], float, ArcSpectrum | None]:
+    """Cluster of eigenvalue j on the candidate mask, its value, and the secular solve.
 
-    The candidate's pairs are an orthonormal basis in its Steklov weights,
-    which are at most the current ones, so by Parseval's identity the
-    scores of all pairs sum to total = sum(weights * reference**2) <= 1.
-    Clusters are solved by the secular equation outward from the predicted
-    value until one member scores above ``_OVERLAP_FLOOR`` (no other pair
-    can then score higher), or until the unvisited pairs share at most
-    ``_OVERLAP_FLOOR`` of the total, when no pair can win and ClusterError
-    is certain.  When the secular solve breaks down, one windowed eigensolve
-    of ``_WINDOWED_PAIRS`` pairs between lam0 and the prediction decides;
-    the third item is then None.
+    The root search starts at the ``predicted`` value.  When the secular
+    solve breaks down, the lowest j + ``_WINDOWED_PAIRS`` pairs of a
+    windowed eigensolve give pair j and its cluster; the third item is then
+    None.
     """
-    weights = mask.steklov_weights
-    total = left = float(np.sum(weights * reference * reference))
     try:
         arc = ArcSpectrum(spectrum, mask)
-        clusters = arc.clusters_outward(predicted)
-        while left > _OVERLAP_FLOOR:
-            members = next(clusters, None)
-            if members is None:
-                raise SecularBreakdown("the bracketed secular roots hold no continuation")
-            scores = _overlap_scores(members, reference, weights)
-            best = int(np.argmax(scores))
-            if scores[best] > _OVERLAP_FLOOR:
-                return members[best], members, arc
-            left -= float(np.sum(scores))
+        first, last = arc.cluster(j, near=predicted)
+        members = arc.pairs(range(first, last + 1))
+        return members, members[j - first].value, arc
     except SecularBreakdown:
-        pairs = solve_spectrum_near(spectrum.ops, mask, 0.5 * (lam0 + predicted),
-                                    count=_WINDOWED_PAIRS)
-        chosen, score = _best_continuation(pairs, reference, weights)
-        if score >= _OVERLAP_FLOOR:
-            return chosen, cluster_members(pairs, chosen.cluster_id), None
-    raise ClusterError(
-        f"eigenvalue continuation is ambiguous at trial {index}: no squared "
-        f"trace overlap exceeds {_OVERLAP_FLOOR} of a total {total:.3f}")
+        pairs = solve_spectrum_near(spectrum.ops, mask, 0.0, count=j + _WINDOWED_PAIRS)
+        if j >= len(pairs):
+            raise EigenSolveError(f"the candidate mask has no eigenvalue of index {j}")
+        return cluster_members(pairs, pairs[j].cluster_id), pairs[j].value, None
 
 
 def run(config: OptimizerConfig,
@@ -391,17 +339,20 @@ def run(config: OptimizerConfig,
 
     Raises ``RequirementError`` when the target lies below the first
     nonzero eigenvalue, ``StagnationError`` when the eigenspace vanishes
-    at the insertion node, ``ClusterError`` when no candidate trace
-    continues the tracked one unambiguously, ``PartitionError`` when the
-    arc would swallow the whole boundary, and ``ConvergenceError`` when
-    the trial budget runs out.
+    at the insertion node, ``PartitionError`` when the arc would swallow
+    the whole boundary, and ``ConvergenceError`` when the trial budget
+    runs out.
     """
     curve = config.curve
     ops = assemble(curve, config.n_nodes)
     uncovered = BoundaryPartition.all_steklov(curve)
     mask0 = mask_from_partition(ops, uncovered)
     spectrum = decompose(ops)
-    lam0, cluster = _largest_at_or_below(spectrum, config.lambda_star)
+    start = _largest_at_or_below(spectrum, config.lambda_star)
+    lam0, cluster = float(spectrum.values[start]), spectrum.cluster_at(start)
+    # the tracked index: the cluster splits as the arc grows, and the member
+    # that moves at first order rises to its top
+    j = int(np.flatnonzero(spectrum.cluster_ids == spectrum.cluster_ids[start])[-1])
     mask0.eigenvalues = spectrum.values
 
     field_x = solve_greens(ops, mask0, config.source, config.lambda_star)
@@ -425,18 +376,15 @@ def run(config: OptimizerConfig,
 
     for index in range(config.max_iterations):
         ortho = orthonormalize_cluster(tracked, ops, mask)
-        reference, weight = _normalized_combination(ortho, node,
-                                                    mask.steklov_weights)
-        eps = 0.5 * f * (config.lambda_star - lam0) / (lam0 * weight)
+        at_node = np.array([p.trace[node] for p in ortho])
+        eps = 0.5 * f * (config.lambda_star - lam0) / (lam0 * _cluster_weight(at_node))
 
         arc_id = partition.neumann_arc_ids()[0]
         candidate = extend_neumann_arc(partition, arc_id, eps)
         candidate_mask = mask_from_partition(ops, candidate)
 
-        predicted = lam0 + f * (config.lambda_star - lam0)
-        chosen, members, arc = _continuation(spectrum, candidate_mask, lam0, predicted,
-                                             reference, index)
-        lam = chosen.value
+        predicted = predict_eigenvalue_shift(lam0, at_node, eps)
+        members, lam, arc = _tracked_cluster(spectrum, candidate_mask, j, predicted)
 
         t_lo, t_hi = candidate.neumann_intervals()[0]
         done = abs(lam - config.lambda_star) <= config.C_tol
@@ -460,7 +408,7 @@ def run(config: OptimizerConfig,
                 # guard, which solves the mask itself when none is stored
                 if arc is not None:
                     try:
-                        arc.store_run(config.lambda_star)
+                        arc.store_run(j, config.lambda_star)
                     except SecularBreakdown:
                         pass
                 break

@@ -355,14 +355,17 @@ SECULAR_CASES = {
 
 
 def secular_pairs(ops, mask, center, count):
-    """Clusters nearest ``center`` until they hold ``count`` pairs, ascending."""
+    """Whole clusters from about ``count``/2 eigenvalues below ``center``
+    upwards until they hold ``count`` pairs, ascending; the run starts at
+    the cluster holding the first index."""
     arc = ArcSpectrum(decompose(ops), mask)
+    j = first = arc.cluster(max(arc.count_below(center) - count // 2, 0))[0]
     pairs = []
-    for cluster in arc.clusters_outward(center):
-        pairs += cluster
-        if len(pairs) >= count:
-            break
-    return arc, sorted(pairs, key=lambda p: p.value)
+    while len(pairs) < count:
+        lo, hi = arc.cluster(j)
+        pairs += arc.pairs(range(lo, hi + 1))
+        j = hi + 1
+    return arc, first, pairs
 
 
 @pytest.mark.parametrize("case", list(SECULAR_CASES))
@@ -371,7 +374,7 @@ def test_secular_solve_matches_qz_reference(case):
     reference = qz_reference(ops, mask)
     # near 0 the run reaches the constant mode, an eigenpair of every mask
     for center in (0.3, 2.5, 6.3):
-        arc, pairs = secular_pairs(ops, mask, center, 10)
+        arc, start, pairs = secular_pairs(ops, mask, center, 10)
         values = np.array([p.value for p in pairs])
         # a contiguous run of the spectrum: the reference values in its span
         first = np.argmin(np.abs(reference - values[0]))
@@ -383,7 +386,7 @@ def test_secular_solve_matches_qz_reference(case):
         for p in pairs:
             residual = ops.weighted_dtn @ p.trace - p.value * mask.steklov_weights * p.trace
             assert np.max(np.abs(residual)) < 1e-8 * (1.0 + p.value)
-        arc.store_run(center)
+        arc.store_run(start, center)
         assert mask.eigenvalues[0] <= center <= mask.eigenvalues[-1]
         run = reference[(reference >= mask.eigenvalues[0] - 1e-9)
                         & (reference <= mask.eigenvalues[-1] + 1e-9)]
@@ -398,7 +401,7 @@ def test_secular_solve_deflates_modes_vanishing_on_the_arc():
     # (the top one is simple)
     assert len(arc.deflated) == 64
     assert_allclose(arc.deflated[:4], [0.0, 1.0, 2.0, 3.0], atol=1e-10)
-    _, pairs = secular_pairs(ops, mask, 2.0, 4)
+    _, _, pairs = secular_pairs(ops, mask, 2.0, 4)
     assert min(abs(p.value - 2.0) for p in pairs) < 1e-10
 
 
@@ -481,12 +484,24 @@ def test_count_beside_a_pole_narrows_no_bracket():
     # pole at 8, reading 14
     record(np.nextafter(np.nextafter(pole_9, 0.0), 0.0), 13)
     record(np.nextafter(np.nextafter(pole_8, 9.0), 9.0), 14)
-    lo, hi = arc._span(("s", 13))
+    lo, hi = arc._span(13)
     assert lo <= reference <= hi
     # a count away from the poles still narrows it
     record(8.5, 13)
-    assert arc._span(("s", 13))[0] == 8.5
+    assert arc._span(13)[0] == 8.5
     assert arc._root(13)[0] == pytest.approx(reference, rel=1e-13)
+
+
+@pytest.mark.parametrize("case", ["disk-two-arcs-N256", "kite-arc-N256"])
+def test_root_search_from_a_prediction_finds_the_same_root(case):
+    # the search gallops out from the predicted value, however far off it is
+    ops, mask = SECULAR_CASES[case]()
+    spectrum = decompose(ops)
+    for k in (3, 10, 25):
+        root = ArcSpectrum(spectrum, mask)._root(k)[0]
+        for near in (root, 0.6 * root, 1.5 * root + 4.0):
+            assert ArcSpectrum(spectrum, mask)._root(k, near=near)[0] == pytest.approx(
+                root, rel=1e-13)
 
 
 def test_shift_invert_is_deterministic():

@@ -26,7 +26,6 @@ from steklov.geometry import (
     insert_neumann_arc,
     kite,
 )
-from steklov.optimizer import _overlap_scores
 
 CURVES = {"circle": circle, "kite": kite}
 
@@ -53,28 +52,6 @@ def test_secular_count_matches_a_windowed_solve(curve, n, center, length, lams):
     arc = ArcSpectrum(spectrum, mask)
     assert [arc.count_below(lam) for lam in lams] == [np.count_nonzero(values < lam)
                                                       for lam in lams]
-
-
-@settings(derandomize=True, deadline=None, max_examples=10)
-@given(curve=st.sampled_from(sorted(CURVES)), n=st.sampled_from([64, 128]),
-       center=st.floats(0.0, TWO_PI), half=st.floats(0.0, 1.0),
-       grow=st.floats(1e-3, 0.5), mode=st.integers(1, 12))
-def test_overlap_scores_sum_to_the_parseval_total(curve, n, center, half, grow, mode):
-    # the optimizer's continuation: a mode of the smaller arc, normalized on
-    # its Steklov part, scored against every pair of the grown arc
-    ops, _ = decomposed(curve, n)
-    smaller = insert_neumann_arc(BoundaryPartition.all_steklov(ops.curve),
-                                 ArcSpec(center, half))
-    grown = extend_neumann_arc(smaller, smaller.neumann_arc_ids()[0], grow)
-    small_mask, grown_mask = (mask_from_partition(ops, p) for p in (smaller, grown))
-    reference = solve_spectrum(ops, small_mask, SpectrumRequest(count=mode + 1))[mode].trace
-    weights = grown_mask.steklov_weights
-    pairs = solve_spectrum(ops, grown_mask, SpectrumRequest(count=n))
-    assert len(pairs) == np.count_nonzero(weights > 0.0)
-    total = float(np.sum(weights * reference * reference))
-    assert float(np.sum(_overlap_scores(pairs, reference, weights))) == pytest.approx(
-        total, rel=0, abs=1e-10)
-    assert total <= 1.0 + 1e-10
 
 
 @settings(derandomize=True, deadline=None, max_examples=15)

@@ -79,7 +79,7 @@ from .discretization import (
     assemble,
     mask_from_partition,
 )
-from .eigensolver import EigenPair, SpectrumRequest, interiority, solve_spectrum
+from .eigensolver import EigenPair, SpectrumRequest, solve_spectrum
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -90,7 +90,7 @@ from .errors import (
 )
 from .geometry import BoundaryCurve, BoundaryPartition, curve_from_name
 from .greens import GreensField, eval_greens, solve_greens
-from .kernels import nearest_node
+from .kernels import node_pass
 from .optimizer import (
     IterationRecord,
     OptimizerConfig,
@@ -404,9 +404,9 @@ def interior_lattice(ops: OperatorSet, grid_points: int,
     pts = np.column_stack([gx.ravel(), gy.ravel()])
     block = np.repeat(np.arange(grid_points), grid_points)
 
-    keep = interiority(ops, pts) >= 0.5
-    nearest, sep = nearest_node(pts, ops.points)
-    keep &= sep >= ops.weights[nearest]
+    nearest, sep, _, gauss = node_pass(pts, ops.points, normals=ops.normals,
+                                       weights=ops.weights)
+    keep = (gauss >= 0.5) & (sep >= ops.weights[nearest])
     keep &= np.linalg.norm(pts - source, axis=1) > 1e-9
     return pts[keep], block[keep]
 
@@ -416,7 +416,9 @@ def write_grid_dat(path: Path, ops: OperatorSet, field: GreensField,
     """gnuplot ``splot`` blocks of reported values; returns the point count.
 
     The layer is evaluated with 4x trigonometric upsampling so values stay
-    accurate out to the one-node-spacing clipping margin.
+    accurate out to the one-node-spacing clipping margin; only the lattice
+    points within 10 node weights of the boundary take the upsampled layer,
+    the others the N-node one, which equals it to rounding there.
     """
     pts, block = interior_lattice(ops, grid_points, field.source)
     values = np.atleast_1d(eval_greens(field, ops, pts, refine=4)) - field.offset

@@ -32,8 +32,7 @@ from . import kernels
 from .discretization import OperatorSet, PartitionMask
 from .eigensolver import (
     AccuracyWarning,
-    evaluate_layer_potential,
-    interiority,
+    layer_pass,
     solve_spectrum_near,
 )
 from .errors import (
@@ -55,6 +54,8 @@ NEAREST_COUNT = 6
 _SOURCE_CLEARANCE = 1e-8
 # |Robin constant| below which a curve counts as capacity one
 _CAPACITY_ONE_TOL = 1e-8
+# evaluation points this close to a node read its boundary value
+_ON_NODE = 1e-12
 
 
 @dataclass
@@ -140,10 +141,11 @@ def solve_greens(ops: OperatorSet, mask: PartitionMask, source, lam: float
     if not np.isfinite(lam) or lam < 0.0:
         raise ValueError("spectral parameter must be finite and nonnegative")
 
-    (j,), (sep,) = kernels.nearest_node(source[None, :], ops.points)
+    (j,), (sep,), _, (gauss,) = kernels.node_pass(
+        source[None, :], ops.points, normals=ops.normals, weights=ops.weights)
     if sep < _SOURCE_CLEARANCE:
         raise GeometryError("source point sits on the boundary")
-    if interiority(ops, source) < 0.5:
+    if gauss < 0.5:
         raise GeometryError(
             "source point (%g, %g) is not inside the domain" % tuple(source))
     if sep < ops.weights[j]:
@@ -203,23 +205,25 @@ def solve_greens(ops: OperatorSet, mask: PartitionMask, source, lam: float
 def eval_greens(field: GreensField, ops: OperatorSet, y, refine: int = 1):
     """Evaluate the field at interior points.
 
-    ``y`` may be a single point or an array of shape (..., 2).  Points on a
-    node read the stored boundary value; elsewhere the correction is
-    :func:`~steklov.eigensolver.evaluate_layer_potential` of the field's
-    density, with its ``refine`` upsampling and accuracy warning.
+    ``y`` may be a single point or an array of shape (..., 2).  One pass of
+    the points against the layer nodes
+    (:func:`~steklov.eigensolver.layer_pass`) finds each point's nearest
+    node, tests the points for insideness and sums the correction layer.
+    Points on a node read the stored boundary value; elsewhere the value is
+    the free-space term plus the layer, upsampled by ``refine`` on the points
+    within 10 node weights of the boundary and with the accuracy warning of
+    :func:`~steklov.eigensolver.evaluate_layer_potential`.
     """
     y = np.asarray(y, dtype=float)
     pts = y.reshape(-1, 2)
     if np.any(np.linalg.norm(pts - field.source, axis=1) < _SOURCE_CLEARANCE):
         raise SingularityError("evaluation point coincides with the source")
 
-    nearest, sep = kernels.nearest_node(pts, ops.points)
-    off = sep >= 1e-12
+    layer, nearest, sep = layer_pass(ops, field.correction_density, pts, refine,
+                                     on_node=_ON_NODE)
+    off = sep >= _ON_NODE
     vals = field.boundary_values[nearest]
-    if np.any(off):
-        vals[off] = (kernels.gamma0(pts[off], field.source)
-                     + evaluate_layer_potential(ops, field.correction_density,
-                                                pts[off], refine))
+    vals[off] = kernels.gamma0(pts[off], field.source) + layer[off]
     return float(vals[0]) if y.ndim == 1 else vals.reshape(y.shape[:-1])
 
 

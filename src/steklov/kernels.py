@@ -15,10 +15,14 @@ curvature; that limit supplies the Nystrom diagonal.
 All functions broadcast over leading axes; points live in the last axis of
 length 2.
 
-Interior evaluation at P points against M nodes (:func:`nearest_node`, and
-``interiority`` and ``evaluate_layer_potential`` in the eigensolver) walks
-the points in the row blocks of :func:`row_blocks`: no P x M array is formed,
-and the peak memory is a few blocks of ``BLOCK_ENTRIES`` doubles, whatever P.
+Interior evaluation at P points against M nodes is one pass,
+:func:`node_pass`: per row block of :func:`row_blocks` it forms the
+differences to the nodes once and takes from them each point's nearest node
+and its distance, its Gauss integral (the inside test) and its layer sum.
+A refined ``evaluate_layer_potential`` runs the pass a second time, against
+the upsampled nodes, for the points within 10 node weights of the boundary
+only.  No P x M array is formed, and the peak memory is a few blocks of
+``BLOCK_ENTRIES`` doubles, whatever P.
 The Nystrom assembly (``discretization.assemble``) fills its two N x N
 operators in the same row blocks, one kernel call of each kind per block.
 
@@ -90,22 +94,63 @@ def _norm(dx, dy):
     return np.sqrt(dx, out=dx)
 
 
+def check_separation(dist):
+    """Refuse distances at which the kernels are singular (coincident points)."""
+    if np.any(dist < _MIN_SEPARATION):
+        raise SingularityError("kernel evaluated at coincident points")
+
+
 def _distance(dx, dy):
     """:func:`_norm`, refusing coincident points."""
     dist = _norm(dx, dy)
-    if np.any(dist < _MIN_SEPARATION):
-        raise SingularityError("kernel evaluated at coincident points")
+    check_separation(dist)
     return dist
+
+
+def node_pass(x, nodes, w_rho=None, normals=None, weights=None):
+    """What interior evaluation needs of the points ``x`` (P, 2) against the
+    boundary ``nodes`` (M, 2), from one pass over the differences y - x.
+
+    Returns ``(nearest, sep, layer, gauss)`` per point: the index of the
+    nearest node and the distance to it; the layer sum
+    sum_j gamma0(x, y_j) w_rho_j when ``w_rho`` is given; and the discrete
+    Gauss integral sum_j gamma0_dnu(y_j, nu_j, x) w_j (about 1 inside the
+    curve, 0 outside) when the nodes' outward ``normals`` and ``weights`` are
+    given.  A quantity not asked for comes back as None.  The points go in
+    the row blocks of :func:`row_blocks`, each sum is one :func:`product`
+    per block, and a point on a node is allowed: its sums are not finite.
+    """
+    x = np.asarray(x, dtype=float)
+    nearest = np.empty(len(x), dtype=np.intp)
+    sep = np.empty(len(x))
+    layer = None if w_rho is None else np.empty(len(x))
+    gauss = None if normals is None else np.empty(len(x))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for rows in row_blocks(len(x), len(nodes)):
+            dx, dy = _differences(nodes, x[rows, None, :])
+            if gauss is not None:
+                flux = dx * normals[:, 0]
+                flux += dy * normals[:, 1]
+            r2 = np.multiply(dx, dx, out=dx)
+            r2 += np.multiply(dy, dy, out=dy)
+            nearest[rows] = np.argmin(r2, axis=1)
+            sep[rows] = np.sqrt(np.take_along_axis(r2, nearest[rows, None], axis=1)[:, 0])
+            if gauss is not None:
+                gauss[rows] = product(np.divide(flux, r2, out=flux), weights)
+            if layer is not None:
+                layer[rows] = product(np.log(r2, out=r2), w_rho)
+    if gauss is not None:
+        gauss /= 2.0 * np.pi
+    if layer is not None:
+        layer /= 4.0 * np.pi          # log|x - y| / 2 pi = log|x - y|^2 / 4 pi
+    return nearest, sep, layer, gauss
 
 
 def nearest_node(x, nodes) -> tuple[np.ndarray, np.ndarray]:
     """Index of the nearest of ``nodes`` (M, 2) and the distance to it, for
     each point of ``x`` (P, 2); coincident points are allowed."""
-    x = np.asarray(x, dtype=float)
-    nearest = np.empty(len(x), dtype=np.intp)
-    for rows in row_blocks(len(x), len(nodes)):
-        nearest[rows] = np.argmin(_norm(*_differences(x[rows, None, :], nodes)), axis=1)
-    return nearest, _norm(*_differences(x, nodes[nearest]))
+    nearest, sep, _, _ = node_pass(x, nodes)
+    return nearest, sep
 
 
 def gamma0(x, y) -> np.ndarray:

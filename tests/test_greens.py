@@ -229,6 +229,25 @@ def test_near_boundary_warning_reads_the_layer_nodes(disk_steklov):
         greens.eval_greens(field, ops, (0.988, 0.0), refine=4)
 
 
+def test_warning_contract_of_refined_evaluation(kite_setup):
+    # half a fine weight in from a node warns at refine=4 and half a coarse
+    # weight in warns at refine=1; a lattice clipped at one coarse weight
+    # from the nodes never warns at refine=4
+    ops, mask = kite_setup
+    source = np.array([-0.5, 0.3])
+    field = greens.solve_greens(ops, mask, source, LAM)
+    j = 40
+    for refine in (4, 1):
+        depth = 0.5 * ops.weights[j] / refine
+        with pytest.warns(AccuracyWarning):
+            greens.eval_greens(field, ops, ops.points[j] - depth * ops.normals[j],
+                               refine=refine)
+    pts, _ = interior_lattice(ops, 40, source)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", AccuracyWarning)
+        greens.eval_greens(field, ops, pts, refine=4)
+
+
 def block_spanning_points(ops):
     """Points of the disk of radius 0.8 (clear of the boundary and of XS):
     three coarse row blocks and a partial fourth."""

@@ -220,6 +220,29 @@ def test_blocked_coarse_pass_matches_full_arrays():
     assert list(on_node) == [5, 200] and not np.any(zero)
 
 
+def inward_ladder(ops, t):
+    """Points on the inward normal at parameter t, 2 to 14 node weights in
+    (w(t) = 2 pi |x'(t)| / N, the weight of a node there)."""
+    pt, nu, speed = point_normal_speed(ops.curve, t)
+    depth = np.arange(2.0, 14.5, 0.5) * (TWO_PI / ops.n_nodes) * speed
+    return pt - depth[:, None] * nu
+
+
+@pytest.mark.parametrize("curve,n", [(circle(), 64), (circle(), 256), (kite(), 256)])
+def test_upsampled_layer_matches_fine_kernel_on_both_sides_of_the_reach(curve, n):
+    # rows within the reach of the boundary take the refined layer, rows
+    # beyond it the N-node one; both match the whole refine*N kernel, also
+    # for a density carrying the Nyquist mode, whose N-node error decays slowest
+    ops = assemble(curve, n)
+    pts = np.concatenate([inward_ladder(ops, 0.0),               # through a node
+                          inward_ladder(ops, np.pi / n)])        # through a cell midpoint
+    smooth = np.cos(3 * ops.params) + 0.4 * np.sin(ops.params) + 0.1
+    nyquist = smooth + (-1.0) ** np.arange(n)
+    for density in (smooth, nyquist):
+        assert_relative(evaluate_layer_potential(ops, density, pts, refine=4),
+                        full_layer_potential(ops, density, pts, 4))
+
+
 def test_product_matches_numpy_in_every_operand_order():
     # matrices in C order, Fortran order and strided, and vectors on either side
     rng = np.random.default_rng(3)

@@ -157,10 +157,11 @@ def log_quadrature_weights(n: int) -> np.ndarray:
     Returns R_k for node offsets k = 0 .. 2n-1; the rule integrates the
     singular factor exactly against trigonometric polynomials of degree < n.
     """
-    k = np.arange(2 * n)
-    m = np.arange(1, n)
-    cosines = np.cos(np.pi * np.outer(k, m) / n) / m
-    return -(2.0 * np.pi / n) * cosines.sum(axis=1) - (np.pi / n**2) * (-1.0) ** k
+    # sum_{m=1}^{n-1} cos(pi k m / n) / m for all k, as one inverse real FFT
+    coefficients = np.zeros(n + 1)
+    coefficients[1:n] = 1.0 / np.arange(1, n)
+    sums = n * np.fft.irfft(coefficients, 2 * n)
+    return -(2.0 * np.pi / n) * sums - (np.pi / n**2) * (-1.0) ** np.arange(2 * n)
 
 
 def assemble(curve: BoundaryCurve, n_nodes: int) -> OperatorSet:

@@ -19,9 +19,10 @@ L2(Gamma_S)-orthonormal basis of every cluster.
   secular equation (Golub, SIAM Rev. 15, 1973; Bunch, Nielsen and
   Sorensen, Numer. Math. 31, 1978).  The roots are counted exactly by the
   inertia of one Bunch-Kaufman LDL^T factorization of the m x m matrix
-  (Haynsworth additivity, :func:`negative_inertia`) and polished by Newton,
-  at O(m^2 N) per evaluation instead of an N x N eigensolve.  It is the
-  exact form of the first-order arc formula the optimizer steps with.
+  (Haynsworth additivity, :func:`ldl_inertia`) and polished by Newton steps
+  that solve with that factorization instead of an m x m eigensolve, at
+  O(m^2 N) per evaluation instead of an N x N eigensolve.  It is the exact
+  form of the first-order arc formula the optimizer steps with.
 
 All dense algebra with an N-sized operand runs on scipy's OpenBLAS: the
 factorizations and eigensolves call scipy's LAPACK, and the products go
@@ -185,8 +186,8 @@ _POLE_MERGE_TOL = 1e-9
 _DEFLATION_TOL = 1e-7
 # Steklov eigenvalues this small (relative to the largest) are the constant mode
 _ZERO_POLE_TOL = 1e-12
-# count evaluations allowed per root, or per comparison of two roots, before
-# the secular solve gives up
+# LDL^T evaluations allowed per root (to isolate it, then to polish it), or
+# per comparison of two roots, before the secular solve gives up
 _MAX_EVALUATIONS = 80
 # Newton roots and the Rayleigh-Ritz values of their traces must agree
 _RITZ_AGREEMENT = 1e-9
@@ -249,8 +250,9 @@ def decompose(ops: OperatorSet) -> SteklovDecomposition:
     return SteklovDecomposition(ops, values, vectors, groups, ids)
 
 
-def negative_inertia(g: np.ndarray) -> int:
-    """Number of negative eigenvalues of the symmetric matrix ``g``.
+def ldl_inertia(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """LDL^T factors ``(ldu, ipiv)`` of the symmetric ``g`` (for dsytrs) and
+    its number of negative eigenvalues.
 
     Sylvester's law of inertia on the Bunch-Kaufman factorization
     g = L D L^T (LAPACK dsytrf on the lower triangle; Bunch and Kaufman,
@@ -269,8 +271,16 @@ def negative_inertia(g: np.ndarray) -> int:
     two = np.flatnonzero(ipiv < 0)[::2]
     a, c, e = d[two], d[two + 1], ldu[two + 1, two]
     det = a * c - e * e
-    return int(np.count_nonzero(d[ipiv > 0] < 0.0) + np.count_nonzero(det < 0.0)
-               + 2 * np.count_nonzero((det > 0.0) & (a < 0.0)))
+    return ldu, ipiv, int(np.count_nonzero(d[ipiv > 0] < 0.0) + np.count_nonzero(det < 0.0)
+                          + 2 * np.count_nonzero((det > 0.0) & (a < 0.0)))
+
+
+def _branch_pair(g: np.ndarray, branch: int) -> tuple[float, np.ndarray]:
+    """Eigenvalue ``branch`` (ascending) of ``g`` and its unit eigenvector,
+    from an ``eigh`` that computes that pair only; overwrites g."""
+    mu, z = sla.eigh(g, subset_by_index=(branch, branch), overwrite_a=True,
+                     check_finite=False)
+    return float(mu[0]), z[:, 0]
 
 
 class ArcSpectrum:
@@ -288,7 +298,8 @@ class ArcSpectrum:
     the number of negative eigenvalues of G(lambda), read from an LDL^T
     factorization.  The count brackets each root and orders roots without
     solving them; safeguarded Newton on the matching eigenvalue of G
-    polishes a root only when its pair is needed.  The root's trace is
+    polishes a root only when its pair is needed, by inverse iteration on
+    the LDL^T factors of each step.  The root's trace is
     W^-1/2 Q diag(1/(Lambda - lambda)) B^T z with z the null vector of G.
 
     Equal Steklov eigenvalues are rotated so that each pole direction
@@ -377,6 +388,13 @@ class ArcSpectrum:
         near = self.poles[max(i - 1, 0):i + 1]
         return bool(np.any(np.abs(near - x) <= _POLE_ULPS * np.spacing(near)))
 
+    def _factor(self, lam: float) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, int]:
+        """(lam, G(lam), its LDL^T factors ldu, ipiv and the recorded count of
+        secular roots below lam), lam moved off a pole as in :meth:`_matrix`."""
+        lam, g = self._matrix(lam)
+        ldu, ipiv, negative = ldl_inertia(g)
+        return lam, g, ldu, ipiv, self._record(lam, negative)
+
     def _count(self, lam: float) -> int:
         """Secular roots below lam, from the inertia of G(lam) alone, unless
         the counts kept on both sides of lam already agree."""
@@ -384,15 +402,7 @@ class ArcSpectrum:
         upper = [c for x, c in self._probes.items() if x >= lam]
         if lower and upper and max(lower) == min(upper):
             return max(lower)
-        lam, g = self._matrix(float(lam))
-        return self._record(lam, negative_inertia(g))
-
-    def _eigen(self, lam: float) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues and eigenvectors of G(lam); the count is recorded too."""
-        lam, g = self._matrix(lam)
-        mu, z = sla.eigh(g, driver="evd", overwrite_a=True, check_finite=False)
-        self._record(lam, int(np.count_nonzero(mu < 0.0)))
-        return mu, z
+        return self._factor(float(lam))[-1]
 
     def count_below(self, lam: float) -> int:
         """Number of mixed eigenvalues strictly below lam (lam > 0)."""
@@ -428,6 +438,15 @@ class ArcSpectrum:
         first: the first split is the midpoint nearest ``near``, and while
         the root lies beyond each split the next one skips 0, 1, 3, 7, ...
         gaps further out.
+
+        Newton then starts from the middle of the pole-free bracket, on the
+        eigenvalue phi of G crossing zero there (the branch).  Each step
+        factors G(x) once, recording the count at x, and G w = z with the last
+        null vector z gives the next, w/|w|, with phi = z.w / w.w.  A count of
+        k or k + 1 (x below or above the root) makes the branch the
+        eigenvalue of G nearest 0 on that side, so a phi of that sign is
+        kept; otherwise, and first, an ``eigh`` gives the branch pair.  A step
+        leaving the bracket bisects it.
         """
         if k in self._roots:
             return self._roots[k]
@@ -466,14 +485,18 @@ class ArcSpectrum:
         if not 0 <= branch < m:
             raise SecularBreakdown(f"secular root {k}: count and poles disagree")
         tiny = 4.0 * np.finfo(float).eps
-        x = 0.5 * (lo + hi)
+        x, vec = 0.5 * (lo + hi), None
         for _ in range(_MAX_EVALUATIONS):
-            mu, z = self._eigen(x)
-            phi, vec = mu[branch], z[:, branch]
-            if phi < 0.0:
-                lo = x
-            else:
-                hi = x
+            x, g, ldu, ipiv, count = self._factor(x)
+            fresh = vec is None or count not in (k, k + 1)
+            if not fresh:
+                w = lapack.dsytrs(ldu, ipiv, vec, lower=1)[0]
+                ww, wv = kernels.product(w, np.column_stack((w, vec)))
+                phi, vec = wv / ww, w / np.sqrt(ww)
+                fresh = not (phi < 0.0 if count == k else phi >= 0.0)
+            if fresh:
+                phi, vec = _branch_pair(g, branch)
+            lo, hi = (x, hi) if phi < 0.0 else (lo, x)
             y = kernels.product(vec, self.cols)
             slope = float(np.sum(poles * (y / (poles - x)) ** 2))
             step = phi / slope if slope > 0.0 else np.inf

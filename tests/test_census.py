@@ -7,7 +7,9 @@ the bounding box of the curve's 128 nodes until they lie inside, at least
 0.15 from every node, and the receiver more than 0.1 from the source.
 
 Tier-1 runs the first configurations at N=128 and holds a floor on the
-number that converge.  The full census prints one row per outcome:
+number that converge.  The full census prints one row per outcome, then
+the secular solve's work over all runs: ``eigh`` calls on G and LDL^T
+factorizations per solved secular root.
 
     PYTHONPATH=src python tests/test_census.py [count]
 """
@@ -81,11 +83,17 @@ def test_census_subset_converges_on_target():
 
 
 if __name__ == "__main__":
+    from test_eigensolver import secular_work
+
     count = int(sys.argv[1]) if len(sys.argv) > 1 else 40
     rows: dict[str, list[str]] = {}
-    for i, config in enumerate(configurations(count)):
-        result, _ = outcome(config)
-        rows.setdefault(result, []).append(
-            f"{i}:{config.curve.name}-N{config.n_nodes}-target{config.lambda_star:.3f}")
+    with secular_work() as work:
+        for i, config in enumerate(configurations(count)):
+            result, _ = outcome(config)
+            rows.setdefault(result, []).append(
+                f"{i}:{config.curve.name}-N{config.n_nodes}-target{config.lambda_star:.3f}")
     for result, n in Counter({k: len(v) for k, v in rows.items()}).most_common():
         print(f"{result:18s} {n:3d}  {' '.join(rows[result])}")
+    roots = max(work["roots"], 1)
+    print(f"secular roots {work['roots']}: {work['eigh'] / roots:.2f} eigh(G) and "
+          f"{work['ldl'] / roots:.2f} LDL^T per root ({work['eigh']} and {work['ldl']} in all)")

@@ -147,6 +147,17 @@ def test_log_quadrature_weights_integrate_cosines_exactly():
         assert np.sum(R * np.cos(m * tau)) == pytest.approx(-2 * np.pi / m, abs=1e-12)
 
 
+@pytest.mark.parametrize("n_nodes", [16, 128, 512, 1536])
+def test_log_quadrature_weights_match_the_direct_cosine_sum(n_nodes):
+    # the weights come from one inverse real FFT of the coefficients 1/m;
+    # the direct sum over the 2n x (n - 1) cosine table defines them
+    n = n_nodes // 2
+    k, m = np.arange(2 * n), np.arange(1, n)
+    direct = (-(2.0 * np.pi / n) * (np.cos(np.pi * np.outer(k, m) / n) / m).sum(axis=1)
+              - (np.pi / n**2) * (-1.0) ** k)
+    assert_allclose(log_quadrature_weights(n), direct, rtol=0, atol=1e-14)
+
+
 # ---------------------------------------------------------------------------
 # capacity completion
 # ---------------------------------------------------------------------------

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+from collections import Counter
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 from numpy.testing import assert_allclose
 from scipy.linalg import lapack
 
-from steklov import kernels
+from steklov import eigensolver, kernels
 from steklov.discretization import (
     assemble,
     mask_from_partition,
@@ -25,7 +28,7 @@ from steklov.eigensolver import (
     decompose,
     evaluate_layer_potential,
     interiority,
-    negative_inertia,
+    ldl_inertia,
     orthonormalize_cluster,
     solve_spectrum,
     solve_spectrum_near,
@@ -37,6 +40,7 @@ from steklov.geometry import (
     circle,
     kite,
 )
+from steklov.optimizer import OptimizerConfig, run
 
 
 def steklov_setup(curve, n):
@@ -351,6 +355,10 @@ SECULAR_CASES = {
     "kite-two-arcs-N512": lambda: neumann_setup(kite(), 512, [(0.5, 0.6), (3.8, 3.95)]),
     "steklov-fraction-1e-8": small_fraction_setup,
     "disk-deflated-N128": one_cell_setup,
+    # the final mask of the test_11 run (kite, N=256, lambda* = 2.5): secular
+    # root 4 (2.0891686754) lies 6.5e-4 above the pole 2.0885186522
+    "kite-test11-final-N256": lambda: neumann_setup(
+        kite(), 256, [(1.4620944194852392, 2.2643681928299895)]),
 }
 
 
@@ -443,7 +451,7 @@ def test_inertia_count_reads_two_by_two_pivots():
     two_by_two = 0
     for g in matrices:
         two_by_two += np.count_nonzero(lapack.dsytrf(g, lower=1)[1] < 0) // 2
-        assert negative_inertia(g) == np.count_nonzero(np.linalg.eigvalsh(g) < 0.0)
+        assert ldl_inertia(g)[2] == np.count_nonzero(np.linalg.eigvalsh(g) < 0.0)
     assert two_by_two > 50
 
 
@@ -460,7 +468,7 @@ def test_inertia_count_one_ulp_above_a_pole():
         assert lam == np.nextafter(pole, np.inf)
         mu = np.linalg.eigvalsh(g)
         unsure = np.count_nonzero(np.abs(mu) <= arc.m * np.finfo(float).eps * np.max(np.abs(mu)))
-        assert abs(negative_inertia(g) - np.count_nonzero(mu < 0.0)) <= unsure
+        assert abs(ldl_inertia(g)[2] - np.count_nonzero(mu < 0.0)) <= unsure
         certain += unsure == 0
         certain_two_by_two += unsure == 0 and np.any(lapack.dsytrf(g, lower=1)[1] < 0)
     assert certain >= 15 and certain_two_by_two >= 4
@@ -502,6 +510,67 @@ def test_root_search_from_a_prediction_finds_the_same_root(case):
         for near in (root, 0.6 * root, 1.5 * root + 4.0):
             assert ArcSpectrum(spectrum, mask)._root(k, near=near)[0] == pytest.approx(
                 root, rel=1e-13)
+
+
+@contextmanager
+def secular_work():
+    """Count, while the block runs, the ``eigh`` calls on G ("eigh"), the LDL^T
+    factorizations ("ldl") and the secular roots solved ("roots") by every
+    ArcSpectrum."""
+    work = Counter()
+    branch_pair, ldl, root = eigensolver._branch_pair, eigensolver.ldl_inertia, ArcSpectrum._root
+
+    def counted(name, f):
+        def call(*args):
+            work[name] += 1
+            return f(*args)
+        return call
+
+    def counted_root(self, k, near=None):
+        new = k not in self._roots
+        found = root(self, k, near)
+        work["roots"] += new
+        return found
+
+    eigensolver._branch_pair = counted("eigh", branch_pair)
+    eigensolver.ldl_inertia = counted("ldl", ldl)
+    ArcSpectrum._root = counted_root
+    try:
+        yield work
+    finally:
+        eigensolver._branch_pair, eigensolver.ldl_inertia, ArcSpectrum._root = branch_pair, ldl, root
+
+
+def test_newton_refreshes_a_pair_the_count_refutes():
+    # root 4 of the test_11 final mask lies 6.5e-4 above a pole.  Newton
+    # starts where the branch eigenvalue of G is about +1, and once a step
+    # crosses below the root the vector carried by inverse iteration still
+    # reads phi > 0 where the count says phi < 0: an eigh refreshes it.  With
+    # the bracket side read from that phi, the root converges to the pole.
+    ops, mask = SECULAR_CASES["kite-test11-final-N256"]()
+    reference = qz_reference(ops, mask)
+    arc = ArcSpectrum(decompose(ops), mask)
+    with secular_work() as work:
+        root = arc._root(4)[0]
+    assert work["roots"] == 1 and work["eigh"] >= 2
+    pole = arc.poles[np.searchsorted(arc.poles, root) - 1]
+    assert 0.0 < root - pole < 1e-3
+    assert np.min(np.abs(reference - root)) < 1e-10
+
+
+def test_newton_takes_about_one_eigh_of_g_per_root():
+    # each Newton step reads its pair from the LDL^T factors of its count;
+    # an eigh of G starts a root and refreshes a pair the count refutes
+    ops, mask = SECULAR_CASES["disk-two-arcs-N256"]()
+    with secular_work() as scan:
+        for center in (0.3, 2.5, 6.3):
+            secular_pairs(ops, mask, center, 10)
+    with secular_work() as tuning:
+        run(OptimizerConfig(curve=kite(), source=np.array((-1.25, 1.25)),
+                            receiver=np.array((-1.25, -1.25)), lambda_star=2.5, n_nodes=256))
+    for work in (scan, tuning):
+        assert work["roots"] >= 5
+        assert work["eigh"] <= 1.5 * work["roots"], work
 
 
 def test_shift_invert_is_deterministic():

@@ -223,7 +223,8 @@ class PartitionMask:
     Green's right-hand sides, inner products).
     Both are immutable.  The mask also owns what has been solved on it:
     ``eigenvalues``, the ascending values of its latest eigensolve (None
-    before the first), and the factored source system of :meth:`source_system`.
+    before the first), and the LU of :meth:`source_system`, which masks
+    outside a tuning run solve with (a run solves on its decomposition).
     """
 
     def __init__(self, ops: OperatorSet, partition: BoundaryPartition,

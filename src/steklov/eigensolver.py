@@ -22,7 +22,9 @@ L2(Gamma_S)-orthonormal basis of every cluster.
   (Haynsworth additivity, :func:`ldl_inertia`) and polished by Newton steps
   that solve with that factorization instead of an m x m eigensolve, at
   O(m^2 N) per evaluation instead of an N x N eigensolve.  It is the exact
-  form of the first-order arc formula the optimizer steps with.
+  form of the first-order arc formula the optimizer steps with.  Their
+  ``source_system`` gives a tuning run's source solves with no N x N
+  factorization: diagonal on the all-Steklov boundary, Woodbury on an arc.
 
 All dense algebra with an N-sized operand runs on scipy's OpenBLAS: the
 factorizations and eigensolves call scipy's LAPACK, and the products go
@@ -227,12 +229,26 @@ class SteklovDecomposition:
         traces = self.vectors[:, members] / np.sqrt(self.ops.weights)[:, None]
         return _signed_pairs(self.ops, self.values[members], traces, 0)
 
+    def source_system(self, lam: float):
+        """``(solve, condition)`` of the all-Steklov source system H - lam W,
+        with no factorization; ``condition`` is the exact 2-norm condition
+        number of the scaled system W^-1/2 (H - lam W) W^-1/2."""
+        d = self.values - lam
+        return self.solver(lambda x: x / d), float(np.max(np.abs(d)) / np.min(np.abs(d)))
+
+    def solver(self, inverse):
+        """v -> W^-1/2 Q inverse(Q^T W^-1/2 v), ``inverse`` acting on coefficients."""
+        scale = 1.0 / np.sqrt(self.ops.weights)
+        return lambda v: scale * kernels.product(
+            self.vectors, inverse(kernels.product(v * scale, self.vectors)))
+
 
 def decompose(ops: OperatorSet) -> SteklovDecomposition:
     """Decompose the all-Steklov problem of ``ops`` (one ``eigh``, driver evd)."""
     scale = 1.0 / np.sqrt(ops.weights)
-    # Fortran order, so eigh works in this array instead of a copy of it
-    a = np.multiply(ops.weighted_dtn, scale[:, None], order="F")
+    # H is stored exactly symmetric, so its transpose, a Fortran-ordered view,
+    # gives the Fortran-ordered copy eigh works in without a transposing copy
+    a = np.multiply(ops.weighted_dtn.T, scale[:, None], order="F")
     a *= scale
     try:
         values, vectors = sla.eigh(a, driver="evd", overwrite_a=True,
@@ -326,7 +342,7 @@ class ArcSpectrum:
         if self.m == 0:
             raise SecularBreakdown("a mask without Neumann nodes has no secular equation")
         self.fm = frac[nodes]
-        b = np.sqrt(1.0 - self.fm)[:, None] * spectrum.vectors[nodes]
+        self._b = b = np.sqrt(1.0 - self.fm)[:, None] * spectrum.vectors[nodes]
         # one pole direction per (group g, column q): sum_i rot[g, i, q] Q_rows[g, i]
         values, cols, entries = [], [], []
         for p, rows in spectrum.groups.items():
@@ -590,6 +606,28 @@ class ArcSpectrum:
         if np.any(np.abs(values - roots_v) > _RITZ_AGREEMENT * (1.0 + np.abs(roots_v))):
             raise SecularBreakdown("secular roots and Rayleigh-Ritz values disagree")
         return _signed_pairs(ops, values, traces, 0)
+
+    def source_system(self, lam: float):
+        """``(solve, condition)`` of the mask's source system H - lam diag(b).
+
+        In decomposition coefficients the scaled system is (Lambda - lam) +
+        lam B^T B, B over all N directions (no deflation, no rotation), so
+        Woodbury solves it with one LDL^T of G = I + lam B (Lambda - lam)^-1
+        B^T = lam M(lam).  ``condition``: max|Lambda - lam| times the 2-norm
+        of the inverse, estimated from below by three power steps."""
+        spectrum, b = self.spectrum, self._b
+        d = spectrum.values - lam
+        bd = b / d
+        ldu, ipiv, _ = ldl_inertia(np.eye(self.m) + lam * kernels.product(bd, b.T))
+
+        def inverse(x):
+            t = lapack.dsytrs(ldu, ipiv, kernels.product(bd, x), lower=1)[0]
+            return (x - lam * kernels.product(t, b)) / d
+
+        x = np.ones(len(d))
+        for _ in range(3):
+            x = inverse(x / np.sqrt(np.sum(x * x)))
+        return spectrum.solver(inverse), float(np.max(np.abs(d)) * np.sqrt(np.sum(x * x)))
 
     def store_run(self, j: int, target: float) -> None:
         """Write a run of whole clusters from eigenvalue j to ``target`` to the mask.

@@ -15,9 +15,9 @@ Reported values are ``value - field.offset``; :func:`solve_greens` sets the
 offset to the arclength boundary mean on curves of logarithmic capacity one
 (|Robin constant| < 1e-8) and to zero elsewhere.
 
-The factored source system and the spectrum the resonance guard reads
-belong to the :class:`~steklov.discretization.PartitionMask`; this module
-keeps no state of its own.
+The guard's spectrum and, unless the caller passes a solver (a tuning run
+passes its decomposition's ``source_system``), the source system's LU belong
+to the :class:`~steklov.discretization.PartitionMask`; no state is kept here.
 """
 
 from __future__ import annotations
@@ -79,7 +79,9 @@ class GreensField:
     residual : float
         Relative residual of the boundary conditions on the density.
     condition_estimate : float
-        1-norm condition estimate of the solved system H - lam diag(b).
+        Condition estimate of the solved system H - lam diag(b): with the
+        mask's LU its ``dgecon`` 1-norm estimate, with a decomposition's
+        solver the 2-norm condition number of W^-1/2 (H - lam diag(b)) W^-1/2.
     offset : float
         Constant every reported value drops: the arclength boundary mean of
         the field on capacity-one curves, 0.0 elsewhere.
@@ -112,8 +114,8 @@ def nearest_eigenvalue(ops: OperatorSet, mask: PartitionMask, lam: float) -> flo
 
 # --- solve --------------------------------------------------------------------
 
-def solve_greens(ops: OperatorSet, mask: PartitionMask, source, lam: float
-                 ) -> GreensField:
+def solve_greens(ops: OperatorSet, mask: PartitionMask, source, lam: float,
+                 system: tuple | None = None) -> GreensField:
     """Solve for the field of a point source at ``source``.
 
     Parameters
@@ -125,6 +127,9 @@ def solve_greens(ops: OperatorSet, mask: PartitionMask, source, lam: float
     lam : float
         Spectral parameter; must keep a relative distance of at least
         ``RESONANCE_GUARD`` from every eigenvalue of the partition.
+    system : (solve, condition), optional
+        The source system at ``lam``, ``solve(v)`` = (H - lam diag(b))^-1 v;
+        by default the LU of :meth:`PartitionMask.source_system`.
 
     Raises
     ------
@@ -159,14 +164,17 @@ def solve_greens(ops: OperatorSet, mask: PartitionMask, source, lam: float
             "spectral parameter %.12g is within the guard band of the "
             "eigenvalue %.12g" % (lam, near), nearest_eigenvalue=near)
 
-    lu, cond = mask.source_system(lam)
+    if system is None:
+        lu, cond = mask.source_system(lam)
+        system = (lambda v: sla.lu_solve(lu, v)), cond
+    solve, cond = system
     g0 = kernels.gamma0(ops.points, source)
     steklov_lam = lam * mask.steklov_fraction
     rhs = steklov_lam * g0 - kernels.gamma0_dnu(ops.points, ops.normals, source)
 
     def density(r):
         # (H - lam diag(b)) u = W r in the trace, then rho = T^-1 u
-        return sla.lu_solve(ops.trace_map_lu, sla.lu_solve(lu, ops.weights * r))
+        return sla.lu_solve(ops.trace_map_lu, solve(ops.weights * r))
 
     def density_residual(rho):
         # rhs - ((-I/2 + K') rho - lam frac (T rho)), the conditions on rho,

@@ -34,7 +34,9 @@ Source fields enter twice: the insertion point comes from the boundary
 profile of the two fields solved at lambda_star on the uncovered boundary,
 and the final report compares the field value at the receiver before and
 after covering (both less the field's ``offset``, the reporting convention
-:func:`~steklov.greens.solve_greens` decides).
+:func:`~steklov.greens.solve_greens` decides).  They are solved on the
+decomposition and on the final trial's secular equation (``source_system``),
+with no N x N factorization; a windowed final trial leaves its mask's LU.
 """
 
 from __future__ import annotations
@@ -355,9 +357,9 @@ def run(config: OptimizerConfig,
     j = int(np.flatnonzero(spectrum.cluster_ids == spectrum.cluster_ids[start])[-1])
     mask0.eigenvalues = spectrum.values
 
-    field_x = solve_greens(ops, mask0, config.source, config.lambda_star)
-    field_y = solve_greens(ops, mask0, config.receiver, config.lambda_star)
-    del mask0       # and with it an N x N source factorization no trial reads
+    system0 = spectrum.source_system(config.lambda_star)
+    field_x = solve_greens(ops, mask0, config.source, config.lambda_star, system0)
+    field_y = solve_greens(ops, mask0, config.receiver, config.lambda_star, system0)
     s_steklov = eval_greens(field_x, ops, config.receiver) - field_x.offset
     node = select_insertion_point(field_x, field_y, s_steklov)
 
@@ -419,7 +421,8 @@ def run(config: OptimizerConfig,
             f"target {config.lambda_star:g} not reached within "
             f"{config.max_iterations} trials (last eigenvalue {lam0:.9g})")
 
-    field_end = solve_greens(ops, mask, config.source, config.lambda_star)
+    field_end = solve_greens(ops, mask, config.source, config.lambda_star,
+                             None if arc is None else arc.source_system(config.lambda_star))
     trace.s_end = eval_greens(field_end, ops, config.receiver) - field_end.offset
     trace.converged = True
     trace.final_eigenvalue = lam0

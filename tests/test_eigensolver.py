@@ -318,6 +318,21 @@ def test_decomposition_scales_in_fortran_order_without_changing_a_bit():
     assert np.array_equal(spectrum.vectors, vectors)
 
 
+@pytest.mark.parametrize("curve", [circle, kite])
+def test_decomposition_copies_from_the_transpose_without_changing_a_bit(curve):
+    # H is stored exactly symmetric, so scaling its Fortran-ordered transpose
+    # gives the same array as scaling H into Fortran order
+    ops = assemble(curve(), 128)
+    assert np.array_equal(ops.weighted_dtn, ops.weighted_dtn.T)
+    scale = 1.0 / np.sqrt(ops.weights)
+    a = np.multiply(ops.weighted_dtn, scale[:, None], order="F")
+    a *= scale
+    values, vectors = sla.eigh(a, driver="evd", overwrite_a=True, check_finite=False)
+    spectrum = decompose(ops)
+    assert np.array_equal(spectrum.values, values)
+    assert np.array_equal(spectrum.vectors, vectors)
+
+
 def test_indefinite_neumann_block_raises_eigensolve_error(monkeypatch):
     # a flipped free-space kernel makes H_nn indefinite, so the Cholesky
     # of the Neumann-block elimination fails

@@ -10,14 +10,20 @@ import pytest
 from steklov import greens, kernels
 from steklov.cli import interior_lattice
 from steklov.discretization import assemble, mask_from_partition
-from steklov.eigensolver import AccuracyWarning, solve_spectrum_near
+from steklov.eigensolver import (
+    AccuracyWarning,
+    ArcSpectrum,
+    decompose,
+    solve_spectrum_near,
+)
 from steklov.errors import (
     GeometryError,
     PartitionError,
     ResonanceError,
     SingularityError,
 )
-from steklov.geometry import TWO_PI, BoundaryPartition, circle, kite
+from steklov.geometry import TWO_PI, BoundaryPartition, circle, ellipse, kite
+from steklov.optimizer import OptimizerConfig, run
 
 # Frozen from a 1536-node run; the 512-node value agrees to 3e-8.
 KITE_SOURCE_VALUE = -0.05514797
@@ -535,6 +541,87 @@ def test_repeat_solve_is_deterministic(disk_mixed):
     f2 = greens.solve_greens(ops, mask, XS, LAM)
     assert np.array_equal(f1.boundary_values, f2.boundary_values)
     assert np.array_equal(f1.correction_density, f2.correction_density)
+
+
+# --- source systems of a decomposition ------------------------------------------
+
+def scaled_system(ops, mask, lam):
+    """W^-1/2 (H - lam diag(b)) W^-1/2, the system a decomposition solves."""
+    scale = 1.0 / np.sqrt(ops.weights)
+    return (ops.weighted_dtn * scale[:, None] * scale
+            - lam * np.diag(mask.steklov_fraction))
+
+
+@pytest.fixture(scope="module")
+def decomposition_routes():
+    """Per case at N=256: (ops, partition, owner of the source system, a
+    mixed eigenvalue, an all-Steklov eigenvalue, source)."""
+    disk, kite_ops = assemble(circle(), 256), assemble(kite(), 256)
+    disk_spectrum, kite_spectrum = decompose(disk), decompose(kite_ops)
+    # the test_11 inputs; the final mask moved the start eigenvalue to 2.5
+    trace = run(OptimizerConfig(curve=kite(), source=(-1.25, 1.25),
+                                receiver=(-1.25, -1.25), lambda_star=2.5, n_nodes=256))
+    final = mask_from_partition(kite_ops, trace.final_partition)
+    two_arcs = BoundaryPartition.from_neumann_intervals(disk.curve, [(1.0, 1.6), (3.5, 4.4)])
+    two_arc_spectrum = ArcSpectrum(disk_spectrum, mask_from_partition(disk, two_arcs))
+    return {
+        "disk": (disk, BoundaryPartition.all_steklov(disk.curve), disk_spectrum,
+                 disk_spectrum.values[5], disk_spectrum.values[7], XS),
+        "kite": (kite_ops, BoundaryPartition.all_steklov(kite_ops.curve), kite_spectrum,
+                 kite_spectrum.values[6], kite_spectrum.values[8], (-1.25, 1.25)),
+        "test_11-final": (kite_ops, trace.final_partition, ArcSpectrum(kite_spectrum, final),
+                          trace.final_eigenvalue, trace.initial_eigenvalue, (-1.25, 1.25)),
+        "disk-two-arcs": (disk, two_arcs, two_arc_spectrum, two_arc_spectrum.value(5),
+                          disk_spectrum.values[5], XS),
+    }
+
+
+@pytest.mark.parametrize("case", ["disk", "kite", "test_11-final", "disk-two-arcs"])
+def test_decomposition_source_solve_matches_lu(decomposition_routes, case):
+    ops, partition, owner, mixed, pole, source = decomposition_routes[case]
+    guard = greens.RESONANCE_GUARD
+    lams = [mixed + d for d in (1e-1, -1e-2, 1e-3, -1e-4, 1e-5)]
+    lams.append(pole + 5.0 * guard * (1.0 + pole))      # inside 10x the guard band
+    for lam in lams:
+        lu = greens.solve_greens(ops, mask_from_partition(ops, partition), source, lam)
+        mask = mask_from_partition(ops, partition)
+        field = greens.solve_greens(ops, mask, source, lam, owner.source_system(lam))
+        assert field.residual <= greens.RESIDUAL_TOL
+        assert 1.0 <= field.condition_estimate < np.inf
+        # 1e-12 of max|value|, down to the double-precision floor: closer than
+        # 1e-3 to a mixed eigenvalue it grows like 1/detuning (at 1e-5 the LU
+        # route differs from a dense density solve by 4e-11)
+        detuning = abs(lam - greens.nearest_eigenvalue(ops, mask, lam))
+        scale = np.max(np.abs(lu.boundary_values))
+        assert (np.max(np.abs(field.boundary_values - lu.boundary_values))
+                <= 1e-12 * max(1.0, 1e-3 / detuning) * scale)
+
+
+def test_uncovered_condition_is_exact(decomposition_routes):
+    for case in ("disk", "kite"):
+        ops, partition, spectrum, mixed, _, _ = decomposition_routes[case]
+        mask = mask_from_partition(ops, partition)
+        for lam in (mixed + 1e-1, mixed - 1e-4, mixed + 1e-5):
+            expected = np.linalg.cond(scaled_system(ops, mask, lam))
+            assert spectrum.source_system(lam)[1] == pytest.approx(expected, rel=1e-6)
+
+
+ARC_MASKS = [(circle, [(0.3, 0.9)]), (circle, [(1.0, 1.6), (3.5, 4.4)]),
+             (circle, [(2.0, 2.1)]), (kite, [(0.5, 1.3)]), (kite, [(0.5, 1.3), (3.8, 4.6)]),
+             (lambda: ellipse(1.0, 0.5), [(1.2, 2.4)])]
+
+
+@pytest.mark.parametrize("curve, intervals", ARC_MASKS)
+def test_arc_condition_estimate_near_a_mixed_eigenvalue(curve, intervals):
+    ops = assemble(curve(), 128)
+    mask = mask_from_partition(ops, BoundaryPartition.from_neumann_intervals(ops.curve, intervals))
+    arc = ArcSpectrum(decompose(ops), mask)
+    for j, detuning in ((3, 1e-3), (5, -1e-4), (6, 1e-5)):
+        lam = arc.value(j) + detuning
+        estimate = arc.source_system(lam)[1]
+        expected = np.linalg.cond(scaled_system(ops, mask, lam))
+        assert 1.0 <= estimate < np.inf
+        assert 0.5 * expected <= estimate <= 2.0 * expected
 
 
 # --- memory ---------------------------------------------------------------------

@@ -9,11 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from numpy.testing import assert_allclose
 
 import steklov
 from steklov import greens, optimizer
-from steklov.discretization import assemble, mask_from_partition
+from steklov.discretization import PartitionMask, assemble, mask_from_partition
 from steklov.eigensolver import AccuracyWarning, SecularBreakdown
 from steklov.errors import (
     ConfigError,
@@ -402,6 +403,25 @@ def test_run_guard_reads_the_solved_spectrum(config, monkeypatch):
                         lambda *a, **k: calls.append(a) or original(*a, **k))
     assert run(config).converged
     assert calls == []
+
+
+@pytest.mark.parametrize("config", [THREAD_RUNS[0], disk_config(n_nodes=256)],
+                         ids=["test_11", "disk"])
+def test_run_solves_its_source_fields_without_an_n_by_n_source_factorization(
+        config, monkeypatch):
+    # the three source solves run on the decomposition and the final arc's
+    # secular equation: the only N x N LU left is the trace map's
+    mask_solves, factored = [], []
+    original_system = PartitionMask.source_system
+    monkeypatch.setattr(PartitionMask, "source_system",
+                        lambda *a: mask_solves.append(a) or original_system(*a))
+    original_lu = sla.lu_factor
+    monkeypatch.setattr(sla, "lu_factor",
+                        lambda a, *r, **k: factored.append(a.shape) or original_lu(a, *r, **k))
+    trace = run(config)
+    assert trace.converged and np.isfinite(trace.s_end)
+    assert mask_solves == []
+    assert factored.count((config.n_nodes, config.n_nodes)) == 1
 
 
 def _secular_breakdown(*args):

@@ -247,20 +247,27 @@ class PartitionMask:
         """``(lu, condition)`` of the source system H - lam diag(b) in the
         trace, with H = ``ops.weighted_dtn`` and b the Steklov weights.
 
-        ``lu`` is its ``scipy.linalg.lu_factor`` and ``condition`` its
-        ``dgecon`` 1-norm condition estimate.  Only the factors of the latest
-        ``lam`` are kept; sources share them.
+        ``lu`` is its ``scipy.linalg.lu_factor``.  ``condition`` estimates
+        the 2-norm condition number of the scaled system S = W^-1/2 (H - lam
+        diag(b)) W^-1/2, the number the decomposition routes report: the
+        1-norm of the symmetric S, which bounds its 2-norm from above, times
+        the norm of S^-1 from three power steps on the LU (a fixed
+        pseudo-random start, so no mirror symmetry of the mask hides the
+        near-null direction).  Only the factors of the latest ``lam`` are
+        kept; sources share them.
         """
         lam = float(lam)
         if self._source is None or self._source[0] != lam:
             self._source = None        # free the old factors before building
             k = np.array(self.ops.weighted_dtn, order="F")   # LAPACK factors it in place
             k[np.diag_indices_from(k)] -= lam * self.steklov_weights
-            anorm = sla.lapack.dlange("1", k)
+            scale = 1.0 / np.sqrt(self.ops.weights)
+            norm = np.max(kernels.product(scale, np.abs(k)) * scale)
             lu = sla.lu_factor(k, overwrite_a=True)
-            rcond = sla.lapack.dgecon(lu[0], anorm, norm="1")[0]
-            cond = 1.0 / max(rcond, np.finfo(float).tiny)
-            self._source = (lam, lu, cond)
+            x = np.random.default_rng(0).standard_normal(len(scale))
+            for _ in range(3):
+                x = sla.lu_solve(lu, x / (scale * np.sqrt(np.sum(x * x)))) / scale
+            self._source = (lam, lu, float(norm * np.sqrt(np.sum(x * x))))
         return self._source[1:]
 
 

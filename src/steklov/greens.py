@@ -79,9 +79,10 @@ class GreensField:
     residual : float
         Relative residual of the boundary conditions on the density.
     condition_estimate : float
-        Condition estimate of the solved system H - lam diag(b): with the
-        mask's LU its ``dgecon`` 1-norm estimate, with a decomposition's
-        solver the 2-norm condition number of W^-1/2 (H - lam diag(b)) W^-1/2.
+        2-norm condition number of the scaled system W^-1/2 (H - lam
+        diag(b)) W^-1/2 on every route: exact on the all-Steklov
+        decomposition, estimated by three power steps on the inverse on an
+        arc's secular solve and on the mask's LU.
     offset : float
         Constant every reported value drops: the arclength boundary mean of
         the field on capacity-one curves, 0.0 elsewhere.

@@ -2,7 +2,8 @@
 
 The driver targets a prescribed eigenvalue lambda_star: starting from the
 all-Steklov boundary it picks one boundary node from the product of two
-point-source fields, plants a zero-length Neumann marker there, and then
+point-source fields, among the nodes where the start cluster does not
+vanish, plants a zero-length Neumann marker there, and then
 repeatedly widens the arc by the half-length suggested by first-order
 perturbation theory,
 
@@ -91,6 +92,9 @@ TWO_PI = 2.0 * np.pi
 
 # below this cluster weight at the insertion node the predicted step diverges
 _WEIGHT_FLOOR = 1e-12
+# nodes where the start cluster's weight is below this fraction of its largest
+# are no insertion candidates: its eigenfunctions vanish there
+_INSERTION_FLOOR = 1e-8
 # pairs above the tracked index that the windowed fallback solves
 _WINDOWED_PAIRS = 24
 # factor f shrinks by after a rejected trial
@@ -282,13 +286,15 @@ def _cluster_weight(at_node: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 def select_insertion_point(field_x: GreensField, field_y: GreensField,
-                           s_xy: float) -> int:
+                           s_xy: float, weight: np.ndarray) -> int:
     """Node index where covering the boundary helps the receiver most.
 
-    Takes the two source fields on the uncovered boundary and their reported
-    value ``s_xy`` at the receiver: the node is the argmax of the pointwise
-    product of the reported boundary profiles (each less its field's
-    ``offset``) when ``s_xy`` is nonnegative and the argmin otherwise.  Ties
+    Takes the two source fields on the uncovered boundary, their reported
+    value ``s_xy`` at the receiver and the start cluster's weight sum_i u_i^2
+    per node: the node is the argmax of the pointwise product of the
+    reported boundary profiles (each less its field's ``offset``) when
+    ``s_xy`` is nonnegative and the argmin otherwise, over the nodes where
+    the weight is at least ``_INSERTION_FLOOR`` of its largest.  Ties
     resolve to the smallest index, and products within 1e-12 max|profile|
     of the extreme count as tied, so mirror nodes of a symmetric input do
     not compete in rounding.
@@ -299,6 +305,7 @@ def select_insertion_point(field_x: GreensField, field_y: GreensField,
     if s_xy < 0.0:
         profile = -profile
     tol = 1e-12 * np.max(np.abs(profile))
+    profile[weight < _INSERTION_FLOOR * np.max(weight)] = -np.inf
     return int(np.flatnonzero(profile >= np.max(profile) - tol)[0])
 
 
@@ -361,7 +368,8 @@ def run(config: OptimizerConfig,
     field_x = solve_greens(ops, mask0, config.source, config.lambda_star, system0)
     field_y = solve_greens(ops, mask0, config.receiver, config.lambda_star, system0)
     s_steklov = eval_greens(field_x, ops, config.receiver) - field_x.offset
-    node = select_insertion_point(field_x, field_y, s_steklov)
+    weight = np.sum([p.trace ** 2 for p in cluster], axis=0)
+    node = select_insertion_point(field_x, field_y, s_steklov, weight)
 
     trace = OptimizerTrace(
         insertion_index=node,

@@ -36,8 +36,11 @@ from steklov.eigensolver import (
 from steklov.errors import ClusterError, EigenSolveError, GeometryError
 from steklov.geometry import (
     TWO_PI,
+    BoundaryCurve,
     BoundaryPartition,
     circle,
+    ellipse,
+    flower,
     kite,
 )
 from steklov.optimizer import OptimizerConfig, run
@@ -309,8 +312,16 @@ def test_full_spectrum_request_skips_the_window(monkeypatch):
     assert np.array_equal([p.value for p in pairs], expected)
 
 
+def shifted(curve, by=0.3):
+    """``curve`` with its parameter shifted: node reversal is no symmetry of it."""
+    return BoundaryCurve(lambda t: curve.eval(t + by), lambda t: curve.derivative(t + by),
+                         lambda t: curve.second_derivative(t + by),
+                         name=f"{curve.name}-shifted")
+
+
 def test_decomposition_scales_in_fortran_order_without_changing_a_bit():
-    ops = assemble(kite(), 256)
+    # without mirror symmetry the decomposition is one plain eigh
+    ops = assemble(shifted(kite()), 256)
     scale = 1.0 / np.sqrt(ops.weights)
     values, vectors = sla.eigh(ops.weighted_dtn * scale[:, None] * scale, driver="evd")
     spectrum = decompose(ops)
@@ -318,11 +329,12 @@ def test_decomposition_scales_in_fortran_order_without_changing_a_bit():
     assert np.array_equal(spectrum.vectors, vectors)
 
 
-@pytest.mark.parametrize("curve", [circle, kite])
+@pytest.mark.parametrize("curve", [kite, lambda: ellipse(1.0, 0.5)],
+                         ids=["kite-shifted", "ellipse-shifted"])
 def test_decomposition_copies_from_the_transpose_without_changing_a_bit(curve):
     # H is stored exactly symmetric, so scaling its Fortran-ordered transpose
     # gives the same array as scaling H into Fortran order
-    ops = assemble(curve(), 128)
+    ops = assemble(shifted(curve()), 128)
     assert np.array_equal(ops.weighted_dtn, ops.weighted_dtn.T)
     scale = 1.0 / np.sqrt(ops.weights)
     a = np.multiply(ops.weighted_dtn, scale[:, None], order="F")
@@ -331,6 +343,49 @@ def test_decomposition_copies_from_the_transpose_without_changing_a_bit(curve):
     spectrum = decompose(ops)
     assert np.array_equal(spectrum.values, values)
     assert np.array_equal(spectrum.vectors, vectors)
+
+
+MIRROR_CURVES = {"circle": circle, "kite": kite, "ellipse": lambda: ellipse(1.0, 0.5),
+                 "flower": lambda: flower(0.1, 5)}
+
+
+@pytest.mark.parametrize("n", [64, 128, 256])
+@pytest.mark.parametrize("name", MIRROR_CURVES)
+def test_mirror_split_matches_a_plain_eigh(name, n):
+    ops = assemble(MIRROR_CURVES[name](), n)
+    spectrum = decompose(ops)
+    values, vectors = sla.eigh(eigensolver._scaled_dtn(ops), driver="evd")
+    assert_allclose(spectrum.values, values, rtol=1e-12, atol=1e-12)
+    q = spectrum.vectors
+    assert np.max(np.abs(q.T @ q - np.eye(n))) <= 1e-13
+    # every column is exactly even or odd under the node reversal j -> N - j
+    mirrored = q[-np.arange(n)]
+    assert np.all(np.all(mirrored == q, axis=0) | np.all(mirrored == -q, axis=0))
+    for c in np.unique(spectrum.cluster_ids):
+        members = spectrum.cluster_ids == c
+        assert np.array_equal(members, _assign_clusters(values) == c)
+        split, plain = q[:, members], vectors[:, members]
+        assert np.max(np.abs(split @ split.T - plain @ plain.T)) <= 1e-10
+
+
+@pytest.mark.parametrize("name", MIRROR_CURVES)
+def test_mirror_split_is_the_eigh_of_its_two_blocks(name):
+    ops = assemble(MIRROR_CURVES[name](), 128)
+    even, odd = eigensolver._mirror_blocks(eigensolver._scaled_dtn(ops))
+    (ve, ze), (vo, zo) = (sla.eigh(b, driver="evd") for b in (even, odd))
+    spectrum = decompose(ops)
+    order = np.argsort(np.concatenate((ve, vo)), kind="stable")
+    assert np.array_equal(spectrum.values, np.concatenate((ve, vo))[order])
+    # M blockdiag(Z_e, Z_o): rows 0 and N/2 kept, rows j and N - j from
+    # row j of Z_e, or +- row N - j of Z_o, over sqrt 2
+    m = len(ve) - 1
+    r = np.sqrt(0.5)
+    embedded = np.zeros((2 * m, 2 * m))
+    embedded[[0, m], :m + 1] = ze[[0, m]]
+    embedded[1:m, :m + 1] = embedded[:m:-1, :m + 1] = r * ze[1:m]
+    embedded[1:m, m + 1:] = r * zo[::-1]
+    embedded[:m:-1, m + 1:] = -r * zo[::-1]
+    assert np.array_equal(spectrum.vectors, embedded[:, order])
 
 
 def test_indefinite_neumann_block_raises_eigensolve_error(monkeypatch):

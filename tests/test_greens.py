@@ -606,6 +606,18 @@ def test_uncovered_condition_is_exact(decomposition_routes):
             assert spectrum.source_system(lam)[1] == pytest.approx(expected, rel=1e-6)
 
 
+def test_lu_condition_is_the_scaled_two_norm_condition():
+    # the uncovered kite's odd modes are invisible from any mirror-symmetric
+    # start: a 1-norm estimator read 1.31e3 here against 2.32e5 at Lambda_3
+    ops = assemble(kite(), 256)
+    spectrum = decompose(ops)
+    for j in (3, 6, 9):
+        lam = spectrum.values[j] + 1e-3
+        mask = mask_from_partition(ops, BoundaryPartition.all_steklov(ops.curve))
+        expected = np.linalg.cond(scaled_system(ops, mask, lam))
+        assert expected / 1.25 <= mask.source_system(lam)[1] <= 1.25 * expected
+
+
 ARC_MASKS = [(circle, [(0.3, 0.9)]), (circle, [(1.0, 1.6), (3.5, 4.4)]),
              (circle, [(2.0, 2.1)]), (kite, [(0.5, 1.3)]), (kite, [(0.5, 1.3), (3.8, 4.6)]),
              (lambda: ellipse(1.0, 0.5), [(1.2, 2.4)])]
@@ -622,6 +634,18 @@ def test_arc_condition_estimate_near_a_mixed_eigenvalue(curve, intervals):
         expected = np.linalg.cond(scaled_system(ops, mask, lam))
         assert 1.0 <= estimate < np.inf
         assert 0.5 * expected <= estimate <= 2.0 * expected
+
+
+@pytest.mark.parametrize("curve, intervals", ARC_MASKS)
+def test_lu_condition_near_a_mixed_eigenvalue(curve, intervals):
+    ops = assemble(curve(), 128)
+    partition = BoundaryPartition.from_neumann_intervals(ops.curve, intervals)
+    arc = ArcSpectrum(decompose(ops), mask_from_partition(ops, partition))
+    for j, detuning in ((3, 1e-3), (5, -1e-4), (6, 1e-5)):
+        lam = arc.value(j) + detuning
+        mask = mask_from_partition(ops, partition)
+        expected = np.linalg.cond(scaled_system(ops, mask, lam))
+        assert expected / 1.25 <= mask.source_system(lam)[1] <= 1.25 * expected
 
 
 # --- memory ---------------------------------------------------------------------

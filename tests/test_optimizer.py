@@ -162,24 +162,28 @@ def synthetic_field(values, lam=2.5):
         residual=0.0, condition_estimate=1.0, offset=0.0)
 
 
+# the start cluster's weight: no node is skipped
+ONES = np.ones(4)
+
+
 def test_insertion_argmax_for_nonnegative_value():
     fx = synthetic_field([1.0, 3.0, -2.0, 0.5])
     fy = synthetic_field([1.0, 2.0, -1.0, 0.5])
-    assert select_insertion_point(fx, fy, 1.0) == 1
-    assert select_insertion_point(fx, fy, 0.0) == 1
+    assert select_insertion_point(fx, fy, 1.0, ONES) == 1
+    assert select_insertion_point(fx, fy, 0.0, ONES) == 1
 
 
 def test_insertion_argmin_for_negative_value():
     fx = synthetic_field([1.0, 3.0, -2.0, 0.5])
     fy = synthetic_field([1.0, 2.0, 1.0, 0.5])
-    assert select_insertion_point(fx, fy, -1.0) == 2
+    assert select_insertion_point(fx, fy, -1.0, ONES) == 2
 
 
 def test_insertion_tie_takes_smallest_index():
     fx = synthetic_field([2.0, 1.0, 2.0, 1.0])
     fy = synthetic_field([1.0, 1.0, 1.0, 1.0])
-    assert select_insertion_point(fx, fy, 1.0) == 0
-    assert select_insertion_point(fx, fy, -1.0) == 1
+    assert select_insertion_point(fx, fy, 1.0, ONES) == 0
+    assert select_insertion_point(fx, fy, -1.0, ONES) == 1
 
 
 def test_insertion_rounding_tie_takes_smallest_index():
@@ -187,16 +191,26 @@ def test_insertion_rounding_tie_takes_smallest_index():
     above = np.nextafter(3.0, 4.0)
     fx = synthetic_field([1.0, 3.0, 0.5, above])
     fy = synthetic_field([1.0, 1.0, 1.0, 1.0])
-    assert select_insertion_point(fx, fy, 1.0) == 1
+    assert select_insertion_point(fx, fy, 1.0, ONES) == 1
     fx = synthetic_field([1.0, -3.0, 0.5, -above])
-    assert select_insertion_point(fx, fy, -1.0) == 1
+    assert select_insertion_point(fx, fy, -1.0, ONES) == 1
+
+
+def test_insertion_skips_nodes_where_the_cluster_vanishes():
+    fx = synthetic_field([1.0, 3.0, -2.0, 0.5])
+    fy = synthetic_field([1.0, 2.0, -1.0, 0.5])
+    weight = np.array([1.0, 0.9e-8, 1.0, 0.5])
+    assert select_insertion_point(fx, fy, 1.0, weight) == 2
+    assert select_insertion_point(fx, fy, -1.0, weight) == 3
+    weight[1] = 1e-8
+    assert select_insertion_point(fx, fy, 1.0, weight) == 1
 
 
 def test_insertion_rejects_parameter_mismatch():
     fx = synthetic_field([1.0, 2.0], lam=2.5)
     fy = synthetic_field([1.0, 2.0], lam=2.6)
     with pytest.raises(ValueError):
-        select_insertion_point(fx, fy, 1.0)
+        select_insertion_point(fx, fy, 1.0, np.ones(2))
 
 
 def test_insertion_disk_matches_published_angle():
@@ -211,7 +225,7 @@ def test_insertion_disk_matches_published_angle():
     fy = solve_greens(ops, mask, (0.0, 0.75), 2.5)
     s_xy = eval_greens(fx, ops, np.array([0.0, 0.75])) - fx.offset
     assert s_xy < 0.0
-    node = select_insertion_point(fx, fy, s_xy)
+    node = select_insertion_point(fx, fy, s_xy, np.ones(ops.n_nodes))
     assert ops.params[node] / np.pi == pytest.approx(1.96, abs=0.1)
 
 

@@ -15,10 +15,14 @@ L2(Gamma_S)-orthonormal basis of every cluster.
 * :func:`decompose` and :class:`ArcSpectrum` -- the tuning run's trial
   solve.  The all-Steklov problem is decomposed once, W^-1/2 H W^-1/2 =
   Q diag(Lambda) Q^T, in the two half-size blocks of its mirror symmetry
-  when the curve has one (every catalog curve does).  A mask whose
-  Neumann part touches m nodes differs from it by a rank-m change, so its
-  eigenvalues are the roots of an m x m secular equation (Golub, SIAM
-  Rev. 15, 1973; Bunch, Nielsen and Sorensen, Numer. Math. 31, 1978).
+  when the curve has one (every catalog curve does; ``discretization``
+  decides it).  The blocks come from the half-size factors of the trace
+  map, so a run on such a curve forms neither H nor an N x N
+  factorization: its Rayleigh-Ritz passes work in decomposition
+  coefficients.  A mask whose Neumann part touches m nodes differs from it
+  by a rank-m change, so its eigenvalues are the roots of an m x m secular
+  equation (Golub, SIAM Rev. 15, 1973; Bunch, Nielsen and Sorensen, Numer.
+  Math. 31, 1978).
   The roots are counted exactly by the inertia of one Bunch-Kaufman LDL^T
   factorization of the m x m matrix (Haynsworth additivity,
   :func:`ldl_inertia`) and polished by Newton steps that solve with that
@@ -95,17 +99,17 @@ def _signed_pairs(ops: OperatorSet, values: np.ndarray, traces: np.ndarray,
     and recover their densities T^-1 u."""
     k = traces.shape[1]
     traces = traces * np.copysign(1.0, traces[np.argmax(np.abs(traces), axis=0), np.arange(k)])
-    densities = sla.lu_solve(ops.trace_map_lu, traces)
+    densities = ops.trace_solve(traces)
     return [EigenPair(float(lam), d, t, int(c)) for lam, d, t, c
             in zip(values, densities.T, traces.T, np.broadcast_to(cluster_ids, k))]
 
 
-def _rayleigh_ritz(h: np.ndarray, b: np.ndarray, traces: np.ndarray
+def _rayleigh_ritz(projected: np.ndarray, b: np.ndarray, traces: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Ritz values and vectors of (H, diag(b)) on the span of the trace
-    columns; ``scipy.linalg.eigh`` raises LinAlgError on failure."""
-    values, rotation = sla.eigh(kernels.product(traces.T, kernels.product(h, traces)),
-                                kernels.product(traces.T * b, traces))
+    columns U, given ``projected`` = U^T H U; ``scipy.linalg.eigh`` raises
+    LinAlgError on failure."""
+    values, rotation = sla.eigh(projected, kernels.product(traces.T * b, traces))
     return values, kernels.product(traces, rotation)
 
 
@@ -151,7 +155,8 @@ def solve_spectrum_near(ops: OperatorSet, mask: PartitionMask, sigma: float,
         traces = np.empty((ops.n_nodes, k))
         traces[on] = scale[:, None] * vecs[:, nearest]
         traces[off] = -kernels.product(coupling, traces[on])
-        values, traces = _rayleigh_ritz(h, b, traces)
+        values, traces = _rayleigh_ritz(
+            kernels.product(traces.T, kernels.product(h, traces)), b, traces)
     except np.linalg.LinAlgError as exc:
         raise EigenSolveError(f"self-adjoint eigensolve failed: {exc}") from exc
     values.setflags(write=False)
@@ -199,9 +204,6 @@ _RITZ_AGREEMENT = 1e-9
 # a rank-one term of order eps^-1 whose rounding can hide a negative
 # eigenvalue, so the count may read one root too few
 _POLE_ULPS = 16
-# the all-Steklov problem splits in its mirror halves when the block coupling
-# them is at most this fraction of the whole (Frobenius norms)
-_MIRROR_TOL = 1e-12
 
 
 class SecularBreakdown(EigenSolveError):
@@ -213,9 +215,10 @@ class SteklovDecomposition:
     """The all-Steklov problem in orthonormal form, decomposed once.
 
     W^-1/2 H W^-1/2 = Q diag(values) Q^T with W = diag(weights), so the
-    all-Steklov eigenpairs are (values_j, W^-1/2 Q_j).  On a mirror-symmetric
-    curve every column of Q is exactly even or odd under the node reversal
-    j -> N - j (:func:`decompose`).  ``groups`` lists,
+    all-Steklov eigenpairs are (values_j, W^-1/2 Q_j), and H W^-1/2 Q =
+    W^1/2 Q diag(values).  On a mirror set (``ops.mirror``) every column of
+    Q is exactly even or odd under the node reversal j -> N - j
+    (:func:`decompose`).  ``groups`` lists,
     per group size, the index rows of values equal to ``_POLE_MERGE_TOL``;
     ``cluster_ids`` the ids of :func:`_assign_clusters`.
     """
@@ -260,32 +263,11 @@ def _scaled_dtn(ops: OperatorSet) -> np.ndarray:
     return a
 
 
-def _mirror_blocks(a: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Even and odd blocks of M a M, or None when the cross block is not rounding.
-
-    M is the orthogonal node-reversal involution: it keeps rows 0 and N/2
-    and turns rows j and N - j into (row_j +- row_N-j)/sqrt 2.  Applied to
-    both sides of ``a`` in place (overwriting it), it leaves the even part
-    in rows and columns 0..N/2 and the odd part in N/2+1..N-1, rows N - j
-    in the order j = N/2-1, ..., 1.
-    """
-    n = len(a) // 2
-    norm = lapack.dlange("F", a)
-    r = np.sqrt(0.5)
-    for x in (a, a.T):                       # rows, then columns
-        top, bottom = x[1:n], x[:n:-1]       # rows 1..n-1 and N-1..n+1
-        diff = top - bottom
-        top += bottom
-        top *= r
-        np.multiply(diff, r, out=bottom)
-    if lapack.dlange("F", a[n + 1:, :n + 1]) > _MIRROR_TOL * norm:
-        return None
-    return np.array(a[:n + 1, :n + 1], order="F"), np.array(a[n + 1:, n + 1:], order="F")
-
-
 def _mirror_eigh(even: np.ndarray, odd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending values and Fortran-ordered vectors M blockdiag(Z_e, Z_o)
-    from one ``eigh`` (driver evd) per block; overwrites both blocks."""
+    from one ``eigh`` (driver evd) per block of
+    :meth:`~steklov.discretization.OperatorSet.scaled_dtn_halves`, M its
+    orthonormal basis; overwrites both blocks."""
     (ve, ze), (vo, zo) = (sla.eigh(b, driver="evd", overwrite_a=True, check_finite=False)
                           for b in (even, odd))
     n = len(ve) - 1
@@ -309,24 +291,22 @@ def _mirror_eigh(even: np.ndarray, odd: np.ndarray) -> tuple[np.ndarray, np.ndar
 def decompose(ops: OperatorSet) -> SteklovDecomposition:
     """Decompose the all-Steklov problem of ``ops``.
 
-    A curve with x(-t) the mirror image of x(t) (every catalog curve) gives
-    an X = W^-1/2 H W^-1/2 that commutes with the node reversal j -> N - j
-    to rounding.  Then X splits in the reversal's even and odd subspaces,
-    and one ``eigh`` (driver evd) of each half-size block, at a quarter of
-    the flops of the whole, gives its eigenpairs (Allgower, Boehmer, Georg
-    and Miranda, SIAM J. Numer. Anal. 29, 1992): every vector is exactly
-    even or odd.  The split applies when the cross block of M X M is at
-    most ``_MIRROR_TOL`` of X (Frobenius norms; 2e-15 to 6e-14 on the
-    catalog curves at N = 64-1536, 0.23 on a kite whose parameter is
-    shifted by 0.3); otherwise one ``eigh`` of X decomposes it.
+    On a mirror set (``ops.mirror``: a curve with x(-t) the mirror image of
+    x(t), as every catalog curve) X = W^-1/2 H W^-1/2 commutes with the node
+    reversal j -> N - j and splits in the reversal's even and odd subspaces.
+    Its two half-size blocks come straight from the half-size factors of the
+    trace map (``ops.scaled_dtn_halves``), and one ``eigh`` (driver evd) of
+    each, at a quarter of the flops of the whole, gives its eigenpairs
+    (Allgower, Boehmer, Georg and Miranda, SIAM J. Numer. Anal. 29, 1992):
+    every vector is exactly even or odd, and neither H nor an N x N
+    factorization is formed.  Otherwise one ``eigh`` of X decomposes it.
     """
-    blocks = _mirror_blocks(_scaled_dtn(ops))
     try:
-        if blocks is None:          # the split overwrote its copy of X
+        if ops.mirror:
+            values, vectors = _mirror_eigh(*ops.scaled_dtn_halves())
+        else:
             values, vectors = sla.eigh(_scaled_dtn(ops), driver="evd", overwrite_a=True,
                                        check_finite=False)
-        else:
-            values, vectors = _mirror_eigh(*blocks)
     except np.linalg.LinAlgError as exc:
         raise EigenSolveError(f"self-adjoint eigensolve failed: {exc}") from exc
     starts = np.flatnonzero(np.diff(values) > _POLE_MERGE_TOL * (1.0 + np.abs(values[1:]))) + 1
@@ -657,7 +637,9 @@ class ArcSpectrum:
         """Eigenpairs of the given mixed eigenvalues, one cluster, Steklov-orthonormal.
 
         A Rayleigh-Ritz pass of (H, diag(b)) on the secular traces gives the
-        returned values and traces; its values must match the roots.
+        returned values and traces; its values must match the roots.  The
+        traces are U = W^-1/2 Q C for decomposition coefficients C, so
+        U^T H U = C^T diag(Lambda) C comes with no N x N product.
         """
         roots = [self._locate(j) for j in indices]
         weights = np.zeros((self._lift.shape[1], len(roots)))
@@ -670,10 +652,13 @@ class ArcSpectrum:
                 weights[len(self.poles) + i, j] = 1.0
         if not np.all(np.isfinite(weights)):
             raise SecularBreakdown("a secular root sits on a deflated pole")
-        traces = self.spectrum.traces(self._lift @ weights)
+        coefficients = self._lift @ weights
+        traces = self.spectrum.traces(coefficients)
         ops, b = self.spectrum.ops, self.mask.steklov_weights
         try:
-            values, traces = _rayleigh_ritz(ops.weighted_dtn, b, traces)
+            values, traces = _rayleigh_ritz(
+                kernels.product(coefficients.T * self.spectrum.values, coefficients),
+                b, traces)
         except np.linalg.LinAlgError as exc:
             raise SecularBreakdown(f"Rayleigh-Ritz pass failed: {exc}") from exc
         roots_v = np.array([self.value(j) for j in indices])

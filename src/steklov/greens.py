@@ -175,7 +175,7 @@ def solve_greens(ops: OperatorSet, mask: PartitionMask, source, lam: float,
 
     def density(r):
         # (H - lam diag(b)) u = W r in the trace, then rho = T^-1 u
-        return sla.lu_solve(ops.trace_map_lu, solve(ops.weights * r))
+        return ops.trace_solve(solve(ops.weights * r))
 
     def density_residual(rho):
         # rhs - ((-I/2 + K') rho - lam frac (T rho)), the conditions on rho,

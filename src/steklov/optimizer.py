@@ -11,8 +11,9 @@ perturbation theory,
 
 where the u_i are the tracked eigenvalue's cluster orthonormalized on the
 current Steklov part and evaluated at the insertion node L.  Trials that
-overshoot the target are rolled back and f shrinks by ``_SHRINK``;
-accepted trials reset f to one.
+overshoot the target are rolled back and f shrinks by ``_SHRINK``; a step
+the partition cannot take (the arc would swallow the boundary) is rejected
+the same way.  Accepted trials reset f to one.
 
 The tracked eigenvalue is followed by its index j in the spectrum, the
 top member of the start cluster.  The arc only grows, so every Steklov
@@ -21,7 +22,9 @@ index j can only rise: the index names the same eigenvalue on every
 trial, whatever crosses it.
 
 The uncovered boundary is decomposed once per run
-(:func:`~steklov.eigensolver.decompose`): the start eigenvalue, its
+(:func:`~steklov.eigensolver.decompose`; on a mirror-symmetric curve, as
+every catalog curve, from the half-size factors of the trace map, so the
+run factors no N x N matrix and never builds H): the start eigenvalue, its
 cluster and the spectrum the first source solves check against all come
 from that decomposition.  Every trial is solved on the nodes its arc
 touches (:class:`~steklov.eigensolver.ArcSpectrum`), which locates
@@ -69,6 +72,7 @@ from .errors import (
     ConfigError,
     ConvergenceError,
     EigenSolveError,
+    PartitionError,
     RequirementError,
     StagnationError,
 )
@@ -343,13 +347,17 @@ def run(config: OptimizerConfig,
     between trials.  Each trial extends the arc by the first-order step,
     recomputes the tracked eigenvalue on the candidate partition, and
     either keeps the candidate (resetting f to one) or rolls back to the
-    previous partition object and shrinks f.  Every trial is appended to
-    the trace and handed to ``observer`` when given.
+    previous partition object and shrinks f.  Every solved trial is
+    appended to the trace and handed to ``observer`` when given.  A step
+    the partition cannot take (an arc that would swallow the whole
+    boundary: ``extend_neumann_arc`` raises ``PartitionError``) is a
+    rejected trial that solves nothing and leaves no record: f shrinks by
+    ``_SHRINK`` as after an overshoot, and the trial counts against
+    ``max_iterations``.
 
     Raises ``RequirementError`` when the target lies below the first
     nonzero eigenvalue, ``StagnationError`` when the eigenspace vanishes
-    at the insertion node, ``PartitionError`` when the arc would swallow
-    the whole boundary, and ``ConvergenceError`` when the trial budget
+    at the insertion node, and ``ConvergenceError`` when the trial budget
     runs out.
     """
     curve = config.curve
@@ -390,7 +398,11 @@ def run(config: OptimizerConfig,
         eps = 0.5 * f * (config.lambda_star - lam0) / (lam0 * _cluster_weight(at_node))
 
         arc_id = partition.neumann_arc_ids()[0]
-        candidate = extend_neumann_arc(partition, arc_id, eps)
+        try:
+            candidate = extend_neumann_arc(partition, arc_id, eps)
+        except PartitionError:
+            f *= _SHRINK        # an impossible extension: a rejected trial
+            continue
         candidate_mask = mask_from_partition(ops, candidate)
 
         predicted = predict_eigenvalue_shift(lam0, at_node, eps)

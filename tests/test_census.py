@@ -81,7 +81,7 @@ def test_census_subset_converges_on_target():
         accepted = trace.accepted_eigenvalues()
         assert accepted and all(a <= b for a, b in zip(accepted, accepted[1:]))
         assert run(config).records == trace.records
-    assert converged >= 10
+    assert converged >= 12
 
 
 if __name__ == "__main__":

@@ -29,6 +29,7 @@ from steklov.geometry import (
     point_normal_speed,
 )
 from steklov.greens import solve_greens
+from test_eigensolver import shifted
 
 
 def all_steklov_mask(ops):
@@ -188,6 +189,39 @@ def test_trace_map_completes_constants_on_circle():
 
 
 # ---------------------------------------------------------------------------
+# mirror halves
+# ---------------------------------------------------------------------------
+
+MIRROR_CURVES = {"circle": circle, "kite": kite, "ellipse": lambda: ellipse(1.0, 0.5),
+                 "flower": lambda: flower(0.1, 5)}
+
+
+@pytest.mark.parametrize("n", [64, 128, 256])
+@pytest.mark.parametrize("name", MIRROR_CURVES)
+def test_mirror_halves_solve_and_assemble_the_plain_formulas(name, n):
+    ops = assemble(MIRROR_CURVES[name](), n)
+    assert ops.mirror
+    lu = sla.lu_factor(ops.trace_map)
+    u = np.random.default_rng(n).standard_normal((n, 3))
+    for rhs in (u, u[:, 0]):
+        plain = sla.lu_solve(lu, rhs)
+        assert np.max(np.abs(ops.trace_solve(rhs) - plain)) <= 1e-13 * np.max(np.abs(plain))
+    h = ops.weighted_dtn
+    assert np.array_equal(h, h.T)
+    a = -0.5 * np.eye(n) + ops.adjoint_double_layer
+    plain = ops.weights[:, None] * sla.lu_solve(lu, a.T, trans=1).T
+    assert np.max(np.abs(h - 0.5 * (plain + plain.T))) <= 1e-13 * np.max(np.abs(h))
+
+
+@pytest.mark.parametrize("curve", [kite, lambda: ellipse(1.0, 0.5)], ids=["kite", "ellipse"])
+def test_shifted_parameter_breaks_the_mirror_symmetry(curve):
+    assert assemble(curve(), 64).mirror
+    assert not assemble(shifted(curve()), 64).mirror
+    # a shift by 1e-9 moves the nodes off their mirror images by about 1e-9
+    assert not assemble(shifted(curve(), 1e-9), 64).mirror
+
+
+# ---------------------------------------------------------------------------
 # masks and restricted inner products
 # ---------------------------------------------------------------------------
 
@@ -296,10 +330,21 @@ def test_row_blocked_assembly_is_bitwise_the_one_shot_arithmetic(name):
     single, adjoint = one_shot_operators(curve, 768)
     assert np.array_equal(ops.single_layer, single)
     assert np.array_equal(ops.adjoint_double_layer, adjoint)
-    # the trace-map factors and H, built in place, are the plain formulas
+
+
+@pytest.mark.parametrize("name", ["kite", "ellipse"])
+def test_n_by_n_trace_route_is_bitwise_the_plain_formulas(name):
+    # a shifted parameter breaks the mirror symmetry (a shifted circle keeps
+    # it), so the trace map is factored whole: its factors and H, built in
+    # place, are the plain formulas
+    ops = assemble(shifted(CURVES[name]()), 768)
+    assert not ops.mirror
+    single, adjoint = ops.single_layer, ops.adjoint_double_layer
     lu, piv = sla.lu_factor(single + np.outer(np.ones(768), ops.weights))
     assert np.array_equal(ops.trace_map_lu[0], lu)
     assert np.array_equal(ops.trace_map_lu[1], piv)
+    u = np.random.default_rng(0).standard_normal((768, 2))
+    assert np.array_equal(ops.trace_solve(u), sla.lu_solve((lu, piv), u))
     a = -0.5 * np.eye(768) + adjoint
     h = ops.weights[:, None] * sla.lu_solve((lu, piv), a.T, trans=1).T
     assert np.array_equal(ops.weighted_dtn, 0.5 * (h + h.T))

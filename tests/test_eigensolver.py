@@ -371,7 +371,7 @@ def test_mirror_split_matches_a_plain_eigh(name, n):
 @pytest.mark.parametrize("name", MIRROR_CURVES)
 def test_mirror_split_is_the_eigh_of_its_two_blocks(name):
     ops = assemble(MIRROR_CURVES[name](), 128)
-    even, odd = eigensolver._mirror_blocks(eigensolver._scaled_dtn(ops))
+    even, odd = ops.scaled_dtn_halves()
     (ve, ze), (vo, zo) = (sla.eigh(b, driver="evd") for b in (even, odd))
     spectrum = decompose(ops)
     order = np.argsort(np.concatenate((ve, vo)), kind="stable")

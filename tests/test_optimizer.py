@@ -14,7 +14,12 @@ from numpy.testing import assert_allclose
 
 import steklov
 from steklov import greens, optimizer
-from steklov.discretization import PartitionMask, assemble, mask_from_partition
+from steklov.discretization import (
+    OperatorSet,
+    PartitionMask,
+    assemble,
+    mask_from_partition,
+)
 from steklov.eigensolver import AccuracyWarning, SecularBreakdown
 from steklov.errors import (
     ConfigError,
@@ -424,18 +429,24 @@ def test_run_guard_reads_the_solved_spectrum(config, monkeypatch):
 def test_run_solves_its_source_fields_without_an_n_by_n_source_factorization(
         config, monkeypatch):
     # the three source solves run on the decomposition and the final arc's
-    # secular equation: the only N x N LU left is the trace map's
-    mask_solves, factored = [], []
+    # secular equation, and the trace map is factored in its mirror halves:
+    # no N x N LU is left, and H is never built
+    mask_solves, factored, built = [], [], []
     original_system = PartitionMask.source_system
     monkeypatch.setattr(PartitionMask, "source_system",
                         lambda *a: mask_solves.append(a) or original_system(*a))
     original_lu = sla.lu_factor
     monkeypatch.setattr(sla, "lu_factor",
                         lambda a, *r, **k: factored.append(a.shape) or original_lu(a, *r, **k))
+    original_dtn = OperatorSet.weighted_dtn
+    monkeypatch.setattr(OperatorSet, "weighted_dtn",
+                        property(lambda ops: built.append(ops) or original_dtn.fget(ops)))
     trace = run(config)
     assert trace.converged and np.isfinite(trace.s_end)
     assert mask_solves == []
-    assert factored.count((config.n_nodes, config.n_nodes)) == 1
+    n = config.n_nodes // 2
+    assert sorted(set(factored)) == [(n - 1, n - 1), (n + 1, n + 1)]
+    assert built == []
 
 
 def _secular_breakdown(*args):

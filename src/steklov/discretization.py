@@ -63,6 +63,23 @@ instead of whole, and H and its scaled form are built from them (Allgower,
 Boehmer, Georg and Miranda, SIAM J. Numer. Anal. 29, 1992).  Any other
 curve factors the N x N trace map.
 
+Circulant on the circle
+-----------------------
+When the rotation j -> j + 1 is a symmetry of the nodes too (equispaced
+nodes of a circle; ``OperatorSet.rotation``), entry (i, j) of S, K', T and
+H depends on (j - i) mod N only: they are circulant, and the discrete
+Fourier transform diagonalizes them (Gray, "Toeplitz and circulant
+matrices: a review", 2006).  :func:`assemble` fills row 0 of S and K' only.
+The mirror makes each row even, a_k = a_N-k, so its DFT is real: the
+operator's values on the modes cos kt and sin kt, k = 0..N/2, its symbol.
+T^-1 u is an FFT solve with the symbol of T's row S_0j + w_j, and S rho and
+K' rho are FFT products (:meth:`OperatorSet.product`).  The N x N arrays
+``single_layer``, ``adjoint_double_layer`` and ``weighted_dtn`` are built
+from the rows and symbols only for the routes that ask for a whole array:
+the windowed eigensolver (``solve_spectrum_near``), the mask's LU
+(``PartitionMask.source_system``) and the mirror blocks
+(:meth:`OperatorSet.scaled_dtn_halves`), which no route takes on a circle.
+
 Partition masks additionally carry a per-node *Steklov coverage fraction*:
 the fraction of the node's quadrature cell [t_i - h/2, t_i + h/2) covered by
 Steklov arcs.  Spectral quantities become continuous functions of the arc
@@ -70,6 +87,8 @@ endpoints this way, instead of jumping each time an endpoint crosses a node.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -93,7 +112,10 @@ DEFAULT_NODES = 256
 # across the line through nodes 0 and N/2 matches every node, normal, speed and
 # curvature with its mirror node's to this fraction of their size (at most
 # 5.3e-15 on the catalog curves at N = 64-4096; 0.22-1.3 on a kite or an
-# ellipse whose parameter is shifted by 0.3, 1.8e-9 to 1e-8 by 1e-9)
+# ellipse whose parameter is shifted by 0.3, 1.8e-9 to 1e-8 by 1e-9); the
+# rotation j -> j + 1 is one by the same measure and tolerance (at most
+# 1.7e-15 on circles, also shifted by 0.3, at N = 16-16384; 3.0e-9 on
+# ellipse(1, 1 - 1e-9), 0.88-1.7 on the other catalog curves)
 _MIRROR_TOL = 1e-12
 
 
@@ -102,28 +124,40 @@ class OperatorSet:
 
     Build through :func:`assemble`.  All arrays are read-only views.
     ``mirror`` tells whether the node reversal j -> N - j is a symmetry of
-    the nodes (module docstring, "Mirror halves").  The set is the one owner
-    of the factorization of the completed trace map T, computed lazily and
-    cached: the LU factors of T's even and odd blocks on a mirror set, of
-    the N x N map (``trace_map_lu``) otherwise.  :meth:`trace_solve` solves
-    with them.  The weighted Dirichlet-to-Neumann matrix and the Robin
-    constant are cached too; the trace map itself is not kept.
+    the nodes (module docstring, "Mirror halves"), ``rotation`` whether the
+    rotation j -> j + 1 is one too ("Circulant on the circle").  A rotation
+    set keeps row 0 of S and K' and the symbols of S, K' and T, solves and
+    multiplies by FFT, factors nothing, and builds each N x N operator once,
+    on request.  Any other set is the one owner of the factorization of the
+    completed trace map T, computed lazily and cached: the LU factors of T's
+    even and odd blocks on a mirror set, of the N x N map (``trace_map_lu``)
+    otherwise.  :meth:`trace_solve` solves with them.  The weighted
+    Dirichlet-to-Neumann matrix and the Robin constant are cached too; the
+    trace map itself is not kept.
     """
 
     def __init__(self, curve: BoundaryCurve, params, points, normals, speeds,
-                 weights, single_layer, adjoint_double_layer, mirror: bool):
+                 weights, single_layer, adjoint_double_layer, mirror: bool,
+                 rotation: bool):
         self.curve = curve
         self.params = params
         self.points = points
         self.normals = normals
         self.speeds = speeds
         self.weights = weights
-        self.single_layer = single_layer
-        self.adjoint_double_layer = adjoint_double_layer
         self.mirror = mirror
+        self.rotation = rotation
         for arr in (params, points, normals, speeds, weights,
                     single_layer, adjoint_double_layer):
             arr.setflags(write=False)
+        if rotation:        # rows 0 of the operators; N x N arrays on request
+            self._rows = {"single_layer": single_layer,
+                          "adjoint_double_layer": adjoint_double_layer}
+            self._symbols = {name: np.fft.rfft(row).real for name, row in self._rows.items()}
+            self._trace_symbol = np.fft.rfft(single_layer + weights).real
+        else:
+            self.single_layer = single_layer
+            self.adjoint_double_layer = adjoint_double_layer
         self._trace_map_lu: tuple[np.ndarray, np.ndarray] | None = None
         self._trace_halves_lu: tuple[tuple, tuple] | None = None
         self._weighted_dtn: np.ndarray | None = None
@@ -132,6 +166,36 @@ class OperatorSet:
     @property
     def n_nodes(self) -> int:
         return len(self.params)
+
+    # on a set without ``rotation`` both are plain attributes set in __init__
+    @cached_property
+    def single_layer(self) -> np.ndarray:
+        return _circulant(self._rows["single_layer"][-np.arange(self.n_nodes)])
+
+    @cached_property
+    def adjoint_double_layer(self) -> np.ndarray:
+        return _circulant(self._rows["adjoint_double_layer"][-np.arange(self.n_nodes)])
+
+    def product(self, name: str, x: np.ndarray) -> np.ndarray:
+        """The operator ``name`` ("single_layer" or "adjoint_double_layer")
+        applied to a vector or to each column of a matrix x: by its symbol on
+        a rotation set, by :func:`kernels.product` with the N x N array
+        otherwise."""
+        if self.rotation:
+            return self._fft_apply(self._symbols[name], x)
+        return kernels.product(getattr(self, name), x)
+
+    def _fft_apply(self, symbol: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """The circulant with the real ``symbol`` applied to x along axis 0."""
+        symbol = symbol.reshape((-1,) + (1,) * (np.ndim(x) - 1))
+        return np.fft.irfft(symbol * np.fft.rfft(x, axis=0), self.n_nodes, axis=0)
+
+    @property
+    def scaled_dtn_symbol(self) -> np.ndarray:
+        """Symbol of X = W^-1/2 H W^-1/2 on a rotation set: its value on the
+        modes cos kt and sin kt, k = 0..N/2, the symbol of -I/2 + K' over
+        that of T."""
+        return (self._symbols["adjoint_double_layer"] - 0.5) / self._trace_symbol
 
     @property
     def trace_map(self) -> np.ndarray:
@@ -183,8 +247,11 @@ class OperatorSet:
     def trace_solve(self, u: np.ndarray) -> np.ndarray:
         """T^-1 u, for a vector u or each column of a matrix u.
 
-        On a mirror set the even part of u, (u_j + u_N-j)/2, and its odd
-        part, (u_j - u_N-j)/2, are solved in their blocks of T (half-size)."""
+        On a rotation set it is one FFT solve with T's symbol.  On a mirror
+        set the even part of u, (u_j + u_N-j)/2, and its odd part,
+        (u_j - u_N-j)/2, are solved in their blocks of T (half-size)."""
+        if self.rotation:
+            return self._fft_apply(1.0 / self._trace_symbol, u)
         if not self.mirror:
             return sla.lu_solve(self.trace_map_lu, u)
         n = self.n_nodes // 2
@@ -240,10 +307,15 @@ class OperatorSet:
 
         Symmetric to the quadrature's accuracy (to 3e-14 of max|H| on the
         catalog curves at N = 256-512, 7e-7 on the kite at N = 64); stored
-        exactly symmetric: assembled from :meth:`scaled_dtn_halves` on a
-        mirror set, symmetrized otherwise."""
+        exactly symmetric: the circulant of an exactly even row, from
+        :attr:`scaled_dtn_symbol` with no factorization, on a rotation set;
+        assembled from :meth:`scaled_dtn_halves` on a mirror set;
+        symmetrized otherwise."""
         if self._weighted_dtn is None:
-            if self.mirror:
+            if self.rotation:
+                row = self.weights[0] * np.fft.irfft(self.scaled_dtn_symbol, self.n_nodes)
+                h = _circulant(0.5 * (row + row[-np.arange(self.n_nodes)]))
+            elif self.mirror:
                 h = self._dtn_from_halves()
             else:
                 a = np.array(self.adjoint_double_layer)
@@ -290,28 +362,55 @@ class OperatorSet:
         return self._robin
 
 
+def _circulant(row: np.ndarray) -> np.ndarray:
+    """The read-only circulant with entry (i, j) = row[(i - j) mod N]."""
+    a = sla.circulant(row)
+    a.setflags(write=False)
+    return a
+
+
+def _maps_nodes(points, normals, speeds, curvature, origin, src, dst, isometry) -> bool:
+    """Whether the isometry fixing ``origin`` (``isometry`` maps vectors)
+    maps node src[j] and its normal to node dst[j] and its normal, and the
+    two nodes have the same speed and curvature, to ``_MIRROR_TOL`` of their
+    sizes.  O(N) work."""
+    rel = points - origin
+    defect = max(np.max(np.abs(rel[dst] - isometry(rel[src]))) / np.max(np.abs(rel)),
+                 np.max(np.abs(normals[dst] - isometry(normals[src]))),
+                 np.max(np.abs(speeds[dst] - speeds[src])) / np.max(speeds),
+                 np.max(np.abs(curvature[dst] - curvature[src])) / np.max(np.abs(curvature)))
+    return bool(defect <= _MIRROR_TOL)
+
+
 def _mirror_symmetric(points, normals, speeds, curvature) -> bool:
     """Whether the node reversal j -> N - j is a symmetry of the nodes.
 
     It fixes nodes 0 and N/2, so the only isometry it can be is the
-    reflection across the line through them; that reflection must map each
-    node and normal to its mirror node's, which must have the same speed and
-    curvature, to ``_MIRROR_TOL`` of their sizes.  O(N) work.
+    reflection across the line through them (:func:`_maps_nodes`).
     """
     n = len(points) // 2
     axis = points[n] - points[0]
     axis = axis / np.hypot(*axis)
+    index = np.arange(len(points))           # index -j is node N - j
+    return _maps_nodes(points, normals, speeds, curvature, points[0], index, -index,
+                       lambda v: 2.0 * np.sum(v * axis, axis=1)[:, None] * axis - v)
 
-    def reflect(v):
-        return 2.0 * np.sum(v * axis, axis=1)[:, None] * axis - v
 
-    mirror = -np.arange(len(points))          # index -j is node N - j
-    rel = points - points[0]
-    defect = max(np.max(np.abs(rel[mirror] - reflect(rel))) / np.max(np.abs(rel)),
-                 np.max(np.abs(normals[mirror] - reflect(normals))),
-                 np.max(np.abs(speeds[mirror] - speeds)) / np.max(speeds),
-                 np.max(np.abs(curvature[mirror] - curvature)) / np.max(np.abs(curvature)))
-    return bool(defect <= _MIRROR_TOL)
+def _rotation_symmetric(points, normals, speeds, curvature) -> bool:
+    """Whether the rotation j -> j + 1 is a symmetry of the nodes.
+
+    It fixes their centroid, so it can only turn about it, by 2 pi/N in the
+    sense from node 0 to node 1; node j must be node 0 turned j times
+    (:func:`_maps_nodes`).  The whole orbit is compared with node 0: one
+    turn moves a curve 1e-9 off a circle by only about 1e-9 2 pi/N.
+    """
+    index = np.arange(len(points))
+    center = np.mean(points, axis=0)
+    (x0, y0), (x1, y1) = points[:2] - center
+    turns = np.copysign(TWO_PI, x0 * y1 - y0 * x1) * index / len(points)
+    c, s = np.cos(turns)[:, None], np.sin(turns)[:, None]
+    return _maps_nodes(points, normals, speeds, curvature, center, np.zeros_like(index), index,
+                       lambda v: c * v + s * v[:, ::-1] * (-1.0, 1.0))
 
 
 def log_quadrature_weights(n: int) -> np.ndarray:
@@ -332,8 +431,10 @@ def assemble(curve: BoundaryCurve, n_nodes: int) -> OperatorSet:
 
     Both operators are filled in the row blocks of :func:`kernels.row_blocks`,
     so beyond the two N x N results only a few blocks of temporaries live.
-    Whether the node reversal is a symmetry is decided here, once, from the
-    nodes (:func:`_mirror_symmetric`)."""
+    Whether the node reversal and the rotation are symmetries is decided
+    here, once, from the nodes (:func:`_mirror_symmetric`,
+    :func:`_rotation_symmetric`); on a rotation set only row 0 of each
+    operator is filled."""
     N = int(n_nodes)
     if N % 2 != 0:
         raise GeometryError("node count must be even for the log quadrature")
@@ -347,9 +448,12 @@ def assemble(curve: BoundaryCurve, n_nodes: int) -> OperatorSet:
     R = log_quadrature_weights(n)
     log_speed = np.log(sps) / (2.0 * np.pi)
     curvature = kernels.gamma0_dnu_diagonal_limit(curve, t)
-    single = np.empty((N, N))
-    adjoint = np.empty((N, N))
-    for rows in kernels.row_blocks(N, N):
+    mirror = _mirror_symmetric(pts, nus, sps, curvature)
+    rotation = mirror and _rotation_symmetric(pts, nus, sps, curvature)
+    n_rows = 1 if rotation else N
+    single = np.empty((n_rows, N))
+    adjoint = np.empty((n_rows, N))
+    for rows in kernels.row_blocks(n_rows, N):
         i = idx[rows]
         diag = (np.arange(len(i)), i)          # the block's diagonal entries
         x = pts[rows, None, :]
@@ -371,8 +475,9 @@ def assemble(curve: BoundaryCurve, n_nodes: int) -> OperatorSet:
         kst[diag] = curvature[i]
         adjoint[rows] = (TWO_PI / N) * kst * sps
 
-    return OperatorSet(curve, t, pts, nus, sps, w, single, adjoint,
-                       _mirror_symmetric(pts, nus, sps, curvature))
+    if rotation:
+        single, adjoint = single[0], adjoint[0]
+    return OperatorSet(curve, t, pts, nus, sps, w, single, adjoint, mirror, rotation)
 
 
 # ---------------------------------------------------------------------------

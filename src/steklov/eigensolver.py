@@ -14,15 +14,16 @@ L2(Gamma_S)-orthonormal basis of every cluster.
   nonnegative, so these are the ones nearest 0.
 * :func:`decompose` and :class:`ArcSpectrum` -- the tuning run's trial
   solve.  The all-Steklov problem is decomposed once, W^-1/2 H W^-1/2 =
-  Q diag(Lambda) Q^T, in the two half-size blocks of its mirror symmetry
-  when the curve has one (every catalog curve does; ``discretization``
-  decides it).  The blocks come from the half-size factors of the trace
-  map, so a run on such a curve forms neither H nor an N x N
-  factorization: its Rayleigh-Ritz passes work in decomposition
-  coefficients.  A mask whose Neumann part touches m nodes differs from it
-  by a rank-m change, so its eigenvalues are the roots of an m x m secular
-  equation (Golub, SIAM Rev. 15, 1973; Bunch, Nielsen and Sorensen, Numer.
-  Math. 31, 1978).
+  Q diag(Lambda) Q^T: from the FFT symbols on the circle, whose operators
+  are circulant, and otherwise in the two half-size blocks of its mirror
+  symmetry when the curve has one (every catalog curve does;
+  ``discretization`` decides both).  The blocks come from the half-size
+  factors of the trace map, so a run on such a curve forms neither H nor
+  an N x N factorization, and a run on the circle factors nothing: its
+  Rayleigh-Ritz passes work in decomposition coefficients.  A mask whose
+  Neumann part touches m nodes differs from it by a rank-m change, so its
+  eigenvalues are the roots of an m x m secular equation (Golub, SIAM Rev.
+  15, 1973; Bunch, Nielsen and Sorensen, Numer. Math. 31, 1978).
   The roots are counted exactly by the inertia of one Bunch-Kaufman LDL^T
   factorization of the m x m matrix (Haynsworth additivity,
   :func:`ldl_inertia`) and polished by Newton steps that solve with that
@@ -216,9 +217,9 @@ class SteklovDecomposition:
 
     W^-1/2 H W^-1/2 = Q diag(values) Q^T with W = diag(weights), so the
     all-Steklov eigenpairs are (values_j, W^-1/2 Q_j), and H W^-1/2 Q =
-    W^1/2 Q diag(values).  On a mirror set (``ops.mirror``) every column of
-    Q is exactly even or odd under the node reversal j -> N - j
-    (:func:`decompose`).  ``groups`` lists,
+    W^1/2 Q diag(values).  On a mirror set (``ops.mirror``), the circle's
+    included, every column of Q is exactly even or odd under the node
+    reversal j -> N - j (:func:`decompose`).  ``groups`` lists,
     per group size, the index rows of values equal to ``_POLE_MERGE_TOL``;
     ``cluster_ids`` the ids of :func:`_assign_clusters`.
     """
@@ -288,12 +289,45 @@ def _mirror_eigh(even: np.ndarray, odd: np.ndarray) -> tuple[np.ndarray, np.ndar
     return values[order], q
 
 
+def _circulant_eigh(ops: OperatorSet) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending values and vectors of X on a rotation set, from its symbol.
+
+    Mode k = 0..N/2 contributes the column cos(2 pi jk/N), and k = 1..N/2-1
+    also sin(2 pi jk/N), each normalized, with the value of the symbol at
+    k; of one mode the cos column comes first.  Entry (j, k) is read, in
+    row blocks, from a table of cos and sin of 2 pi m/N at m = jk mod N;
+    the table's second half mirrors its first, so every column is exactly
+    even or odd under j -> N - j."""
+    N, n = ops.n_nodes, ops.n_nodes // 2
+    modes = np.concatenate((np.arange(n + 1), np.arange(1, n)))
+    values = ops.scaled_dtn_symbol[modes]
+    order = np.argsort(values, kind="stable")
+    modes, sine = modes[order], order > n
+    angles = (TWO_PI / N) * np.arange(n + 1)
+    cos, sin = np.cos(angles), np.sin(angles)
+    sin[n] = 0.0
+    table = np.concatenate((cos, cos[n - 1:0:-1], sin, -sin[n - 1:0:-1]))
+    offset = np.where(sine, N, 0)          # sin entries follow the N cos entries
+    scale = np.where((modes == 0) | (modes == n), 1.0, np.sqrt(2.0)) / np.sqrt(N)
+    q = np.empty((N, N))
+    for rows in kernels.row_blocks(N, N):
+        index = np.multiply.outer(np.arange(rows.start, rows.stop), modes) % N
+        index += offset
+        np.multiply(table[index], scale, out=q[rows])
+    return values[order], q
+
+
 def decompose(ops: OperatorSet) -> SteklovDecomposition:
     """Decompose the all-Steklov problem of ``ops``.
 
-    On a mirror set (``ops.mirror``: a curve with x(-t) the mirror image of
-    x(t), as every catalog curve) X = W^-1/2 H W^-1/2 commutes with the node
-    reversal j -> N - j and splits in the reversal's even and odd subspaces.
+    On a rotation set (``ops.rotation``: the circle) X = W^-1/2 H W^-1/2 is
+    circulant and even, so the normalized cos and sin modes are its
+    eigenvectors and its real symbol (``ops.scaled_dtn_symbol``) gives their
+    values, a cos and a sin mode sharing one: neither an N x N operator
+    nor a factorization is formed (:func:`_circulant_eigh`).  On any other
+    mirror set (``ops.mirror``: a curve with x(-t) the mirror image of x(t),
+    as every catalog curve) X commutes with the node reversal j -> N - j
+    and splits in the reversal's even and odd subspaces.
     Its two half-size blocks come straight from the half-size factors of the
     trace map (``ops.scaled_dtn_halves``), and one ``eigh`` (driver evd) of
     each, at a quarter of the flops of the whole, gives its eigenpairs
@@ -302,7 +336,9 @@ def decompose(ops: OperatorSet) -> SteklovDecomposition:
     factorization is formed.  Otherwise one ``eigh`` of X decomposes it.
     """
     try:
-        if ops.mirror:
+        if ops.rotation:
+            values, vectors = _circulant_eigh(ops)
+        elif ops.mirror:
             values, vectors = _mirror_eigh(*ops.scaled_dtn_halves())
         else:
             values, vectors = sla.eigh(_scaled_dtn(ops), driver="evd", overwrite_a=True,

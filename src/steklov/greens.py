@@ -180,9 +180,8 @@ def solve_greens(ops: OperatorSet, mask: PartitionMask, source, lam: float,
     def density_residual(rho):
         # rhs - ((-I/2 + K') rho - lam frac (T rho)), the conditions on rho,
         # with T rho = S rho + (w . rho)
-        return rhs - (kernels.product(ops.adjoint_double_layer, rho) - 0.5 * rho
-                      - steklov_lam * (kernels.product(ops.single_layer, rho)
-                                       + ops.weights @ rho))
+        return rhs - (ops.product("adjoint_double_layer", rho) - 0.5 * rho
+                      - steklov_lam * (ops.product("single_layer", rho) + ops.weights @ rho))
 
     rho = density(rhs)
     rho += density(density_residual(rho))        # one refinement pass
@@ -194,7 +193,7 @@ def solve_greens(ops: OperatorSet, mask: PartitionMask, source, lam: float,
             "(condition estimate %.3e)" % (residual, cond))
 
     constant = float(ops.weights @ rho)
-    boundary = g0 + kernels.product(ops.single_layer, rho) + constant
+    boundary = g0 + ops.product("single_layer", rho) + constant
     # on capacity-one curves the layer cannot carry constants: report mean-free
     offset = (float((ops.weights @ boundary) / np.sum(ops.weights))
               if abs(ops.robin_constant) < _CAPACITY_ONE_TOL else 0.0)

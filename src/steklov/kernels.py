@@ -50,7 +50,7 @@ def row_blocks(n_rows: int, n_cols: int) -> list[slice]:
     ``BLOCK_ENTRIES`` entries (but at least one row); the last one holds the
     rows that are left."""
     step = max(1, BLOCK_ENTRIES // max(1, n_cols))
-    return [slice(start, start + step) for start in range(0, n_rows, step)]
+    return [slice(start, min(start + step, n_rows)) for start in range(0, n_rows, step)]
 
 
 def _fortran(a: np.ndarray) -> tuple[np.ndarray, int]:

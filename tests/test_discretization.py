@@ -9,13 +9,14 @@ import pytest
 import scipy.linalg as sla
 from numpy.testing import assert_allclose
 
-from steklov import kernels
+from steklov import discretization, kernels
 from steklov.discretization import (
     OperatorSet,
     assemble,
     log_quadrature_weights,
     mask_from_partition,
 )
+from steklov.eigensolver import decompose
 from steklov.errors import GeometryError, MaskError
 from steklov.geometry import (
     TWO_PI,
@@ -192,15 +193,14 @@ def test_trace_map_completes_constants_on_circle():
 # mirror halves
 # ---------------------------------------------------------------------------
 
-MIRROR_CURVES = {"circle": circle, "kite": kite, "ellipse": lambda: ellipse(1.0, 0.5),
+# the circle takes the circulant route instead (see "circulant on the circle")
+MIRROR_CURVES = {"kite": kite, "ellipse": lambda: ellipse(1.0, 0.5),
                  "flower": lambda: flower(0.1, 5)}
 
 
-@pytest.mark.parametrize("n", [64, 128, 256])
-@pytest.mark.parametrize("name", MIRROR_CURVES)
-def test_mirror_halves_solve_and_assemble_the_plain_formulas(name, n):
-    ops = assemble(MIRROR_CURVES[name](), n)
-    assert ops.mirror
+def assert_plain_trace_formulas(ops):
+    """trace_solve and weighted_dtn agree with an LU of the N x N trace map."""
+    n = ops.n_nodes
     lu = sla.lu_factor(ops.trace_map)
     u = np.random.default_rng(n).standard_normal((n, 3))
     for rhs in (u, u[:, 0]):
@@ -213,12 +213,86 @@ def test_mirror_halves_solve_and_assemble_the_plain_formulas(name, n):
     assert np.max(np.abs(h - 0.5 * (plain + plain.T))) <= 1e-13 * np.max(np.abs(h))
 
 
+@pytest.mark.parametrize("n", [64, 128, 256])
+@pytest.mark.parametrize("name", MIRROR_CURVES)
+def test_mirror_halves_solve_and_assemble_the_plain_formulas(name, n):
+    ops = assemble(MIRROR_CURVES[name](), n)
+    assert ops.mirror and not ops.rotation
+    assert_plain_trace_formulas(ops)
+
+
 @pytest.mark.parametrize("curve", [kite, lambda: ellipse(1.0, 0.5)], ids=["kite", "ellipse"])
 def test_shifted_parameter_breaks_the_mirror_symmetry(curve):
     assert assemble(curve(), 64).mirror
     assert not assemble(shifted(curve()), 64).mirror
     # a shift by 1e-9 moves the nodes off their mirror images by about 1e-9
     assert not assemble(shifted(curve(), 1e-9), 64).mirror
+
+
+# ---------------------------------------------------------------------------
+# circulant on the circle
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [64, 128, 256])
+def test_circulant_route_expands_to_the_assembled_operators(n):
+    ops = assemble(circle(), n)
+    assert ops.mirror and ops.rotation
+    single, adjoint = one_shot_operators(circle(), n)
+    assert np.max(np.abs(ops.single_layer - single)) <= 1e-14 * np.max(np.abs(single))
+    # on the unit circle K' is the constant 1/(2N); its entries beside the
+    # diagonal round to about eps N^2 in either assembly, and the circulant
+    # of row 0 is the nearer one
+    exact = 1.0 / (2 * n)
+    assert (np.max(np.abs(ops.adjoint_double_layer - exact))
+            <= np.max(np.abs(adjoint - exact)))
+    assert_plain_trace_formulas(ops)
+    q = decompose(ops).vectors
+    mirrored = q[-np.arange(n)]
+    assert np.all(np.all(mirrored == q, axis=0) | np.all(mirrored == -q, axis=0))
+    # each array is expanded once, and read-only
+    for name in ("single_layer", "adjoint_double_layer", "weighted_dtn"):
+        a = getattr(ops, name)
+        assert getattr(ops, name) is a
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
+
+
+def test_fft_products_match_the_expanded_operators():
+    ops = assemble(circle(0.7), 128)
+    u = np.random.default_rng(1).standard_normal((128, 2))
+    for name in ("single_layer", "adjoint_double_layer"):
+        plain = getattr(ops, name) @ u
+        for rhs, want in ((u, plain), (u[:, 0], plain[:, 0])):
+            got = ops.product(name, rhs)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_rotation_decision_reuses_the_mirror_tolerance(monkeypatch):
+    for curve in (circle(), circle(1.0 + 1e-7), shifted(circle())):
+        assert assemble(curve, 64).rotation
+    # a mirror set whose nodes the rotation moves by about 1e-9
+    near = ellipse(1.0, 1.0 - 1e-9)
+    for curve in (near, kite()):
+        ops = assemble(curve, 64)
+        assert ops.mirror and not ops.rotation
+    # the whole orbit is compared, so the decision does not weaken with N
+    t = TWO_PI * np.arange(16384) / 16384
+    nodes = point_normal_speed(near, t) + (kernels.gamma0_dnu_diagonal_limit(near, t),)
+    assert not discretization._rotation_symmetric(*nodes)
+    monkeypatch.setattr(discretization, "_MIRROR_TOL", 1e-8)
+    assert assemble(near, 64).rotation
+
+
+def test_disk_assembly_peak_memory():
+    # one row of each operator: no N x N array (8.4 MB at N = 1024)
+    tracemalloc.start()
+    try:
+        assemble(circle(), 1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * 1024 * 1024 * 8
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +393,7 @@ def one_shot_operators(curve, N):
     return single, adjoint
 
 
-CURVES = {"circle": circle, "kite": kite, "ellipse": lambda: ellipse(1.0, 0.5)}
+CURVES = {"kite": kite, "ellipse": lambda: ellipse(1.0, 0.5), "flower": lambda: flower(0.1, 5)}
 
 
 @pytest.mark.parametrize("name", list(CURVES))
@@ -327,6 +401,7 @@ def test_row_blocked_assembly_is_bitwise_the_one_shot_arithmetic(name):
     # 768 rows come in blocks of 85: a partial last block of 3
     curve = CURVES[name]()
     ops = assemble(curve, 768)
+    assert not ops.rotation
     single, adjoint = one_shot_operators(curve, 768)
     assert np.array_equal(ops.single_layer, single)
     assert np.array_equal(ops.adjoint_double_layer, adjoint)

@@ -11,7 +11,7 @@ import scipy.linalg as sla
 from numpy.testing import assert_allclose
 from scipy.linalg import lapack
 
-from steklov import eigensolver, kernels
+from steklov import discretization, eigensolver, kernels
 from steklov.discretization import (
     assemble,
     mask_from_partition,
@@ -319,6 +319,11 @@ def shifted(curve, by=0.3):
                          name=f"{curve.name}-shifted")
 
 
+def mirror_route(monkeypatch):
+    """Send the circle down the mirror route: its rotation decision says no."""
+    monkeypatch.setattr(discretization, "_rotation_symmetric", lambda *a: False)
+
+
 def test_decomposition_scales_in_fortran_order_without_changing_a_bit():
     # without mirror symmetry the decomposition is one plain eigh
     ops = assemble(shifted(kite()), 256)
@@ -368,9 +373,10 @@ def test_mirror_split_matches_a_plain_eigh(name, n):
         assert np.max(np.abs(split @ split.T - plain @ plain.T)) <= 1e-10
 
 
-@pytest.mark.parametrize("name", MIRROR_CURVES)
+@pytest.mark.parametrize("name", [name for name in MIRROR_CURVES if name != "circle"])
 def test_mirror_split_is_the_eigh_of_its_two_blocks(name):
     ops = assemble(MIRROR_CURVES[name](), 128)
+    assert not ops.rotation
     even, odd = ops.scaled_dtn_halves()
     (ve, ze), (vo, zo) = (sla.eigh(b, driver="evd") for b in (even, odd))
     spectrum = decompose(ops)
@@ -386,6 +392,22 @@ def test_mirror_split_is_the_eigh_of_its_two_blocks(name):
     embedded[1:m, m + 1:] = r * zo[::-1]
     embedded[:m:-1, m + 1:] = -r * zo[::-1]
     assert np.array_equal(spectrum.vectors, embedded[:, order])
+
+
+@pytest.mark.parametrize("n", [64, 128, 256, 512])
+def test_circulant_and_mirror_routes_decompose_the_disk_alike(n, monkeypatch):
+    circulant = decompose(assemble(circle(), n))
+    mirror_route(monkeypatch)
+    ops = assemble(circle(), n)
+    assert ops.mirror and not ops.rotation
+    split = decompose(ops)
+    assert np.all(np.abs(circulant.values - split.values) <= 1e-12 * (1.0 + np.abs(split.values)))
+    assert np.array_equal(circulant.cluster_ids, split.cluster_ids)
+    for c in np.unique(split.cluster_ids):
+        a = circulant.vectors[:, circulant.cluster_ids == c]
+        b = split.vectors[:, split.cluster_ids == c]
+        # the 2-norm of the difference of the two cluster projectors
+        assert np.linalg.norm(b - a @ (a.T @ b), 2) <= 1e-10
 
 
 def test_indefinite_neumann_block_raises_eigensolve_error(monkeypatch):

@@ -13,7 +13,7 @@ import scipy.linalg as sla
 from numpy.testing import assert_allclose
 
 import steklov
-from steklov import greens, optimizer
+from steklov import discretization, greens, optimizer
 from steklov.discretization import (
     OperatorSet,
     PartitionMask,
@@ -42,6 +42,7 @@ from steklov.optimizer import (
     run,
     select_insertion_point,
 )
+from test_eigensolver import mirror_route
 
 warnings.simplefilter("ignore", AccuracyWarning)
 
@@ -364,13 +365,15 @@ SECULAR_RUNS = {
 
 
 # the test_11 inputs, whose arcs touch 27 of 256 nodes, the kite tuning
-# workload's N=768 run at lambda_star 3.5, and the test_09 inputs at N=256
+# workload's N=768 run at lambda_star 3.5, the test_09 inputs at N=256 and
+# the test_10 inputs
 THREAD_RUNS = [
     OptimizerConfig(curve=kite(), source=(-1.25, 1.25), receiver=(-1.25, -1.25),
                     lambda_star=2.5, n_nodes=256),
     OptimizerConfig(curve=kite(), source=(-1.25, 1.25), receiver=(-1.25, -1.25),
                     lambda_star=3.5, n_nodes=768),
     SECULAR_RUNS["disk-large-arc"],
+    disk_config(lambda_star=15.5, n_nodes=1536),
 ]
 
 # reads the runs from stdin as (curve factory name, keyword arguments) pairs
@@ -429,9 +432,10 @@ def test_run_guard_reads_the_solved_spectrum(config, monkeypatch):
 def test_run_solves_its_source_fields_without_an_n_by_n_source_factorization(
         config, monkeypatch):
     # the three source solves run on the decomposition and the final arc's
-    # secular equation, and the trace map is factored in its mirror halves:
-    # no N x N LU is left, and H is never built
-    mask_solves, factored, built = [], [], []
+    # secular equation: no N x N LU is left, and H is never built.  The kite
+    # factors its trace map in its mirror halves; the disk solves with it by
+    # FFT, factors nothing and expands neither S nor K'
+    mask_solves, factored, built, expanded = [], [], [], []
     original_system = PartitionMask.source_system
     monkeypatch.setattr(PartitionMask, "source_system",
                         lambda *a: mask_solves.append(a) or original_system(*a))
@@ -441,12 +445,34 @@ def test_run_solves_its_source_fields_without_an_n_by_n_source_factorization(
     original_dtn = OperatorSet.weighted_dtn
     monkeypatch.setattr(OperatorSet, "weighted_dtn",
                         property(lambda ops: built.append(ops) or original_dtn.fget(ops)))
+    original_circulant = discretization._circulant
+    monkeypatch.setattr(discretization, "_circulant",
+                        lambda row: expanded.append(row) or original_circulant(row))
     trace = run(config)
     assert trace.converged and np.isfinite(trace.s_end)
     assert mask_solves == []
-    n = config.n_nodes // 2
-    assert sorted(set(factored)) == [(n - 1, n - 1), (n + 1, n + 1)]
     assert built == []
+    if config.curve is DISK:
+        assert factored == [] and expanded == []
+    else:
+        n = config.n_nodes // 2
+        assert sorted(set(factored)) == [(n - 1, n - 1), (n + 1, n + 1)]
+
+
+@pytest.mark.parametrize("config", [disk_config(n_nodes=256), SECULAR_RUNS["disk-large-arc"]],
+                         ids=["disk", "disk-large-arc"])
+def test_circulant_and_mirror_routes_give_the_same_run(config, monkeypatch):
+    circulant = run(config)
+    mirror_route(monkeypatch)
+    assert not assemble(config.curve, config.n_nodes).rotation
+    split = run(config)
+    assert circulant.insertion_index == split.insertion_index
+    assert circulant.trials == split.trials
+    assert ([(r.accepted, r.f) for r in circulant.records]
+            == [(r.accepted, r.f) for r in split.records])
+    assert_allclose([r.eigenvalue for r in circulant.records],
+                    [r.eigenvalue for r in split.records], rtol=1e-13, atol=0)
+    assert circulant.s_end == pytest.approx(split.s_end, rel=1e-9)
 
 
 def _secular_breakdown(*args):

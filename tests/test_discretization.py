@@ -30,7 +30,7 @@ from steklov.geometry import (
     point_normal_speed,
 )
 from steklov.greens import solve_greens
-from test_eigensolver import shifted
+from test_eigensolver import mirror_route, shifted
 
 
 def all_steklov_mask(ops):
@@ -193,8 +193,9 @@ def test_trace_map_completes_constants_on_circle():
 # mirror halves
 # ---------------------------------------------------------------------------
 
-# the circle takes the circulant route instead (see "circulant on the circle")
-MIRROR_CURVES = {"kite": kite, "ellipse": lambda: ellipse(1.0, 0.5),
+# the circle takes the circulant route (see "circulant on the circle"); the
+# mirror-route tests send it down the mirror route with mirror_route
+MIRROR_CURVES = {"circle": circle, "kite": kite, "ellipse": lambda: ellipse(1.0, 0.5),
                  "flower": lambda: flower(0.1, 5)}
 
 
@@ -215,7 +216,9 @@ def assert_plain_trace_formulas(ops):
 
 @pytest.mark.parametrize("n", [64, 128, 256])
 @pytest.mark.parametrize("name", MIRROR_CURVES)
-def test_mirror_halves_solve_and_assemble_the_plain_formulas(name, n):
+def test_mirror_halves_solve_and_assemble_the_plain_formulas(name, n, monkeypatch):
+    if name == "circle":
+        mirror_route(monkeypatch)
     ops = assemble(MIRROR_CURVES[name](), n)
     assert ops.mirror and not ops.rotation
     assert_plain_trace_formulas(ops)
@@ -393,12 +396,15 @@ def one_shot_operators(curve, N):
     return single, adjoint
 
 
-CURVES = {"kite": kite, "ellipse": lambda: ellipse(1.0, 0.5), "flower": lambda: flower(0.1, 5)}
+CURVES = {"circle": circle, "kite": kite, "ellipse": lambda: ellipse(1.0, 0.5),
+          "flower": lambda: flower(0.1, 5)}
 
 
 @pytest.mark.parametrize("name", list(CURVES))
-def test_row_blocked_assembly_is_bitwise_the_one_shot_arithmetic(name):
+def test_row_blocked_assembly_is_bitwise_the_one_shot_arithmetic(name, monkeypatch):
     # 768 rows come in blocks of 85: a partial last block of 3
+    if name == "circle":
+        mirror_route(monkeypatch)
     curve = CURVES[name]()
     ops = assemble(curve, 768)
     assert not ops.rotation

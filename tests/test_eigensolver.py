@@ -373,8 +373,10 @@ def test_mirror_split_matches_a_plain_eigh(name, n):
         assert np.max(np.abs(split @ split.T - plain @ plain.T)) <= 1e-10
 
 
-@pytest.mark.parametrize("name", [name for name in MIRROR_CURVES if name != "circle"])
-def test_mirror_split_is_the_eigh_of_its_two_blocks(name):
+@pytest.mark.parametrize("name", MIRROR_CURVES)
+def test_mirror_split_is_the_eigh_of_its_two_blocks(name, monkeypatch):
+    if name == "circle":
+        mirror_route(monkeypatch)
     ops = assemble(MIRROR_CURVES[name](), 128)
     assert not ops.rotation
     even, odd = ops.scaled_dtn_halves()

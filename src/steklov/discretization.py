@@ -493,9 +493,9 @@ class PartitionMask:
     restrictions (the Steklov weights of the eigen and source systems,
     Green's right-hand sides, inner products).
     Both are immutable.  The mask also owns what has been solved on it:
-    ``eigenvalues``, the ascending values of its latest eigensolve (None
-    before the first), and the LU of :meth:`source_system`, which masks
-    outside a tuning run solve with (a run solves on its decomposition).
+    ``eigenvalues``, the values of its latest ``solve_spectrum_near`` (None
+    before the first), and the LU of :meth:`source_system`.  They guard and
+    solve a source solve given no spectrum owner; a tuning run's read neither.
     """
 
     def __init__(self, ops: OperatorSet, partition: BoundaryPartition,

@@ -9,7 +9,7 @@ L2(Gamma_S)-orthonormal basis of every cluster.
 
 * :func:`solve_spectrum_near` -- the eigenpairs nearest a target.  The
   optimizer falls back to it when the secular solve breaks down; the
-  resonance guard reads the values it leaves on the mask.
+  values it leaves on the mask guard source solves given no spectrum owner.
 * :func:`solve_spectrum` -- the lowest eigenpairs: the spectrum is
   nonnegative, so these are the ones nearest 0.
 * :func:`decompose` and :class:`ArcSpectrum` -- the tuning run's trial
@@ -29,9 +29,10 @@ L2(Gamma_S)-orthonormal basis of every cluster.
   :func:`ldl_inertia`) and polished by Newton steps that solve with that
   factorization instead of an m x m eigensolve, at O(m^2 N) per
   evaluation instead of an N x N eigensolve.  It is the exact
-  form of the first-order arc formula the optimizer steps with.  Their
-  ``source_system`` gives a tuning run's source solves with no N x N
-  factorization: diagonal on the all-Steklov boundary, Woodbury on an arc.
+  form of the first-order arc formula the optimizer steps with.  Both own
+  a tuning run's source solves: their counts guard them, and their
+  ``source_system`` solves them with no N x N factorization, diagonally on
+  the all-Steklov boundary and by Woodbury on an arc.
 
 All dense algebra with an N-sized operand runs on scipy's OpenBLAS: the
 factorizations and eigensolves call scipy's LAPACK, and the products go
@@ -234,6 +235,14 @@ class SteklovDecomposition:
         """Boundary traces W^-1/2 Q c of coefficient columns c."""
         return kernels.product(self.vectors, coefficients) / np.sqrt(self.ops.weights)[:, None]
 
+    def count_below(self, x: float) -> int:
+        """Number of all-Steklov eigenvalues strictly below x; 0 for x <= 0."""
+        return int(np.searchsorted(self.values, x)) if x > 0.0 else 0
+
+    def value(self, j: int) -> float:
+        """All-Steklov eigenvalue j (ascending from 0, the constant mode first)."""
+        return float(self.values[j])
+
     def cluster_at(self, j: int) -> list[EigenPair]:
         """All-Steklov pairs of the multiplicity cluster holding value j."""
         members = self.cluster_ids == self.cluster_ids[j]
@@ -419,9 +428,9 @@ class ArcSpectrum:
     (the constant mode is 0): :meth:`value` locates eigenvalue j among the
     secular roots and deflated values by counts, :meth:`cluster` gives the
     first and last index of its multiplicity cluster, :meth:`pairs` the
-    eigenpairs of given indices, and :meth:`store_run` writes a run of
-    whole clusters to the mask.  Any root the count cannot certify raises
-    SecularBreakdown, and so does a mask with no Neumann node.
+    eigenpairs of given indices; a source solve's guard reads
+    :meth:`count_below` and :meth:`value`.  Any root the count cannot
+    certify raises SecularBreakdown, and so does a mask with no Neumann node.
     """
 
     def __init__(self, spectrum: SteklovDecomposition, mask: PartitionMask):
@@ -511,8 +520,8 @@ class ArcSpectrum:
         return self._factor(float(lam))[-1]
 
     def count_below(self, lam: float) -> int:
-        """Number of mixed eigenvalues strictly below lam (lam > 0)."""
-        return self._count(lam) + int(np.searchsorted(self.deflated, lam))
+        """Number of mixed eigenvalues strictly below lam; 0 for lam <= 0."""
+        return 0 if lam <= 0.0 else self._count(lam) + int(np.searchsorted(self.deflated, lam))
 
     def _span(self, k: int) -> tuple[float, float]:
         """Interval known to hold secular root k without solving it, from
@@ -723,23 +732,6 @@ class ArcSpectrum:
         for _ in range(3):
             x = inverse(x / np.sqrt(np.sum(x * x)))
         return spectrum.solver(inverse), float(np.max(np.abs(d)) * np.sqrt(np.sum(x * x)))
-
-    def store_run(self, j: int, target: float) -> None:
-        """Write a run of whole clusters from eigenvalue j to ``target`` to the mask.
-
-        The run grows from the cluster of j by whole clusters until it
-        brackets ``target``, so the resonance guard can read the eigenvalue
-        nearest any lambda inside it from ``mask.eigenvalues``.  Its values
-        are the Newton roots, good to about 1e-12 relative.
-        """
-        first, last = self.cluster(j)
-        while first > 0 and self.value(first) > target:
-            first = self.cluster(first - 1)[0]
-        while self.value(last) < target:
-            last = self.cluster(last + 1)[1]
-        values = np.array(sorted(self.value(i) for i in range(first, last + 1)))
-        values.setflags(write=False)
-        self.mask.eigenvalues = values
 
 
 # ---------------------------------------------------------------------------

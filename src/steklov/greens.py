@@ -15,15 +15,18 @@ Reported values are ``value - field.offset``; :func:`solve_greens` sets the
 offset to the arclength boundary mean on curves of logarithmic capacity one
 (|Robin constant| < 1e-8) and to zero elsewhere.
 
-The guard's spectrum and, unless the caller passes a solver (a tuning run
-passes its decomposition's ``source_system``), the source system's LU belong
-to the :class:`~steklov.discretization.PartitionMask`; no state is kept here.
+:func:`solve_greens` refuses a spectral parameter near an eigenvalue.  A
+tuning run passes the owner of the mask's spectrum (its decomposition or
+final ``ArcSpectrum``), whose counts guard and whose ``source_system``
+solves; otherwise the :class:`~steklov.discretization.PartitionMask`'s
+stored eigenvalues guard and its LU solves.  No state is kept here.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.linalg as sla
@@ -32,6 +35,7 @@ from . import kernels
 from .discretization import OperatorSet, PartitionMask
 from .eigensolver import (
     AccuracyWarning,
+    SecularBreakdown,
     layer_pass,
     solve_spectrum_near,
 )
@@ -48,7 +52,7 @@ RESONANCE_GUARD = 1e-6
 # relative linear-system residual accepted after one refinement pass
 RESIDUAL_TOL = 1e-10
 
-# eigenvalues solved near lam when the mask's stored run does not reach it
+# eigenvalues solved near lam when the mask's stored values do not reach it
 NEAREST_COUNT = 6
 
 _SOURCE_CLEARANCE = 1e-8
@@ -113,10 +117,32 @@ def nearest_eigenvalue(ops: OperatorSet, mask: PartitionMask, lam: float) -> flo
     return float(values[np.argmin(np.abs(values - lam))])
 
 
+def _guard(ops: OperatorSet, mask: PartitionMask, lam: float, spectrum) -> None:
+    """ResonanceError when an eigenvalue lies in lam's guard band: by the
+    owner's counts at both ends of the band, naming the in-band eigenvalue
+    nearest lam, or by the mask's nearest eigenvalue without an owner."""
+    band = RESONANCE_GUARD * (1.0 + abs(lam))
+    if spectrum is None:
+        near = nearest_eigenvalue(ops, mask, lam)
+        if abs(lam - near) > band:
+            return
+    else:
+        inside = range(spectrum.count_below(lam - band), spectrum.count_below(lam + band))
+        if not inside:
+            return
+        try:
+            near = min((spectrum.value(i) for i in inside), key=lambda v: abs(v - lam))
+        except SecularBreakdown:
+            near = nearest_eigenvalue(ops, mask, lam)
+    raise ResonanceError(
+        "spectral parameter %.12g is within the guard band of the "
+        "eigenvalue %.12g" % (lam, near), nearest_eigenvalue=near)
+
+
 # --- solve --------------------------------------------------------------------
 
 def solve_greens(ops: OperatorSet, mask: PartitionMask, source, lam: float,
-                 system: tuple | None = None) -> GreensField:
+                 spectrum=None) -> GreensField:
     """Solve for the field of a point source at ``source``.
 
     Parameters
@@ -128,9 +154,10 @@ def solve_greens(ops: OperatorSet, mask: PartitionMask, source, lam: float,
     lam : float
         Spectral parameter; must keep a relative distance of at least
         ``RESONANCE_GUARD`` from every eigenvalue of the partition.
-    system : (solve, condition), optional
-        The source system at ``lam``, ``solve(v)`` = (H - lam diag(b))^-1 v;
-        by default the LU of :meth:`PartitionMask.source_system`.
+    spectrum : SteklovDecomposition or ArcSpectrum, optional
+        Owner of the mask's spectrum, whose counts guard ``lam`` and whose
+        ``source_system`` solves; by default the mask's stored eigenvalues
+        guard and its LU (:meth:`PartitionMask.source_system`) solves.
 
     Raises
     ------
@@ -159,16 +186,12 @@ def solve_greens(ops: OperatorSet, mask: PartitionMask, source, lam: float,
             "source is within one node spacing of the boundary; "
             "the corrected field loses accuracy there", AccuracyWarning)
 
-    near = nearest_eigenvalue(ops, mask, lam)
-    if abs(lam - near) <= RESONANCE_GUARD * (1.0 + abs(lam)):
-        raise ResonanceError(
-            "spectral parameter %.12g is within the guard band of the "
-            "eigenvalue %.12g" % (lam, near), nearest_eigenvalue=near)
-
-    if system is None:
+    _guard(ops, mask, lam, spectrum)
+    if spectrum is None:
         lu, cond = mask.source_system(lam)
-        system = (lambda v: sla.lu_solve(lu, v)), cond
-    solve, cond = system
+        solve = partial(sla.lu_solve, lu)
+    else:
+        solve, cond = spectrum.source_system(lam)
     g0 = kernels.gamma0(ops.points, source)
     steklov_lam = lam * mask.steklov_fraction
     rhs = steklov_lam * g0 - kernels.gamma0_dnu(ops.points, ops.normals, source)

@@ -146,13 +146,6 @@ def node_pass(x, nodes, w_rho=None, normals=None, weights=None):
     return nearest, sep, layer, gauss
 
 
-def nearest_node(x, nodes) -> tuple[np.ndarray, np.ndarray]:
-    """Index of the nearest of ``nodes`` (M, 2) and the distance to it, for
-    each point of ``x`` (P, 2); coincident points are allowed."""
-    nearest, sep, _, _ = node_pass(x, nodes)
-    return nearest, sep
-
-
 def gamma0(x, y) -> np.ndarray:
     """Fundamental solution (1/2*pi) log|x - y|; symmetric in its arguments."""
     dist = _distance(*_differences(x, y))

@@ -29,18 +29,17 @@ cluster and the spectrum the first source solves check against all come
 from that decomposition.  Every trial is solved on the nodes its arc
 touches (:class:`~steklov.eigensolver.ArcSpectrum`), which locates
 eigenvalue j by counts, starting its root search at the first-order
-prediction.  On the trial that reaches the target, whole clusters from j
-to lambda_star go to its mask for the final source solve.  A root the
-secular count cannot certify falls back to a windowed eigensolve of the
-candidate mask, which reads pair j.
+prediction.  A root the secular count cannot certify falls back to a
+windowed eigensolve of the candidate mask, which reads pair j.
 
 Source fields enter twice: the insertion point comes from the boundary
 profile of the two fields solved at lambda_star on the uncovered boundary,
 and the final report compares the field value at the receiver before and
 after covering (both less the field's ``offset``, the reporting convention
-:func:`~steklov.greens.solve_greens` decides).  They are solved on the
-decomposition and on the final trial's secular equation (``source_system``),
-with no N x N factorization; a windowed final trial leaves its mask's LU.
+:func:`~steklov.greens.solve_greens` decides).  The owner of each mask's
+spectrum, the decomposition and the final trial's ``ArcSpectrum``, guards
+them by its counts and solves them with no N x N factorization; a windowed
+final trial leaves its mask's LU and stored eigenvalues.
 """
 
 from __future__ import annotations
@@ -370,11 +369,9 @@ def run(config: OptimizerConfig,
     # the tracked index: the cluster splits as the arc grows, and the member
     # that moves at first order rises to its top
     j = int(np.flatnonzero(spectrum.cluster_ids == spectrum.cluster_ids[start])[-1])
-    mask0.eigenvalues = spectrum.values
 
-    system0 = spectrum.source_system(config.lambda_star)
-    field_x = solve_greens(ops, mask0, config.source, config.lambda_star, system0)
-    field_y = solve_greens(ops, mask0, config.receiver, config.lambda_star, system0)
+    field_x = solve_greens(ops, mask0, config.source, config.lambda_star, spectrum)
+    field_y = solve_greens(ops, mask0, config.receiver, config.lambda_star, spectrum)
     s_steklov = eval_greens(field_x, ops, config.receiver) - field_x.offset
     weight = np.sum([p.trace ** 2 for p in cluster], axis=0)
     node = select_insertion_point(field_x, field_y, s_steklov, weight)
@@ -426,13 +423,6 @@ def run(config: OptimizerConfig,
             lam0 = lam
             f = 1.0
             if done:
-                # only the final mask's spectrum is read, by the source solve's
-                # guard, which solves the mask itself when none is stored
-                if arc is not None:
-                    try:
-                        arc.store_run(j, config.lambda_star)
-                    except SecularBreakdown:
-                        pass
                 break
         else:
             f *= _SHRINK
@@ -441,8 +431,7 @@ def run(config: OptimizerConfig,
             f"target {config.lambda_star:g} not reached within "
             f"{config.max_iterations} trials (last eigenvalue {lam0:.9g})")
 
-    field_end = solve_greens(ops, mask, config.source, config.lambda_star,
-                             None if arc is None else arc.source_system(config.lambda_star))
+    field_end = solve_greens(ops, mask, config.source, config.lambda_star, arc)
     trace.s_end = eval_greens(field_end, ops, config.receiver) - field_end.offset
     trace.converged = True
     trace.final_eigenvalue = lam0

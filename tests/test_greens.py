@@ -585,7 +585,7 @@ def test_decomposition_source_solve_matches_lu(decomposition_routes, case):
     for lam in lams:
         lu = greens.solve_greens(ops, mask_from_partition(ops, partition), source, lam)
         mask = mask_from_partition(ops, partition)
-        field = greens.solve_greens(ops, mask, source, lam, owner.source_system(lam))
+        field = greens.solve_greens(ops, mask, source, lam, spectrum=owner)
         assert field.residual <= greens.RESIDUAL_TOL
         assert 1.0 <= field.condition_estimate < np.inf
         # 1e-12 of max|value|, down to the double-precision floor: closer than
@@ -595,6 +595,34 @@ def test_decomposition_source_solve_matches_lu(decomposition_routes, case):
         scale = np.max(np.abs(lu.boundary_values))
         assert (np.max(np.abs(field.boundary_values - lu.boundary_values))
                 <= 1e-12 * max(1.0, 1e-3 / detuning) * scale)
+
+
+def test_guard_counts_on_the_spectrum_owner(decomposition_routes, monkeypatch):
+    # the uncovered disk's decomposition and a fresh two-arc ArcSpectrum: the
+    # counts below both ends of the band decide, a refusal names the in-band
+    # eigenvalue, and nothing is solved on the mask or stored on it
+    disk, _, spectrum, _, _, _ = decomposition_routes["disk"]
+    uncovered = mask_from_partition(disk, BoundaryPartition.all_steklov(disk.curve))
+    two_arcs = mask_from_partition(disk, BoundaryPartition.from_neumann_intervals(
+        disk.curve, [(1.0, 1.6), (3.5, 4.4)]))
+    arc = ArcSpectrum(spectrum, two_arcs)
+    calls = []
+    monkeypatch.setattr(greens, "solve_spectrum_near",
+                        lambda *a, **k: calls.append(a) or solve_spectrum_near(*a, **k))
+    for mask, owner, mu in ((uncovered, spectrum, spectrum.values[5]),
+                            (two_arcs, arc, arc.value(5))):
+        band = greens.RESONANCE_GUARD * (1.0 + mu)
+        with pytest.raises(ResonanceError) as err:
+            greens.solve_greens(disk, mask, XS, mu + 0.25 * band, spectrum=owner)
+        assert abs(err.value.nearest_eigenvalue - mu) < 1e-10
+        for lam in (mu - 10.0 * band, mu + 10.0 * band):
+            field = greens.solve_greens(disk, mask, XS, lam, spectrum=owner)
+            assert field.residual <= greens.RESIDUAL_TOL
+    with pytest.raises(ResonanceError) as err:
+        greens.solve_greens(disk, uncovered, XS, 0.0, spectrum=spectrum)
+    assert abs(err.value.nearest_eigenvalue) < 1e-10
+    assert calls == []
+    assert uncovered.eigenvalues is None and two_arcs.eigenvalues is None
 
 
 def test_uncovered_condition_is_exact(decomposition_routes):

@@ -212,11 +212,11 @@ def test_blocked_coarse_pass_matches_full_arrays():
     assert_relative(interiority(ops, pts),
                     gamma0_dnu(ops.points, ops.normals, pts[:, None, :]) @ ops.weights)
     dist = np.linalg.norm(pts[:, None, :] - ops.points, axis=-1)
-    nearest, sep = kernels.nearest_node(pts, ops.points)
+    nearest, sep, _, _ = kernels.node_pass(pts, ops.points)
     assert np.array_equal(nearest, np.argmin(dist, axis=1))
     assert_relative(sep, dist[np.arange(len(pts)), nearest])
     # a point on a node is at distance zero from it
-    on_node, zero = kernels.nearest_node(ops.points[[5, 200]], ops.points)
+    on_node, zero, _, _ = kernels.node_pass(ops.points[[5, 200]], ops.points)
     assert list(on_node) == [5, 200] and not np.any(zero)
 
 

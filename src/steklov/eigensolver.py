@@ -27,8 +27,9 @@ L2(Gamma_S)-orthonormal basis of every cluster.
   The roots are counted exactly by the inertia of one Bunch-Kaufman LDL^T
   factorization of the m x m matrix (Haynsworth additivity,
   :func:`ldl_inertia`) and polished by Newton steps that solve with that
-  factorization instead of an m x m eigensolve, at O(m^2 N) per
-  evaluation instead of an N x N eigensolve.  It is the exact
+  factorization instead of an m x m eigensolve: an evaluation costs an
+  O(m^2 N) product, or on the circle one inverse FFT of the symbol and an
+  m x m gather (O(N log N + m^2)), instead of an N x N eigensolve.  It is the exact
   form of the first-order arc formula the optimizer steps with.  Both own
   a tuning run's source solves: their counts guard them, and their
   ``source_system`` solves them with no N x N factorization, diagonally on
@@ -51,7 +52,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-from scipy import sparse
 from scipy.linalg import lapack
 
 from . import kernels
@@ -417,6 +417,17 @@ class ArcSpectrum:
     the LDL^T factors of each step.  The root's trace is
     W^-1/2 Q diag(1/(Lambda - lambda)) B^T z with z the null vector of G.
 
+    G is formed as the m x N by N x m product of that formula, except on a
+    rotation set (``ops.rotation``: the circle), where Q's columns are the
+    cos and sin modes and Q_m diag(s) Q_m^T is an m x m section of the
+    circulant with symbol s: one ``irfft`` of s = Lambda/(Lambda - lambda)
+    on the modes, gathered at the node gaps (i - j) mod N, gives it
+    (Gray, Toeplitz and Circulant Matrices: A Review, 2006), at
+    O(N log N + m^2) per evaluation.  It needs each pole to carry its
+    mode's symbol value exactly, so every member of a pole group must share
+    the group's value (on the disk each group is one cos/sin pair);
+    otherwise the product route is taken.
+
     Equal Steklov eigenvalues are rotated so that each pole direction
     carries its own arc weight, and directions of negligible weight are
     deflated (Bunch, Nielsen and Sorensen): they stay mixed eigenvalues
@@ -441,9 +452,10 @@ class ArcSpectrum:
         if self.m == 0:
             raise SecularBreakdown("a mask without Neumann nodes has no secular equation")
         self.fm = frac[nodes]
-        self._b = b = np.sqrt(1.0 - self.fm)[:, None] * spectrum.vectors[nodes]
+        root_e = np.sqrt(1.0 - self.fm)
+        self._b = b = root_e[:, None] * spectrum.vectors[nodes]
         # one pole direction per (group g, column q): sum_i rot[g, i, q] Q_rows[g, i]
-        values, cols, entries = [], [], []
+        values, cols, rotations, exact = [], [], [], True
         for p, rows in spectrum.groups.items():
             bj = b[:, rows].transpose(1, 0, 2)                      # (G, m, p)
             if p == 1:
@@ -451,11 +463,11 @@ class ArcSpectrum:
             else:  # orthogonal weight directions within each group
                 rot = np.linalg.eigh(np.einsum("gmi,gmj->gij", bj, bj))[1]
             start = sum(len(v) for v in values)
-            values.append(np.repeat(spectrum.values[rows].mean(axis=1), p))
+            means = spectrum.values[rows].mean(axis=1)
+            exact &= bool(np.all(spectrum.values[rows] == means[:, None]))
+            values.append(np.repeat(means, p))
             cols.append((bj @ rot).transpose(0, 2, 1).reshape(-1, self.m))
-            direction = start + np.arange(rows.size).reshape(-1, p, 1)
-            entries.append(np.broadcast_arrays(rot.transpose(0, 2, 1), rows[:, None, :],
-                                               direction))
+            rotations.append((rows, rot, start + np.arange(rows.size).reshape(-1, p)))
         values, cols = np.concatenate(values), np.concatenate(cols)
         # the constant mode (Lambda ~ 0) is an eigenpair of every mask, and
         # lambda M(lambda) scales its pole by Lambda/(Lambda - lambda) ~ 0
@@ -465,27 +477,45 @@ class ArcSpectrum:
                                 for sel in (active, ~active)])
         rank = np.empty_like(order)
         rank[order] = np.arange(len(order))
-        weight, row, direction = (np.concatenate([e[i].ravel() for e in entries])
-                                  for i in range(3))
-        # decomposition coefficients of the directions: active (by pole), then deflated
-        self._lift = sparse.csr_matrix((weight, (row, rank[direction])),
-                                       shape=(len(values), len(values)))
+        # per group size: the rows, rotations and positions (active by pole,
+        # then deflated) of the directions, to lift them to coefficients
+        self._rotations = [(rows, rot, rank[at]) for rows, rot, at in rotations]
         na = int(np.count_nonzero(active))
         # deflation drops a direction from G and the count, not from the
         # traces of the secular roots, which use every direction
         self._values, self._cols = values[order], cols[order].T
         self.poles, self.cols = self._values[:na], self._cols[:, :na]
         self.deflated = self._values[na:]
+        # on a rotation set whose pole values are the symbol's, G is a Toeplitz
+        # section of a circulant (:meth:`_matrix`); that sum holds the deflated
+        # poles too, so a probe is moved off those as well
+        self._symbol = None
+        if spectrum.ops.rotation and exact:
+            self._symbol = spectrum.ops.scaled_dtn_symbol
+            self._gaps = (nodes[:, None] - nodes) % spectrum.ops.n_nodes
+            self._scale = np.outer(root_e, root_e)
+        self._summed = self.poles if self._symbol is None else self._values
         self._probes: dict[float, int] = {}
         self._roots: dict[int, tuple[float, np.ndarray]] = {}
 
     # -- the secular equation --------------------------------------------------
 
     def _matrix(self, lam: float) -> tuple[float, np.ndarray]:
-        """(lam, G(lam)), with lam moved one ulp up when it sits on a pole."""
-        if np.any(self.poles == lam):
+        """(lam, G(lam)), with lam moved one ulp up when it sits on a pole.
+
+        On a rotation set G is read from the symbol (see the class
+        docstring); that circulant sums every direction, so the deflated
+        directions' rank-one terms come off again."""
+        if np.any(self._summed == lam):
             lam = float(np.nextafter(lam, np.inf))
-        g = kernels.product(self.cols * (self.poles / (self.poles - lam)), self.cols.T)
+        if self._symbol is None:
+            g = kernels.product(self.cols * (self.poles / (self.poles - lam)), self.cols.T)
+        else:
+            s = self._symbol / (self._symbol - lam)
+            g = np.fft.irfft(s, self.spectrum.ops.n_nodes)[self._gaps]
+            g *= self._scale
+            off = self._cols[:, len(self.poles):]
+            g -= np.einsum("id,jd->ij", off * (self.deflated / (self.deflated - lam)), off)
         g[np.diag_indices(self.m)] += self.fm
         return lam, g
 
@@ -687,7 +717,7 @@ class ArcSpectrum:
         U^T H U = C^T diag(Lambda) C comes with no N x N product.
         """
         roots = [self._locate(j) for j in indices]
-        weights = np.zeros((self._lift.shape[1], len(roots)))
+        weights = np.zeros((len(self._values), len(roots)))
         for j, (kind, i) in enumerate(roots):
             if kind == "s":
                 lam, z = self._root(i)
@@ -697,7 +727,10 @@ class ArcSpectrum:
                 weights[len(self.poles) + i, j] = 1.0
         if not np.all(np.isfinite(weights)):
             raise SecularBreakdown("a secular root sits on a deflated pole")
-        coefficients = self._lift @ weights
+        # each group's directions turn back to its decomposition columns
+        coefficients = np.empty_like(weights)
+        for rows, rot, at in self._rotations:
+            coefficients[rows] = np.einsum("giq,gqr->gir", rot, weights[at])
         traces = self.spectrum.traces(coefficients)
         ops, b = self.spectrum.ops, self.mask.steklov_weights
         try:

@@ -28,7 +28,6 @@ SMALL = {
         "p x p Gram matrices of one pole group, p a multiplicity",
     ("eigensolver", "bj @ rot"): "m x p by p x p per pole group",
     ("eigensolver", "np.linalg.norm(cols, axis=1)"): "row norms: no BLAS call",
-    ("eigensolver", "self._lift @ weights"): "a scipy.sparse product: no BLAS call",
     ("greens", "ops.weights @ rho"): "an N-vector dot",
     ("greens", "ops.weights @ boundary"): "an N-vector dot",
     ("greens", "np.linalg.norm(pts - field.source, axis=1)"): "row norms: no BLAS call",

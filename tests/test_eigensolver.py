@@ -562,6 +562,47 @@ def test_inertia_count_one_ulp_above_a_pole():
     assert certain >= 15 and certain_two_by_two >= 4
 
 
+def dense_secular_matrix(arc, lam):
+    """G(lam) = F_m + C diag(Lambda/(Lambda - lam)) C^T on the active directions."""
+    return (arc.cols * (arc.poles / (arc.poles - lam))) @ arc.cols.T + np.diag(arc.fm)
+
+
+@pytest.mark.parametrize("case", [name for name in SECULAR_CASES if name.startswith("disk")]
+                         + ["steklov-fraction-1e-8"])
+def test_symbol_secular_matrix_is_the_dense_formula(case):
+    # on the disk G is gathered from one irfft of the symbol, less the
+    # deflated directions; disk-deflated-N128 deflates 63 nonzero poles
+    ops, mask = SECULAR_CASES[case]()
+    arc = ArcSpectrum(decompose(ops), mask)
+    assert ops.rotation and arc._symbol is not None
+    poles = np.unique(arc.poles)
+    # the constant mode's pole (about -1e-16) is deflated, but its arc weight
+    # is not small: at twice its size its rank-one term in the circulant is O(1)
+    zero = arc.deflated[0]
+    assert abs(zero) < 1e-12
+    for lam in [2.0 * abs(zero), *0.5 * (poles[:-1] + poles[1:])[:60]]:
+        _, g = arc._matrix(float(lam))
+        dense = dense_secular_matrix(arc, lam)
+        assert np.max(np.abs(g - dense)) <= 1e-13 * np.max(np.abs(dense))
+        assert ldl_inertia(g)[2] == ldl_inertia(dense)[2]
+    # one ulp above a pole only eigenvalues of no certain sign may disagree,
+    # as in test_inertia_count_one_ulp_above_a_pole
+    for pole in arc.poles[:60]:
+        lam, g = arc._matrix(float(pole))
+        mu = np.linalg.eigvalsh(dense_secular_matrix(arc, lam))
+        unsure = np.count_nonzero(np.abs(mu) <= arc.m * np.finfo(float).eps * np.max(np.abs(mu)))
+        assert abs(ldl_inertia(g)[2] - np.count_nonzero(mu < 0.0)) <= unsure
+
+
+def test_pole_groups_of_several_modes_take_the_product_route(monkeypatch):
+    # a pole group whose members differ has no one symbol value per direction
+    monkeypatch.setattr(eigensolver, "_POLE_MERGE_TOL", 0.3)
+    ops, mask = SECULAR_CASES["disk-arc-N128"]()
+    spectrum = decompose(ops)
+    assert max(spectrum.groups) > 2
+    assert ArcSpectrum(spectrum, mask)._symbol is None
+
+
 def test_count_beside_a_pole_narrows_no_bracket():
     # a count a few ulps from a pole can miss a root by one (G holds a rank-one
     # term of order 1e15 there); recorded, it must not move root 13's bracket

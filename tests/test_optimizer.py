@@ -13,14 +13,14 @@ import scipy.linalg as sla
 from numpy.testing import assert_allclose
 
 import steklov
-from steklov import discretization, greens, optimizer
+from steklov import discretization, greens, kernels, optimizer
 from steklov.discretization import (
     OperatorSet,
     PartitionMask,
     assemble,
     mask_from_partition,
 )
-from steklov.eigensolver import AccuracyWarning, SecularBreakdown
+from steklov.eigensolver import AccuracyWarning, ArcSpectrum, SecularBreakdown
 from steklov.errors import (
     ConfigError,
     ConvergenceError,
@@ -417,8 +417,8 @@ def test_run_does_not_depend_on_the_blas_thread_count():
                     lambda_star=2.5, n_nodes=128),
 ], ids=["disk", "kite"])
 def test_run_guard_reads_the_solved_spectrum(config, monkeypatch):
-    # both source solves find lambda_star inside the run of eigenvalues the
-    # optimizer already solved on their mask, so the guard solves nothing
+    # the counts of the decomposition and of the final ArcSpectrum guard both
+    # source solves, so the guard solves no eigenvalue on a mask
     calls = []
     original = greens.solve_spectrum_near
     monkeypatch.setattr(greens, "solve_spectrum_near",
@@ -496,6 +496,31 @@ def test_circulant_and_mirror_routes_give_the_same_run(config, monkeypatch):
     assert_allclose([r.eigenvalue for r in circulant.records],
                     [r.eigenvalue for r in split.records], rtol=1e-13, atol=0)
     assert circulant.s_end == pytest.approx(split.s_end, rel=1e-9)
+
+
+@pytest.mark.parametrize("config, dense", [
+    (disk_config(), False),
+    (OptimizerConfig(curve=kite(), source=(-1.25, 1.25), receiver=(-1.25, -1.25),
+                     lambda_star=2.5, n_nodes=128), True),
+], ids=["disk", "kite"])
+def test_secular_matrix_follows_the_rotation_route(config, dense, monkeypatch):
+    # on the disk G comes from the symbol; without rotation it is an m x N x m product
+    inside, reached, evaluations = [], [], []
+    matrix, product = ArcSpectrum._matrix, kernels.product
+
+    def watched(self, lam):
+        inside.append(True)
+        evaluations.append(lam)
+        try:
+            return matrix(self, lam)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(ArcSpectrum, "_matrix", watched)
+    monkeypatch.setattr(kernels, "product", lambda *a: reached.append(bool(inside)) or product(*a))
+    assert run(config).converged
+    assert len(evaluations) > 10
+    assert any(reached) == dense
 
 
 def _secular_breakdown(*args):

@@ -76,8 +76,7 @@ T^-1 u is an FFT solve with the symbol of T's row S_0j + w_j, and S rho and
 K' rho are FFT products (:meth:`OperatorSet.product`).  The N x N arrays
 ``single_layer``, ``adjoint_double_layer`` and ``weighted_dtn`` are built
 from the rows and symbols only for the routes that ask for a whole array:
-the windowed eigensolver (``solve_spectrum_near``), the mask's LU
-(``PartitionMask.source_system``) and the mirror blocks
+a mask's Schur complement (:func:`schur_complement`) and the mirror blocks
 (:meth:`OperatorSet.scaled_dtn_halves`), which no route takes on a circle.
 
 Partition masks additionally carry a per-node *Steklov coverage fraction*:
@@ -94,7 +93,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import kernels
-from .errors import GeometryError, MaskError
+from .errors import EigenSolveError, GeometryError, MaskError
 from .geometry import (
     STEKLOV,
     TWO_PI,
@@ -158,10 +157,7 @@ class OperatorSet:
         else:
             self.single_layer = single_layer
             self.adjoint_double_layer = adjoint_double_layer
-        self._trace_map_lu: tuple[np.ndarray, np.ndarray] | None = None
-        self._trace_halves_lu: tuple[tuple, tuple] | None = None
         self._weighted_dtn: np.ndarray | None = None
-        self._robin: float | None = None
 
     @property
     def n_nodes(self) -> int:
@@ -205,15 +201,14 @@ class OperatorSet:
         :attr:`trace_map_lu` factors it in place."""
         return np.add(self.single_layer, self.weights, order="F")
 
-    @property
+    @cached_property
     def trace_map_lu(self) -> tuple[np.ndarray, np.ndarray]:
         """LU factors of the N x N trace map, for ``scipy.linalg.lu_solve``:
         what :meth:`trace_solve` solves with on a set without ``mirror``."""
-        if self._trace_map_lu is None:
-            self._trace_map_lu = sla.lu_factor(self.trace_map, overwrite_a=True)
-            for arr in self._trace_map_lu:
-                arr.setflags(write=False)
-        return self._trace_map_lu
+        lu = sla.lu_factor(self.trace_map, overwrite_a=True)
+        for arr in lu:
+            arr.setflags(write=False)
+        return lu
 
     def _halves(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Even and odd blocks of an ``a`` that commutes with the node
@@ -226,23 +221,20 @@ class OperatorSet:
         odd = np.subtract(a[n - 1:0:-1, n - 1:0:-1], a[n - 1:0:-1, n + 1:])
         return even, odd
 
-    @property
+    @cached_property
     def _halves_lu(self) -> tuple[tuple, tuple]:
         """LU factors of the transposed even and odd blocks of T on a mirror
         set; the rank-one part 1 w^T is even, so it enters the even block
         only.  The C-ordered blocks are their Fortran-ordered transposes,
         which LAPACK factors in place."""
-        if self._trace_halves_lu is None:
-            n = self.n_nodes // 2
-            even, odd = self._halves(self.single_layer)
-            even += self.weights[:n + 1]
-            even[:, 1:n] += self.weights[:n:-1]
-            self._trace_halves_lu = tuple(sla.lu_factor(b.T, overwrite_a=True)
-                                          for b in (even, odd))
-            for lu in self._trace_halves_lu:
-                for arr in lu:
-                    arr.setflags(write=False)
-        return self._trace_halves_lu
+        n = self.n_nodes // 2
+        even, odd = self._halves(self.single_layer)
+        even += self.weights[:n + 1]
+        even[:, 1:n] += self.weights[:n:-1]
+        factors = tuple(sla.lu_factor(b.T, overwrite_a=True) for b in (even, odd))
+        for arr in (*factors[0], *factors[1]):
+            arr.setflags(write=False)
+        return factors
 
     def trace_solve(self, u: np.ndarray) -> np.ndarray:
         """T^-1 u, for a vector u or each column of a matrix u.
@@ -348,7 +340,7 @@ class OperatorSet:
         h[mid, ends] = h[rev, ends] = edge.T
         return h
 
-    @property
+    @cached_property
     def robin_constant(self) -> float:
         """Boundary value V of the equilibrium single-layer potential.
 
@@ -356,10 +348,8 @@ class OperatorSet:
         V = 1 / (w . T^-1 1) - 1; V = log(capacity)/(2*pi) vanishes exactly
         when the curve has logarithmic capacity one.
         """
-        if self._robin is None:
-            ones = self.trace_solve(np.ones(self.n_nodes))
-            self._robin = float(1.0 / (self.weights @ ones) - 1.0)
-        return self._robin
+        ones = self.trace_solve(np.ones(self.n_nodes))
+        return float(1.0 / (self.weights @ ones) - 1.0)
 
 
 def _circulant(row: np.ndarray) -> np.ndarray:
@@ -484,6 +474,16 @@ def assemble(curve: BoundaryCurve, n_nodes: int) -> OperatorSet:
 # partition masks
 # ---------------------------------------------------------------------------
 
+def schur_complement(h: np.ndarray, b: np.ndarray) -> tuple:
+    """``(on, factor, coupling, S)`` of H u = lambda diag(b) u: the Steklov
+    nodes b > 0, the Cholesky factor of H_nn on the others, whose rows give
+    u_n = -coupling u_s = -H_nn^-1 H_ns u_s, and S = H_ss - H_sn coupling."""
+    on, off = b > 0, b <= 0
+    factor = sla.cho_factor(h[np.ix_(off, off)])
+    coupling = sla.cho_solve(factor, h[np.ix_(off, on)])
+    return on, factor, coupling, h[np.ix_(on, on)] - kernels.product(h[np.ix_(on, off)], coupling)
+
+
 class PartitionMask:
     """Node labels and Steklov coverage fractions induced by a partition.
 
@@ -492,10 +492,9 @@ class PartitionMask:
     fraction of each node's quadrature cell and drives all quadrature-level
     restrictions (the Steklov weights of the eigen and source systems,
     Green's right-hand sides, inner products).
-    Both are immutable.  The mask also owns what has been solved on it:
-    ``eigenvalues``, the values of its latest ``solve_spectrum_near`` (None
-    before the first), and the LU of :meth:`source_system`.  They guard and
-    solve a source solve given no spectrum owner; a tuning run's read neither.
+    Both are immutable.  The mask owns its spectrum with the interface of
+    the decomposition and ``ArcSpectrum``: :meth:`count_below`, :meth:`value`
+    and :meth:`source_system` read one decomposition, built on first use.
     """
 
     def __init__(self, ops: OperatorSet, partition: BoundaryPartition,
@@ -506,40 +505,74 @@ class PartitionMask:
         self.steklov_fraction = steklov_fraction
         for arr in (is_steklov, steklov_fraction):
             arr.setflags(write=False)
-        self.eigenvalues: np.ndarray | None = None
-        self._source: tuple | None = None
 
     @property
     def steklov_weights(self) -> np.ndarray:
         """Quadrature weights of the Steklov part: w_i * fraction_i."""
         return self.ops.weights * self.steklov_fraction
 
-    def source_system(self, lam: float) -> tuple[tuple, float]:
-        """``(lu, condition)`` of the source system H - lam diag(b) in the
-        trace, with H = ``ops.weighted_dtn`` and b the Steklov weights.
+    @cached_property
+    def _spectrum(self) -> tuple:
+        """Read-only ``(values, vectors, on, factor, coupling, off_sums)``:
+        one ``eigh`` (driver evd) of D^-1/2 S D^-1/2 (:func:`schur_complement`,
+        D = diag(b) on the Steklov nodes ``on``), its D-unit vectors
+        y = D^-1/2 v ascending by their Rayleigh quotients y^T S y, the values
+        (the scaled ones lose eps/b_min: 1.9e-8 relative at a Steklov fraction
+        of 1e-8, the quotients 2.4e-14); and the column sums of |X| off its
+        diagonal, X = W^-1/2 H W^-1/2, from row blocks of H."""
+        h, b = self.ops.weighted_dtn, self.steklov_weights
+        try:
+            on, factor, coupling, schur = schur_complement(h, b)
+            scale = 1.0 / np.sqrt(b[on])
+            vectors = sla.eigh(schur * np.outer(scale, scale), driver="evd",
+                               overwrite_a=True, check_finite=False)[1]
+        except np.linalg.LinAlgError as exc:
+            raise EigenSolveError(f"self-adjoint eigensolve failed: {exc}") from exc
+        vectors *= scale[:, None]
+        values = np.sum(vectors * kernels.product(schur, vectors), axis=0)
+        order = np.argsort(values, kind="stable")
+        w = 1.0 / np.sqrt(self.ops.weights)
+        off_sums = w * np.concatenate([kernels.product(np.abs(h[rows]), w) for rows
+                                       in kernels.row_blocks(len(w), len(w))])
+        off_sums -= np.abs(np.diagonal(h)) * w * w
+        values, vectors = values[order], vectors[:, order]
+        for arr in (values, vectors, on, factor[0], coupling, off_sums):
+            arr.setflags(write=False)
+        return values, vectors, on, factor, coupling, off_sums
 
-        ``lu`` is its ``scipy.linalg.lu_factor``.  ``condition`` estimates
-        the 2-norm condition number of the scaled system S = W^-1/2 (H - lam
-        diag(b)) W^-1/2, the number the decomposition routes report: the
-        1-norm of the symmetric S, which bounds its 2-norm from above, times
-        the norm of S^-1 from three power steps on the LU (a fixed
-        pseudo-random start, so no mirror symmetry of the mask hides the
-        near-null direction).  Only the factors of the latest ``lam`` are
-        kept; sources share them.
-        """
-        lam = float(lam)
-        if self._source is None or self._source[0] != lam:
-            self._source = None        # free the old factors before building
-            k = np.array(self.ops.weighted_dtn, order="F")   # LAPACK factors it in place
-            k[np.diag_indices_from(k)] -= lam * self.steklov_weights
-            scale = 1.0 / np.sqrt(self.ops.weights)
-            norm = np.max(kernels.product(scale, np.abs(k)) * scale)
-            lu = sla.lu_factor(k, overwrite_a=True)
-            x = np.random.default_rng(0).standard_normal(len(scale))
-            for _ in range(3):
-                x = sla.lu_solve(lu, x / (scale * np.sqrt(np.sum(x * x)))) / scale
-            self._source = (lam, lu, float(norm * np.sqrt(np.sum(x * x))))
-        return self._source[1:]
+    def count_below(self, x: float) -> int:
+        """Number of the mask's eigenvalues strictly below x; 0 for x <= 0."""
+        return int(np.searchsorted(self._spectrum[0], x)) if x > 0.0 else 0
+
+    def value(self, j: int) -> float:
+        """The mask's eigenvalue j (ascending from 0, the constant mode first)."""
+        return float(self._spectrum[0][j])
+
+    def source_system(self, lam: float):
+        """``(solve, condition)`` of the source system H - lam diag(b):
+        (S - lam D)^-1 = Y diag(1 / (values - lam)) Y^T on the Steklov nodes,
+        then u_n = H_nn^-1 r_n - coupling u_s.  ``condition`` estimates the
+        2-norm condition number of W^-1/2 (H - lam diag(b)) W^-1/2: its
+        1-norm, an upper bound, times the norm of its inverse from three power
+        steps (a fixed pseudo-random start, so no mirror symmetry hides the
+        near-null direction)."""
+        values, y, on, factor, coupling, off_sums = self._spectrum
+        shift = values - lam
+
+        def solve(r):
+            u = np.empty(len(r))
+            u[on] = kernels.product(y, kernels.product(r[on] - kernels.product(r[~on], coupling),
+                                                       y) / shift)
+            u[~on] = sla.cho_solve(factor, r[~on]) - kernels.product(coupling, u[on])
+            return u
+
+        w = 1.0 / np.sqrt(self.ops.weights)
+        diagonal = np.diagonal(self.ops.weighted_dtn) * w * w
+        norm = np.max(off_sums + np.abs(diagonal - lam * self.steklov_fraction))
+        x = np.random.default_rng(0).standard_normal(len(w))
+        for _ in range(3):
+            x = solve(x / (w * np.sqrt(np.sum(x * x)))) / w
+        return solve, float(norm * np.sqrt(np.sum(x * x)))
 
 
 def mask_from_partition(ops: OperatorSet, partition: BoundaryPartition) -> PartitionMask:

@@ -8,8 +8,7 @@ form returns real eigenvalues, no spurious modes and an
 L2(Gamma_S)-orthonormal basis of every cluster.
 
 * :func:`solve_spectrum_near` -- the eigenpairs nearest a target.  The
-  optimizer falls back to it when the secular solve breaks down; the
-  values it leaves on the mask guard source solves given no spectrum owner.
+  optimizer falls back to it when the secular solve breaks down.
 * :func:`solve_spectrum` -- the lowest eigenpairs: the spectrum is
   nonnegative, so these are the ones nearest 0.
 * :func:`decompose` and :class:`ArcSpectrum` -- the tuning run's trial
@@ -33,7 +32,8 @@ L2(Gamma_S)-orthonormal basis of every cluster.
   form of the first-order arc formula the optimizer steps with.  Both own
   a tuning run's source solves: their counts guard them, and their
   ``source_system`` solves them with no N x N factorization, diagonally on
-  the all-Steklov boundary and by Woodbury on an arc.
+  the all-Steklov boundary and by Woodbury on an arc.  Any other mask owns
+  its source solves (``PartitionMask``).
 
 All dense algebra with an N-sized operand runs on scipy's OpenBLAS: the
 factorizations and eigensolves call scipy's LAPACK, and the products go
@@ -56,7 +56,7 @@ from scipy.linalg import lapack
 
 from . import kernels
 from .asymptotics import verify_orthonormal
-from .discretization import OperatorSet, PartitionMask
+from .discretization import OperatorSet, PartitionMask, schur_complement
 from .errors import ClusterError, EigenSolveError, GeometryError
 from .geometry import TWO_PI
 
@@ -125,29 +125,25 @@ def solve_spectrum_near(ops: OperatorSet, mask: PartitionMask, sigma: float,
                         count: int = 6) -> list[EigenPair]:
     """The ``count`` eigenpairs nearest sigma, from the self-adjoint form.
 
-    A Schur complement S eliminates the Neumann nodes (b = 0) of
-    H u = lambda diag(b) u; ``scipy.linalg.eigh`` solves D^-1/2 S D^-1/2
-    (D = diag(b)) in a window around sigma.  The scaling loses eps/b_min at
-    nodes of small Steklov fraction (1e-6 at 1e-8), which a Rayleigh-Ritz
-    pass of (H, diag(b)) on the traces restores.  Traces come back
-    L2(Gamma_S)-orthonormal; densities are T^-1 u.  The ascending values
-    are also stored as ``mask.eigenvalues``.  A failed factorization or
-    eigensolve (an indefinite H_nn, say) raises EigenSolveError.
+    ``scipy.linalg.eigh`` solves D^-1/2 S D^-1/2 (D = diag(b)), S the Schur
+    complement of the Neumann nodes (b = 0) of H u = lambda diag(b) u
+    (:func:`~steklov.discretization.schur_complement`), in a window around
+    sigma.  The scaling loses eps/b_min at nodes of small Steklov fraction
+    (1e-6 at 1e-8), which a Rayleigh-Ritz pass of (H, diag(b)) on the traces
+    restores.  Traces come back L2(Gamma_S)-orthonormal; densities are
+    T^-1 u.  A failed factorization or eigensolve raises EigenSolveError.
     """
     h = ops.weighted_dtn
     b = mask.steklov_weights
-    on, off = b > 0, b <= 0
-    k = min(count, int(np.sum(on)))
     # Weyl: about |Gamma_S|/pi eigenvalues per unit of lambda, so ~2*count in
     # the window; none lie below 0, so near 0 it reaches up to 2*half instead
     half = count * np.pi / float(np.sum(b))
     top = half + max(sigma, half)
     try:
-        # Neumann rows read H_nn u_n + H_ns u_s = 0, so u_n = -coupling @ u_s
-        coupling = sla.solve(h[np.ix_(off, off)], h[np.ix_(off, on)], assume_a="pos")
-        scaled = h[np.ix_(on, on)] - kernels.product(h[np.ix_(on, off)], coupling)
+        on, _, coupling, scaled = schur_complement(h, b)
         scale = 1.0 / np.sqrt(b[on])
         scaled *= np.outer(scale, scale)
+        k = min(count, len(scale))
         # a request for every pair skips the window: it would hold too few
         window = None if count >= len(scale) else (sigma - half, top)
         values, vecs = sla.eigh(scaled, subset_by_value=window)
@@ -156,13 +152,11 @@ def solve_spectrum_near(ops: OperatorSet, mask: PartitionMask, sigma: float,
         nearest = np.sort(np.argsort(np.abs(values - sigma), kind="stable")[:k])
         traces = np.empty((ops.n_nodes, k))
         traces[on] = scale[:, None] * vecs[:, nearest]
-        traces[off] = -kernels.product(coupling, traces[on])
+        traces[~on] = -kernels.product(coupling, traces[on])
         values, traces = _rayleigh_ritz(
             kernels.product(traces.T, kernels.product(h, traces)), b, traces)
     except np.linalg.LinAlgError as exc:
         raise EigenSolveError(f"self-adjoint eigensolve failed: {exc}") from exc
-    values.setflags(write=False)
-    mask.eigenvalues = values
     return _signed_pairs(ops, values, traces, _assign_clusters(values))
 
 

@@ -15,30 +15,24 @@ Reported values are ``value - field.offset``; :func:`solve_greens` sets the
 offset to the arclength boundary mean on curves of logarithmic capacity one
 (|Robin constant| < 1e-8) and to zero elsewhere.
 
-:func:`solve_greens` refuses a spectral parameter near an eigenvalue.  A
-tuning run passes the owner of the mask's spectrum (its decomposition or
-final ``ArcSpectrum``), whose counts guard and whose ``source_system``
-solves; otherwise the :class:`~steklov.discretization.PartitionMask`'s
-stored eigenvalues guard and its LU solves.  No state is kept here.
+:func:`solve_greens` refuses a spectral parameter near an eigenvalue.  The
+owner of the mask's spectrum guards by its counts and solves by its
+``source_system``: a tuning run's decomposition or final ``ArcSpectrum``,
+or else the :class:`~steklov.discretization.PartitionMask` itself.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import kernels
 from .discretization import OperatorSet, PartitionMask
-from .eigensolver import (
-    AccuracyWarning,
-    SecularBreakdown,
-    layer_pass,
-    solve_spectrum_near,
-)
+from .eigensolver import AccuracyWarning, SecularBreakdown, layer_pass
+# kept only as a name the benchmark's traced pass patches (perfbench/spans.py)
+from .eigensolver import solve_spectrum_near  # noqa: F401
 from .errors import (
     ConvergenceError,
     GeometryError,
@@ -51,9 +45,6 @@ from .errors import (
 RESONANCE_GUARD = 1e-6
 # relative linear-system residual accepted after one refinement pass
 RESIDUAL_TOL = 1e-10
-
-# eigenvalues solved near lam when the mask's stored values do not reach it
-NEAREST_COUNT = 6
 
 _SOURCE_CLEARANCE = 1e-8
 # |Robin constant| below which a curve counts as capacity one
@@ -84,9 +75,8 @@ class GreensField:
         Relative residual of the boundary conditions on the density.
     condition_estimate : float
         2-norm condition number of the scaled system W^-1/2 (H - lam
-        diag(b)) W^-1/2 on every route: exact on the all-Steklov
-        decomposition, estimated by three power steps on the inverse on an
-        arc's secular solve and on the mask's LU.
+        diag(b)) W^-1/2: exact on the all-Steklov decomposition, estimated
+        by three power steps on the inverse by the other owners.
     offset : float
         Constant every reported value drops: the arclength boundary mean of
         the field on capacity-one curves, 0.0 elsewhere.
@@ -103,40 +93,23 @@ class GreensField:
     offset: float
 
 
-def nearest_eigenvalue(ops: OperatorSet, mask: PartitionMask, lam: float) -> float:
-    """Eigenvalue of the masked problem closest to ``lam``.
-
-    Read from ``mask.eigenvalues`` when ``lam`` lies within that contiguous
-    run of the spectrum; otherwise ``NEAREST_COUNT`` eigenvalues are solved
-    near it.
-    """
-    values = mask.eigenvalues
-    if values is None or not values[0] <= lam <= values[-1]:
-        pairs = solve_spectrum_near(ops, mask, float(lam), count=NEAREST_COUNT)
-        values = np.array([p.value for p in pairs])
-    return float(values[np.argmin(np.abs(values - lam))])
-
-
-def _guard(ops: OperatorSet, mask: PartitionMask, lam: float, spectrum) -> None:
-    """ResonanceError when an eigenvalue lies in lam's guard band: by the
-    owner's counts at both ends of the band, naming the in-band eigenvalue
-    nearest lam, or by the mask's nearest eigenvalue without an owner."""
+def _guard(mask: PartitionMask, lam: float, owner) -> None:
+    """ResonanceError when the owner's counts at both ends of lam's guard
+    band differ, naming the in-band eigenvalue nearest lam; the mask's own
+    counts and values name it when the secular solve cannot certify it."""
     band = RESONANCE_GUARD * (1.0 + abs(lam))
-    if spectrum is None:
-        near = nearest_eigenvalue(ops, mask, lam)
-        if abs(lam - near) > band:
-            return
-    else:
+    for spectrum in (owner, mask):
         inside = range(spectrum.count_below(lam - band), spectrum.count_below(lam + band))
-        if not inside:
-            return
         try:
-            near = min((spectrum.value(i) for i in inside), key=lambda v: abs(v - lam))
+            near = min((spectrum.value(i) for i in inside), key=lambda v: abs(v - lam),
+                       default=None)
+            break
         except SecularBreakdown:
-            near = nearest_eigenvalue(ops, mask, lam)
-    raise ResonanceError(
-        "spectral parameter %.12g is within the guard band of the "
-        "eigenvalue %.12g" % (lam, near), nearest_eigenvalue=near)
+            pass
+    if near is not None:
+        raise ResonanceError(
+            "spectral parameter %.12g is within the guard band of the "
+            "eigenvalue %.12g" % (lam, near), nearest_eigenvalue=near)
 
 
 # --- solve --------------------------------------------------------------------
@@ -154,10 +127,9 @@ def solve_greens(ops: OperatorSet, mask: PartitionMask, source, lam: float,
     lam : float
         Spectral parameter; must keep a relative distance of at least
         ``RESONANCE_GUARD`` from every eigenvalue of the partition.
-    spectrum : SteklovDecomposition or ArcSpectrum, optional
+    spectrum : SteklovDecomposition, ArcSpectrum or PartitionMask, optional
         Owner of the mask's spectrum, whose counts guard ``lam`` and whose
-        ``source_system`` solves; by default the mask's stored eigenvalues
-        guard and its LU (:meth:`PartitionMask.source_system`) solves.
+        ``source_system`` solves; by default the mask itself.
 
     Raises
     ------
@@ -186,12 +158,9 @@ def solve_greens(ops: OperatorSet, mask: PartitionMask, source, lam: float,
             "source is within one node spacing of the boundary; "
             "the corrected field loses accuracy there", AccuracyWarning)
 
-    _guard(ops, mask, lam, spectrum)
-    if spectrum is None:
-        lu, cond = mask.source_system(lam)
-        solve = partial(sla.lu_solve, lu)
-    else:
-        solve, cond = spectrum.source_system(lam)
+    owner = spectrum or mask
+    _guard(mask, lam, owner)
+    solve, cond = owner.source_system(lam)
     g0 = kernels.gamma0(ops.points, source)
     steklov_lam = lam * mask.steklov_fraction
     rhs = steklov_lam * g0 - kernels.gamma0_dnu(ops.points, ops.normals, source)

@@ -67,7 +67,10 @@ def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     on scipy's BLAS (``dgemm``, or ``dgemv`` when one factor is a vector).
 
     A matrix result comes back in Fortran order.  A strided operand is
-    copied; a contiguous one in either order is not."""
+    copied; a contiguous one in either order is not.  numpy multiplies a
+    zero-size one."""
+    if a.size == 0 or b.size == 0:
+        return a @ b
     if b.ndim == 1:
         f, trans = _fortran(a)
         return blas.dgemv(1.0, f, b, trans=trans)

@@ -38,8 +38,8 @@ and the final report compares the field value at the receiver before and
 after covering (both less the field's ``offset``, the reporting convention
 :func:`~steklov.greens.solve_greens` decides).  The owner of each mask's
 spectrum, the decomposition and the final trial's ``ArcSpectrum``, guards
-them by its counts and solves them with no N x N factorization; a windowed
-final trial leaves its mask's LU and stored eigenvalues.
+them by its counts and solves them with no N x N factorization; after a
+windowed final trial the mask answers for its own spectrum.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 from contextlib import contextmanager
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -456,6 +457,14 @@ SECULAR_CASES = {
 }
 
 
+@lru_cache(maxsize=None)
+def secular_reference(case):
+    """The QZ reference of a ``SECULAR_CASES`` mask, computed once per test run."""
+    reference = qz_reference(*SECULAR_CASES[case]())
+    reference.setflags(write=False)
+    return reference
+
+
 def secular_pairs(ops, mask, center, count):
     """Whole clusters from about ``count``/2 eigenvalues below ``center``
     upwards until they hold ``count`` pairs, ascending."""
@@ -472,7 +481,7 @@ def secular_pairs(ops, mask, center, count):
 @pytest.mark.parametrize("case", list(SECULAR_CASES))
 def test_secular_solve_matches_qz_reference(case):
     ops, mask = SECULAR_CASES[case]()
-    reference = qz_reference(ops, mask)
+    reference = secular_reference(case)
     # near 0 the run reaches the constant mode, an eigenpair of every mask
     for center in (0.3, 2.5, 6.3):
         pairs = secular_pairs(ops, mask, center, 10)
@@ -511,8 +520,9 @@ def test_secular_solve_of_a_mask_without_neumann_nodes_breaks_down():
 @pytest.mark.parametrize("case", ["disk-two-arcs-N256", "kite-two-arcs-N512",
                                   "steklov-fraction-1e-8", "disk-deflated-N128"])
 def test_secular_count_matches_the_eigensolver(case):
+    # the secular count and the mask's own, from its Schur complement
     ops, mask = SECULAR_CASES[case]()
-    reference = qz_reference(ops, mask)
+    reference = secular_reference(case)
     arc = ArcSpectrum(decompose(ops), mask)
     rng = np.random.default_rng(5)
     probes = rng.uniform(0.2, 12.0, 40)
@@ -520,6 +530,22 @@ def test_secular_count_matches_the_eigensolver(case):
     assert len(probes) > 30
     for lam in probes:
         assert arc.count_below(lam) == np.count_nonzero(reference < lam)
+        assert mask.count_below(lam) == np.count_nonzero(reference < lam)
+
+
+@pytest.mark.parametrize("curve", [circle, kite], ids=["circle", "kite"])
+def test_mask_values_are_polished_at_a_small_steklov_fraction(curve):
+    # a node at Steklov fraction 1e-8: the scaled Schur complement's own
+    # eigenvalues are off by 1.9e-8 (circle) and 6.8e-9 (kite) relative, their
+    # Rayleigh quotients with the unscaled one by 2.4e-14 at most
+    ops = assemble(curve(), 256)
+    h = TWO_PI / 256
+    end = ops.params[32] + h / 2 - 1e-8 * h
+    mask = mask_from_partition(ops, BoundaryPartition.from_neumann_intervals(
+        ops.curve, [(0.3, end)]))
+    assert np.min(mask.steklov_fraction[mask.steklov_fraction > 0]) < 2e-8
+    values = [p.value for p in solve_spectrum(ops, mask, SpectrumRequest(count=12))]
+    assert_allclose([mask.value(j) for j in range(12)], values, rtol=1e-12, atol=1e-12)
 
 
 def test_inertia_count_reads_two_by_two_pivots():
@@ -677,7 +703,7 @@ def test_newton_refreshes_a_pair_the_count_refutes():
     # reads phi > 0 where the count says phi < 0: an eigh refreshes it.  With
     # the bracket side read from that phi, the root converges to the pole.
     ops, mask = SECULAR_CASES["kite-test11-final-N256"]()
-    reference = qz_reference(ops, mask)
+    reference = secular_reference("kite-test11-final-N256")
     arc = ArcSpectrum(decompose(ops), mask)
     with secular_work() as work:
         root = arc._root(4)[0]

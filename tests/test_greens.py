@@ -3,9 +3,11 @@
 import inspect
 import tracemalloc
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from steklov import greens, kernels
 from steklov.cli import interior_lattice
@@ -508,31 +510,54 @@ def test_product_profile_rejects_mismatches(disk_ops, disk_mixed):
         greens.boundary_product_profile(fx, fz)
 
 
-# --- solved state on the mask ---------------------------------------------------------
+# --- the mask's own spectrum ---------------------------------------------------------
 
-def test_factorization_shared_across_sources(disk_ops):
+def built(mask) -> bool:
+    """Whether the mask's own decomposition has been built."""
+    return "_spectrum" in vars(mask)
+
+
+def test_factorization_shared_across_sources(disk_ops, monkeypatch):
+    # the mask decomposes its spectrum once, by one eigh, for every source
+    # and every lambda
     mask = mask_from_partition(disk_ops, BoundaryPartition.all_steklov(disk_ops.curve))
+    calls = []
+    original = sla.eigh
+    monkeypatch.setattr(sla, "eigh", lambda *a, **k: calls.append(a) or original(*a, **k))
     greens.solve_greens(disk_ops, mask, XS, LAM)
-    lu = mask.source_system(LAM)[0]
+    decomposition = mask._spectrum
     greens.solve_greens(disk_ops, mask, (0.3, 0.2), LAM)
-    assert mask.source_system(LAM)[0] is lu
     greens.solve_greens(disk_ops, mask, XS, 2.7)
-    assert mask.source_system(2.7)[0] is not lu
-    assert mask.source_system(LAM)[0] is not lu
+    assert len(calls) == 1 and mask._spectrum is decomposition
 
 
 def test_guard_reads_the_spectrum_on_the_mask(disk_ops, monkeypatch):
-    mask = mask_from_partition(disk_ops, BoundaryPartition.all_steklov(disk_ops.curve))
-    solve_spectrum_near(disk_ops, mask, 2.0, count=12)
+    # the guard depends on the mask and lambda only: a mask whose spectrum
+    # was solved near 2 and near 40 before refuses and accepts as a fresh one
     calls = []
     monkeypatch.setattr(greens, "solve_spectrum_near",
                         lambda *a, **k: calls.append(a) or solve_spectrum_near(*a, **k))
-    greens.solve_greens(disk_ops, mask, XS, LAM)
+    band = greens.RESONANCE_GUARD * 41.0
+
+    def outcomes(mask):
+        with pytest.raises(ResonanceError) as err:
+            greens.solve_greens(disk_ops, mask, XS, 40.0 + 0.25 * band)
+        fields = [greens.solve_greens(disk_ops, mask, XS, 40.0 + d * band).boundary_values
+                  for d in (-10.0, 10.0)]
+        return err.value.nearest_eigenvalue, fields
+
+    fresh = mask_from_partition(disk_ops, BoundaryPartition.all_steklov(disk_ops.curve))
+    named, fields = outcomes(fresh)
+    assert named == pytest.approx(40.0, abs=1e-8)
+    solved = mask_from_partition(disk_ops, BoundaryPartition.all_steklov(disk_ops.curve))
+    for sigma in (2.0, 40.0):
+        solve_spectrum_near(disk_ops, solved, sigma, count=12)
+    assert not built(solved)
+    for mask in (solved, fresh):
+        again, again_fields = outcomes(mask)
+        assert again == named
+        assert all(np.array_equal(a, b) for a, b in zip(again_fields, fields))
     assert calls == []
-    # outside the solved run the guard solves near lam and keeps the result
-    assert greens.nearest_eigenvalue(disk_ops, mask, 40.2) == pytest.approx(40.0, abs=1e-8)
-    assert len(calls) == 1
-    assert mask.eigenvalues[0] <= 40.2 <= mask.eigenvalues[-1]
 
 
 def test_repeat_solve_is_deterministic(disk_mixed):
@@ -576,25 +601,40 @@ def decomposition_routes():
     }
 
 
+class DenseOwner:
+    """The mask's counts and values, and an LU solve of the dense
+    H - lam diag(b): a reference owner for :func:`greens.solve_greens`."""
+
+    def __init__(self, ops, mask):
+        self.count_below, self.value = mask.count_below, mask.value
+        self.h, self.b = ops.weighted_dtn, mask.steklov_weights
+
+    def source_system(self, lam):
+        return partial(sla.lu_solve, sla.lu_factor(self.h - lam * np.diag(self.b))), 1.0
+
+
 @pytest.mark.parametrize("case", ["disk", "kite", "test_11-final", "disk-two-arcs"])
 def test_decomposition_source_solve_matches_lu(decomposition_routes, case):
+    # the owner's route and the mask's own against a dense LU solve
     ops, partition, owner, mixed, pole, source = decomposition_routes[case]
     guard = greens.RESONANCE_GUARD
     lams = [mixed + d for d in (1e-1, -1e-2, 1e-3, -1e-4, 1e-5)]
     lams.append(pole + 5.0 * guard * (1.0 + pole))      # inside 10x the guard band
     for lam in lams:
-        lu = greens.solve_greens(ops, mask_from_partition(ops, partition), source, lam)
         mask = mask_from_partition(ops, partition)
-        field = greens.solve_greens(ops, mask, source, lam, spectrum=owner)
-        assert field.residual <= greens.RESIDUAL_TOL
-        assert 1.0 <= field.condition_estimate < np.inf
+        lu = greens.solve_greens(ops, mask, source, lam, spectrum=DenseOwner(ops, mask))
         # 1e-12 of max|value|, down to the double-precision floor: closer than
         # 1e-3 to a mixed eigenvalue it grows like 1/detuning (at 1e-5 the LU
         # route differs from a dense density solve by 4e-11)
-        detuning = abs(lam - greens.nearest_eigenvalue(ops, mask, lam))
+        j = mask.count_below(lam)
+        detuning = min(abs(lam - mask.value(i)) for i in (j - 1, j))
         scale = np.max(np.abs(lu.boundary_values))
-        assert (np.max(np.abs(field.boundary_values - lu.boundary_values))
-                <= 1e-12 * max(1.0, 1e-3 / detuning) * scale)
+        for spectrum in (owner, None):
+            field = greens.solve_greens(ops, mask, source, lam, spectrum=spectrum)
+            assert field.residual <= greens.RESIDUAL_TOL
+            assert 1.0 <= field.condition_estimate < np.inf
+            assert (np.max(np.abs(field.boundary_values - lu.boundary_values))
+                    <= 1e-12 * max(1.0, 1e-3 / detuning) * scale)
 
 
 def test_guard_counts_on_the_spectrum_owner(decomposition_routes, monkeypatch):
@@ -622,7 +662,7 @@ def test_guard_counts_on_the_spectrum_owner(decomposition_routes, monkeypatch):
         greens.solve_greens(disk, uncovered, XS, 0.0, spectrum=spectrum)
     assert abs(err.value.nearest_eigenvalue) < 1e-10
     assert calls == []
-    assert uncovered.eigenvalues is None and two_arcs.eigenvalues is None
+    assert not built(uncovered) and not built(two_arcs)
 
 
 def test_uncovered_condition_is_exact(decomposition_routes):

@@ -434,20 +434,18 @@ def test_run_guard_reads_the_solved_spectrum(config, monkeypatch):
 ], ids=["disk", "kite"])
 def test_run_guards_by_counts_and_writes_no_mask(config, monkeypatch):
     # the decomposition and the final ArcSpectrum guard the source solves by
-    # their counts: no mask's eigenvalues are looked up, solved or stored
-    masks, looked_up, solved = [], [], []
+    # their counts: no mask's eigenvalues are solved, and no mask builds its
+    # own decomposition
+    masks, solved = [], []
     original_mask = optimizer.mask_from_partition
     monkeypatch.setattr(optimizer, "mask_from_partition",
                         lambda *a: masks.append(original_mask(*a)) or masks[-1])
-    original_nearest = greens.nearest_eigenvalue
-    monkeypatch.setattr(greens, "nearest_eigenvalue",
-                        lambda *a: looked_up.append(a) or original_nearest(*a))
     original_near = greens.solve_spectrum_near
     monkeypatch.setattr(greens, "solve_spectrum_near",
                         lambda *a, **k: solved.append(a) or original_near(*a, **k))
     assert run(config).converged
-    assert looked_up == [] and solved == []
-    assert len(masks) > 2 and all(m.eigenvalues is None for m in masks)
+    assert solved == []
+    assert len(masks) > 2 and all("_spectrum" not in vars(m) for m in masks)
 
 
 @pytest.mark.parametrize("config", [THREAD_RUNS[0], disk_config(n_nodes=256)],

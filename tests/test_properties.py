@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from steklov import greens, kernels
 from steklov.discretization import assemble, mask_from_partition
 from steklov.eigensolver import (
     ArcSpectrum,
@@ -52,6 +53,41 @@ def test_secular_count_matches_a_windowed_solve(curve, n, center, length, lams):
     arc = ArcSpectrum(spectrum, mask)
     assert [arc.count_below(lam) for lam in lams] == [np.count_nonzero(values < lam)
                                                       for lam in lams]
+
+
+def density_reference(ops, mask, source, lam):
+    """Boundary values of the source field from a dense solve of its
+    conditions on the density, (A - lam B) rho = lam frac gamma0 -
+    d gamma0/dnu: A = -I/2 + K', and row i of B the completed trace scaled by
+    the node's Steklov fraction."""
+    a = -0.5 * np.eye(ops.n_nodes) + ops.adjoint_double_layer
+    b = mask.steklov_fraction[:, None] * ops.trace_map
+    g0 = kernels.gamma0(ops.points, source)
+    rhs = lam * mask.steklov_fraction * g0 - kernels.gamma0_dnu(ops.points, ops.normals, source)
+    return g0 + ops.trace_map @ np.linalg.solve(a - lam * b, rhs)
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(curve=st.sampled_from(sorted(CURVES)), n=st.sampled_from([64, 128]),
+       center=st.floats(0.0, TWO_PI), length=st.floats(1e-3, 3.0),
+       lam=st.floats(0.1, 10.0))
+def test_mask_counts_and_solves_its_own_spectrum(curve, n, center, length, lam):
+    # a mask no run owns guards by its own counts and solves by its own
+    # decomposition, as a windowed solve counts and a dense solve solves
+    ops, _ = decomposed(curve, n)
+    mask = mask_from_partition(ops, BoundaryPartition.from_neumann_intervals(
+        ops.curve, [(center - 0.5 * length, center + 0.5 * length)]))
+    values = np.array([p.value for p in solve_spectrum(ops, mask, SpectrumRequest(count=40))])
+    assert values[-1] > 10.0
+    detuning = np.min(np.abs(values - lam))
+    assume(detuning > 1e-6)
+    assert mask.count_below(lam) == np.count_nonzero(values < lam)
+    if detuning <= greens.RESONANCE_GUARD * (1.0 + lam):
+        return
+    field = greens.solve_greens(ops, mask, (0.1, -0.2), lam)
+    reference = density_reference(ops, mask, (0.1, -0.2), lam)
+    assert (np.max(np.abs(field.boundary_values - reference))
+            <= 1e-12 * max(1.0, 1e-3 / detuning) * np.max(np.abs(reference)))
 
 
 @settings(derandomize=True, deadline=None, max_examples=15)

@@ -13,13 +13,15 @@ L2(Gamma_S)-orthonormal basis of every cluster.
   nonnegative, so these are the ones nearest 0.
 * :func:`decompose` and :class:`ArcSpectrum` -- the tuning run's trial
   solve.  The all-Steklov problem is decomposed once, W^-1/2 H W^-1/2 =
-  Q diag(Lambda) Q^T: from the FFT symbols on the circle, whose operators
-  are circulant, and otherwise in the two half-size blocks of its mirror
-  symmetry when the curve has one (every catalog curve does;
-  ``discretization`` decides both).  The blocks come from the half-size
-  factors of the trace map, so a run on such a curve forms neither H nor
-  an N x N factorization, and a run on the circle factors nothing: its
-  Rayleigh-Ritz passes work in decomposition coefficients.  A mask whose
+  Q diag(Lambda) Q^T: on the circle, whose operators are circulant, Q is
+  the cos and sin modes, kept as their mode numbers and applied by real
+  FFTs, and Lambda is the FFT symbol; otherwise in the two half-size
+  blocks of its mirror symmetry when the curve has one (every catalog
+  curve does; ``discretization`` decides both).  The blocks come from the
+  half-size factors of the trace map, so a run on such a curve forms
+  neither H nor an N x N factorization, and a run on the circle factors
+  nothing and forms no N x N array: its Rayleigh-Ritz passes work in
+  decomposition coefficients.  A mask whose
   Neumann part touches m nodes differs from it by a rank-m change, so its
   eigenvalues are the roots of an m x m secular equation (Golub, SIAM Rev.
   15, 1973; Bunch, Nielsen and Sorensen, Numer. Math. 31, 1978).
@@ -32,8 +34,8 @@ L2(Gamma_S)-orthonormal basis of every cluster.
   form of the first-order arc formula the optimizer steps with.  Both own
   a tuning run's source solves: their counts guard them, and their
   ``source_system`` solves them with no N x N factorization, diagonally on
-  the all-Steklov boundary and by Woodbury on an arc.  Any other mask owns
-  its source solves (``PartitionMask``).
+  the all-Steklov boundary (on the circle by the symbol) and by Woodbury
+  on an arc.  Any other mask owns its source solves (``PartitionMask``).
 
 All dense algebra with an N-sized operand runs on scipy's OpenBLAS: the
 factorizations and eigensolves call scipy's LAPACK, and the products go
@@ -49,6 +51,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -200,34 +203,68 @@ _RITZ_AGREEMENT = 1e-9
 # a rank-one term of order eps^-1 whose rounding can hide a negative
 # eigenvalue, so the count may read one root too few
 _POLE_ULPS = 16
+# Newton stops on a step or a bracket this small, relative to max(|x|, 1)
+_NEWTON_TOL = 4.0 * np.finfo(float).eps
 
 
 class SecularBreakdown(EigenSolveError):
     """The secular solve could not certify a root; solve the mask directly."""
 
 
-@dataclass(frozen=True)
 class SteklovDecomposition:
     """The all-Steklov problem in orthonormal form, decomposed once.
 
     W^-1/2 H W^-1/2 = Q diag(values) Q^T with W = diag(weights), so the
     all-Steklov eigenpairs are (values_j, W^-1/2 Q_j), and H W^-1/2 Q =
-    W^1/2 Q diag(values).  On a mirror set (``ops.mirror``), the circle's
-    included, every column of Q is exactly even or odd under the node
-    reversal j -> N - j (:func:`decompose`).  ``groups`` lists,
-    per group size, the index rows of values equal to ``_POLE_MERGE_TOL``;
-    ``cluster_ids`` the ids of :func:`_assign_clusters`.
+    W^1/2 Q diag(values).  ``vectors`` is Q, read-only.  On a mirror set
+    (``ops.mirror``), the circle's included, every column of Q is exactly
+    even or odd under the node reversal j -> N - j (:func:`decompose`).
+    ``groups`` lists, per group size, the index rows of values equal within
+    ``_POLE_MERGE_TOL``; ``cluster_ids`` the ids of :func:`_assign_clusters`.
     """
 
-    ops: OperatorSet
-    values: np.ndarray
-    vectors: np.ndarray
-    groups: dict
-    cluster_ids: np.ndarray
+    def __init__(self, ops: OperatorSet, values: np.ndarray, vectors: np.ndarray):
+        values.setflags(write=False)
+        vectors.setflags(write=False)
+        self.ops, self.values, self.vectors = ops, values, vectors
+
+    @cached_property
+    def groups(self) -> dict:
+        values = self.values
+        starts = np.flatnonzero(np.diff(values) > _POLE_MERGE_TOL * (1.0 + np.abs(values[1:]))) + 1
+        bounds = np.concatenate(([0], starts, [len(values)]))
+        sizes = np.diff(bounds)
+        groups = {int(p): bounds[:-1][sizes == p][:, None] + np.arange(p)
+                  for p in np.unique(sizes)}
+        for rows in groups.values():
+            rows.setflags(write=False)
+        return groups
+
+    @cached_property
+    def cluster_ids(self) -> np.ndarray:
+        ids = _assign_clusters(self.values)
+        ids.setflags(write=False)
+        return ids
+
+    def rows(self, nodes: np.ndarray) -> np.ndarray:
+        """Q's rows at the given nodes."""
+        return self.vectors[nodes]
+
+    def _columns(self, columns: np.ndarray) -> np.ndarray:
+        """Q's given columns."""
+        return self.vectors[:, columns]
+
+    def _synthesize(self, coefficients: np.ndarray) -> np.ndarray:
+        """Q c for coefficient columns c."""
+        return kernels.product(self.vectors, coefficients)
+
+    def _analyze(self, v: np.ndarray) -> np.ndarray:
+        """Q^T v for a vector v."""
+        return kernels.product(v, self.vectors)
 
     def traces(self, coefficients: np.ndarray) -> np.ndarray:
         """Boundary traces W^-1/2 Q c of coefficient columns c."""
-        return kernels.product(self.vectors, coefficients) / np.sqrt(self.ops.weights)[:, None]
+        return self._synthesize(coefficients) / np.sqrt(self.ops.weights)[:, None]
 
     def count_below(self, x: float) -> int:
         """Number of all-Steklov eigenvalues strictly below x; 0 for x <= 0."""
@@ -239,9 +276,9 @@ class SteklovDecomposition:
 
     def cluster_at(self, j: int) -> list[EigenPair]:
         """All-Steklov pairs of the multiplicity cluster holding value j."""
-        members = self.cluster_ids == self.cluster_ids[j]
-        traces = self.vectors[:, members] / np.sqrt(self.ops.weights)[:, None]
-        return _signed_pairs(self.ops, self.values[members], traces, 0)
+        members = np.flatnonzero(self.cluster_ids == self.cluster_ids[j])
+        return _signed_pairs(self.ops, self.values[members],
+                             self._columns(members) / np.sqrt(self.ops.weights)[:, None], 0)
 
     def source_system(self, lam: float):
         """``(solve, condition)`` of the all-Steklov source system H - lam W,
@@ -253,8 +290,102 @@ class SteklovDecomposition:
     def solver(self, inverse):
         """v -> W^-1/2 Q inverse(Q^T W^-1/2 v), ``inverse`` acting on coefficients."""
         scale = 1.0 / np.sqrt(self.ops.weights)
-        return lambda v: scale * kernels.product(
-            self.vectors, inverse(kernels.product(v * scale, self.vectors)))
+        return lambda v: scale * self._synthesize(inverse(self._analyze(v * scale)))
+
+
+class CirculantDecomposition(SteklovDecomposition):
+    """The decomposition of a rotation set (``ops.rotation``: the circle),
+    with Q kept as its modes.
+
+    Mode k = 0..N/2 gives the column cos(2 pi jk/N), and k = 1..N/2-1 also
+    sin(2 pi jk/N), each normalized, with the value of the symbol
+    ``ops.scaled_dtn_symbol`` at k; the columns are sorted by value, the cos
+    column of a mode first.  No N x N array is formed: Q and Q^T act by real
+    FFTs, O(N log N) per column, and the source system H - lam W, a
+    circulant, is solved by its symbol.  Q's entries at given rows or
+    columns (:meth:`rows`, :meth:`cluster_at`) are read from a table of the
+    scaled cos and sin of 2 pi m/N, m = 0..N-1, at m = jk mod N; the
+    entries above m = N/2 mirror those below, so every column is exactly
+    even or odd under j -> N - j.
+    ``vectors`` gathers the whole of Q from that table, once, when first
+    read; a tuning run never reads it.
+    """
+
+    def __init__(self, ops: OperatorSet):
+        N, n = ops.n_nodes, ops.n_nodes // 2
+        modes = np.concatenate((np.arange(n + 1), np.arange(1, n)))
+        values = ops.scaled_dtn_symbol[modes]
+        # column q is entry order[q] of the modes: cos 0..N/2, then sin 1..N/2-1
+        self._order = order = np.argsort(values, kind="stable")
+        self._rank = np.argsort(order)
+        self.ops, self.values = ops, values[order]
+        self.values.setflags(write=False)
+        # sqrt 2 on the modes 0 < k < N/2, whose cos and sin share an FFT bin
+        self._bin_scale = np.full(n + 1, np.sqrt(2.0))
+        self._bin_scale[[0, n]] = 1.0
+        angles = (TWO_PI / N) * np.arange(n + 1)
+        cos, sin = np.cos(angles), np.sin(angles)
+        sin[n] = 0.0
+        table = np.concatenate((cos, cos[n - 1:0:-1], sin, -sin[n - 1:0:-1]))
+        # the table times the column scale sqrt(2/N), then times 1/sqrt(N),
+        # the scale of the modes 0 and N/2: each half holds the N cos entries
+        # and then the N sin entries
+        self._table = np.concatenate([table * (s / np.sqrt(N)) for s in (np.sqrt(2.0), 1.0)])
+        modes = modes[order]
+        offset = np.where(order > n, N, 0) + np.where(self._bin_scale[modes] == 1.0, 2 * N, 0)
+        # jk < N^2/2 fits the smallest unsigned type that holds N^2/2, whose
+        # in-place remainder is the cheapest
+        self._index_type = np.min_scalar_type(N * n)
+        self._modes = modes.astype(self._index_type)
+        self._offset = offset.astype(self._index_type)
+
+    @cached_property
+    def vectors(self) -> np.ndarray:
+        """Q as a read-only N x N array, gathered in row blocks."""
+        N = self.ops.n_nodes
+        q = np.empty((N, N))
+        for rows in kernels.row_blocks(N, N):
+            q[rows] = self._gather(np.arange(rows.start, rows.stop))
+        q.setflags(write=False)
+        return q
+
+    def _gather(self, nodes: np.ndarray, columns=slice(None)) -> np.ndarray:
+        """Q[nodes][:, columns] from the cos/sin table."""
+        index = np.multiply.outer(np.asarray(nodes, self._index_type), self._modes[columns])
+        np.remainder(index, self.ops.n_nodes, out=index)
+        index += self._offset[columns]
+        return self._table[index]
+
+    def rows(self, nodes: np.ndarray) -> np.ndarray:
+        return self._gather(nodes)
+
+    def _columns(self, columns: np.ndarray) -> np.ndarray:
+        return self._gather(np.arange(self.ops.n_nodes), columns)
+
+    def _synthesize(self, coefficients: np.ndarray) -> np.ndarray:
+        """Q c, one ``irfft`` per column c: a cos coefficient is the real part
+        of its mode's bin and a sin coefficient minus the imaginary part."""
+        n = self.ops.n_nodes // 2
+        c = coefficients[self._rank]
+        bins = np.zeros((n + 1,) + c.shape[1:], dtype=complex)
+        bins.real = c[:n + 1]
+        bins.imag[1:n] = -c[n + 1:]
+        bins /= self._bin_scale.reshape((-1,) + (1,) * (c.ndim - 1))
+        return np.fft.irfft(bins, self.ops.n_nodes, axis=0, norm="ortho")
+
+    def _analyze(self, v: np.ndarray) -> np.ndarray:
+        """Q^T v by one ``rfft``."""
+        bins = np.fft.rfft(v, norm="ortho") * self._bin_scale
+        return np.concatenate((bins.real, -bins.imag[1:-1]))[self._order]
+
+    def source_system(self, lam: float):
+        """As for any decomposition, but H - lam W is the circulant with
+        symbol w (symbol - lam), w the node weight, and one ``rfft`` and one
+        ``irfft`` solve it."""
+        condition = super().source_system(lam)[1]
+        ops = self.ops
+        symbol = ops.weights[0] * (ops.scaled_dtn_symbol - lam)
+        return lambda v: np.fft.irfft(np.fft.rfft(v) / symbol, ops.n_nodes), condition
 
 
 def _scaled_dtn(ops: OperatorSet) -> np.ndarray:
@@ -292,42 +423,15 @@ def _mirror_eigh(even: np.ndarray, odd: np.ndarray) -> tuple[np.ndarray, np.ndar
     return values[order], q
 
 
-def _circulant_eigh(ops: OperatorSet) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending values and vectors of X on a rotation set, from its symbol.
-
-    Mode k = 0..N/2 contributes the column cos(2 pi jk/N), and k = 1..N/2-1
-    also sin(2 pi jk/N), each normalized, with the value of the symbol at
-    k; of one mode the cos column comes first.  Entry (j, k) is read, in
-    row blocks, from a table of cos and sin of 2 pi m/N at m = jk mod N;
-    the table's second half mirrors its first, so every column is exactly
-    even or odd under j -> N - j."""
-    N, n = ops.n_nodes, ops.n_nodes // 2
-    modes = np.concatenate((np.arange(n + 1), np.arange(1, n)))
-    values = ops.scaled_dtn_symbol[modes]
-    order = np.argsort(values, kind="stable")
-    modes, sine = modes[order], order > n
-    angles = (TWO_PI / N) * np.arange(n + 1)
-    cos, sin = np.cos(angles), np.sin(angles)
-    sin[n] = 0.0
-    table = np.concatenate((cos, cos[n - 1:0:-1], sin, -sin[n - 1:0:-1]))
-    offset = np.where(sine, N, 0)          # sin entries follow the N cos entries
-    scale = np.where((modes == 0) | (modes == n), 1.0, np.sqrt(2.0)) / np.sqrt(N)
-    q = np.empty((N, N))
-    for rows in kernels.row_blocks(N, N):
-        index = np.multiply.outer(np.arange(rows.start, rows.stop), modes) % N
-        index += offset
-        np.multiply(table[index], scale, out=q[rows])
-    return values[order], q
-
-
 def decompose(ops: OperatorSet) -> SteklovDecomposition:
     """Decompose the all-Steklov problem of ``ops``.
 
     On a rotation set (``ops.rotation``: the circle) X = W^-1/2 H W^-1/2 is
     circulant and even, so the normalized cos and sin modes are its
     eigenvectors and its real symbol (``ops.scaled_dtn_symbol``) gives their
-    values, a cos and a sin mode sharing one: neither an N x N operator
-    nor a factorization is formed (:func:`_circulant_eigh`).  On any other
+    values, a cos and a sin mode sharing one.  The decomposition keeps
+    those modes (:class:`CirculantDecomposition`): Q acts by FFTs, and no
+    N x N array is formed.  On any other
     mirror set (``ops.mirror``: a curve with x(-t) the mirror image of x(t),
     as every catalog curve) X commutes with the node reversal j -> N - j
     and splits in the reversal's even and odd subspaces.
@@ -338,25 +442,17 @@ def decompose(ops: OperatorSet) -> SteklovDecomposition:
     every vector is exactly even or odd, and neither H nor an N x N
     factorization is formed.  Otherwise one ``eigh`` of X decomposes it.
     """
+    if ops.rotation:
+        return CirculantDecomposition(ops)
     try:
-        if ops.rotation:
-            values, vectors = _circulant_eigh(ops)
-        elif ops.mirror:
+        if ops.mirror:
             values, vectors = _mirror_eigh(*ops.scaled_dtn_halves())
         else:
             values, vectors = sla.eigh(_scaled_dtn(ops), driver="evd", overwrite_a=True,
                                        check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise EigenSolveError(f"self-adjoint eigensolve failed: {exc}") from exc
-    starts = np.flatnonzero(np.diff(values) > _POLE_MERGE_TOL * (1.0 + np.abs(values[1:]))) + 1
-    bounds = np.concatenate(([0], starts, [len(values)]))
-    sizes = np.diff(bounds)
-    groups = {int(p): bounds[:-1][sizes == p][:, None] + np.arange(p)
-              for p in np.unique(sizes)}
-    ids = _assign_clusters(values)
-    for arr in (values, vectors, ids, *groups.values()):
-        arr.setflags(write=False)
-    return SteklovDecomposition(ops, values, vectors, groups, ids)
+    return SteklovDecomposition(ops, values, vectors)
 
 
 def ldl_inertia(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -447,7 +543,7 @@ class ArcSpectrum:
             raise SecularBreakdown("a mask without Neumann nodes has no secular equation")
         self.fm = frac[nodes]
         root_e = np.sqrt(1.0 - self.fm)
-        self._b = b = root_e[:, None] * spectrum.vectors[nodes]
+        self._b = b = root_e[:, None] * spectrum.rows(nodes)
         # one pole direction per (group g, column q): sum_i rot[g, i, q] Q_rows[g, i]
         values, cols, rotations, exact = [], [], [], True
         for p, rows in spectrum.groups.items():
@@ -536,9 +632,17 @@ class ArcSpectrum:
 
     def _count(self, lam: float) -> int:
         """Secular roots below lam, from the inertia of G(lam) alone, unless
-        the counts kept on both sides of lam already agree."""
+        the counts kept on both sides of lam already agree.  A solved root k
+        at x counts k + 1 roots below any lam beyond Newton's stopping
+        tolerance above x, and k below any lam as far below x."""
         lower = [c for x, c in self._probes.items() if x <= lam]
         upper = [c for x, c in self._probes.items() if x >= lam]
+        for k, (x, _) in self._roots.items():
+            tol = _NEWTON_TOL * max(abs(x), 1.0)
+            if lam > x + tol:
+                lower.append(k + 1)
+            elif lam < x - tol:
+                upper.append(k)
         if lower and upper and max(lower) == min(upper):
             return max(lower)
         return self._factor(float(lam))[-1]
@@ -623,7 +727,6 @@ class ArcSpectrum:
         branch = int(np.searchsorted(poles, lo, "right")) - k - 1
         if not 0 <= branch < m:
             raise SecularBreakdown(f"secular root {k}: count and poles disagree")
-        tiny = 4.0 * np.finfo(float).eps
         x, vec = 0.5 * (lo + hi), None
         for _ in range(_MAX_EVALUATIONS):
             x, g, ldu, ipiv, count = self._factor(x)
@@ -639,7 +742,8 @@ class ArcSpectrum:
             y = kernels.product(vec, self.cols)
             slope = float(np.sum(poles * (y / (poles - x)) ** 2))
             step = phi / slope if slope > 0.0 else np.inf
-            if abs(step) <= tiny * max(abs(x), 1.0) or hi - lo <= tiny * max(abs(x), 1.0):
+            tol = _NEWTON_TOL * max(abs(x), 1.0)
+            if abs(step) <= tol or hi - lo <= tol:
                 break
             x = x - step
             if not lo < x < hi:

@@ -21,6 +21,7 @@ from steklov.eigensolver import (
     CLUSTER_TOL,
     AccuracyWarning,
     ArcSpectrum,
+    CirculantDecomposition,
     EigenPair,
     SecularBreakdown,
     SpectrumRequest,
@@ -413,6 +414,48 @@ def test_circulant_and_mirror_routes_decompose_the_disk_alike(n, monkeypatch):
         assert np.linalg.norm(b - a @ (a.T @ b), 2) <= 1e-10
 
 
+@pytest.mark.parametrize("n", [64, 768, 1536])
+def test_circulant_decomposition_acts_as_its_table(n):
+    # the disk's Q is kept as its modes: rows and cluster columns are gathered
+    # from the cos/sin table, the traces and the solver are FFTs and the
+    # source solve divides by the symbol, and none of them builds the table
+    ops = assemble(circle(), n)
+    spectrum = decompose(ops)
+    assert isinstance(spectrum, CirculantDecomposition)
+    rng = np.random.default_rng(n)
+    nodes = np.sort(rng.choice(n, 50, replace=False))
+    rows = spectrum.rows(nodes)
+    coefficients = rng.standard_normal((n, 3))
+    traces = spectrum.traces(coefficients)
+    v = rng.standard_normal(n)
+    inverse = lambda x: x / (spectrum.values + 1.0)
+    solved = spectrum.solver(inverse)(v)
+    lam = 0.5 * (spectrum.values[5] + spectrum.values[7])
+    source = spectrum.source_system(lam)[0](v)
+    clusters = [spectrum.cluster_at(j) for j in (0, 1, 6, n // 3, n - 1)]
+    assert "vectors" not in vars(spectrum)
+    q = spectrum.vectors
+    assert spectrum.vectors is q and not q.flags.writeable
+    assert np.array_equal(rows, q[nodes])
+    scale = 1.0 / np.sqrt(ops.weights)
+
+    def relative(got, want):
+        return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+    assert relative(traces, scale[:, None] * (q @ coefficients)) <= 1e-13
+    assert relative(solved, scale * (q @ inverse((scale * v) @ q))) <= 1e-13
+    # H - lam W = W^1/2 Q (Lambda - lam) Q^T W^1/2
+    want = scale * (q @ (((scale * v) @ q) / (spectrum.values - lam)))
+    assert relative(source, want) <= 1e-13
+    for j, pairs in zip((0, 1, 6, n // 3, n - 1), clusters):
+        members = spectrum.cluster_ids == spectrum.cluster_ids[j]
+        assert len(pairs) == np.count_nonzero(members) == (1 if j in (0, n - 1) else 2)
+        want = q[:, members] * scale[:, None]
+        got = np.array([p.trace for p in pairs]).T
+        # the same columns, up to the sign convention
+        assert relative(np.abs(got), np.abs(want)) <= 1e-13
+
+
 def test_indefinite_neumann_block_raises_eigensolve_error(monkeypatch):
     # a flipped free-space kernel makes H_nn indefinite, so the Cholesky
     # of the Neumann-block elimination fails
@@ -531,6 +574,24 @@ def test_secular_count_matches_the_eigensolver(case):
     for lam in probes:
         assert arc.count_below(lam) == np.count_nonzero(reference < lam)
         assert mask.count_below(lam) == np.count_nonzero(reference < lam)
+
+
+@pytest.mark.parametrize("case", list(SECULAR_CASES))
+def test_count_reads_the_solved_roots(case):
+    # a solved root k at x has k + 1 roots below x (1 + 1e-6) and k below
+    # x (1 - 1e-6), so beside roots 0..11 the counts need no LDL^T, except
+    # below the first and above the last, which no other root bounds; all
+    # equal a fresh inertia count
+    ops, mask = SECULAR_CASES[case]()
+    spectrum = decompose(ops)
+    arc = ArcSpectrum(spectrum, mask)
+    roots = [arc._root(k)[0] for k in range(12)]
+    probes = [x * (1.0 + side) for x in roots for side in (-1e-6, 1e-6)]
+    with secular_work() as work:
+        counts = [arc._count(lam) for lam in probes[1:-1]]
+    assert work["ldl"] == 0
+    counts = [arc._count(probes[0])] + counts + [arc._count(probes[-1])]
+    assert counts == [ArcSpectrum(spectrum, mask)._factor(lam)[-1] for lam in probes]
 
 
 @pytest.mark.parametrize("curve", [circle, kite], ids=["circle", "kite"])

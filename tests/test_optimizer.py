@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -20,7 +21,12 @@ from steklov.discretization import (
     assemble,
     mask_from_partition,
 )
-from steklov.eigensolver import AccuracyWarning, ArcSpectrum, SecularBreakdown
+from steklov.eigensolver import (
+    AccuracyWarning,
+    ArcSpectrum,
+    CirculantDecomposition,
+    SecularBreakdown,
+)
 from steklov.errors import (
     ConfigError,
     ConvergenceError,
@@ -519,6 +525,25 @@ def test_secular_matrix_follows_the_rotation_route(config, dense, monkeypatch):
     assert run(config).converged
     assert len(evaluations) > 10
     assert any(reached) == dense
+
+
+def test_disk_run_builds_no_n_by_n_array(monkeypatch):
+    # test_10's run (disk, N=1536): the decomposition is its modes, so nothing
+    # reads the N x N table, and the memory the run allocates stays below
+    # half of one N x N array of doubles
+    built = []
+    table = CirculantDecomposition.vectors.func
+    monkeypatch.setattr(CirculantDecomposition, "vectors",
+                        property(lambda self: built.append(self) or table(self)))
+    n = 1536
+    tracemalloc.start()
+    try:
+        assert run(disk_config(lambda_star=15.5, n_nodes=n)).converged
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert built == []
+    assert peak < 0.5 * n * n * np.dtype(float).itemsize
 
 
 def _secular_breakdown(*args):

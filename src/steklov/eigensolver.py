@@ -292,6 +292,10 @@ class SteklovDecomposition:
         scale = 1.0 / np.sqrt(self.ops.weights)
         return lambda v: scale * self._synthesize(inverse(self._analyze(v * scale)))
 
+    def pole_directions(self, nodes: np.ndarray, e: np.ndarray) -> PoleDirections:
+        """The secular equation's pole directions on arc nodes of weights e."""
+        return PoleDirections(self, nodes, e)
+
 
 class CirculantDecomposition(SteklovDecomposition):
     """The decomposition of a rotation set (``ops.rotation``: the circle),
@@ -308,7 +312,11 @@ class CirculantDecomposition(SteklovDecomposition):
     entries above m = N/2 mirror those below, so every column is exactly
     even or odd under j -> N - j.
     ``vectors`` gathers the whole of Q from that table, once, when first
-    read; a tuning run never reads it.
+    read; a tuning run never reads it.  The pole directions of an arc's
+    secular equation (:meth:`pole_directions`) come in closed form from
+    one FFT of the arc weights (:class:`ModeDirections`) while each pole
+    group is one mode, so a trial gathers no rows either; only the final
+    mask's source solve does.
     """
 
     def __init__(self, ops: OperatorSet):
@@ -386,6 +394,15 @@ class CirculantDecomposition(SteklovDecomposition):
         ops = self.ops
         symbol = ops.weights[0] * (ops.scaled_dtn_symbol - lam)
         return lambda v: np.fft.irfft(np.fft.rfft(v) / symbol, ops.n_nodes), condition
+
+    def pole_directions(self, nodes: np.ndarray, e: np.ndarray) -> PoleDirections:
+        """In closed form (:class:`ModeDirections`) when every pole group is
+        one mode; otherwise formed from the rows."""
+        # a mode's cos and sin columns share their value, so one group holds
+        # both: the groups are the modes exactly when there are N/2 + 1
+        if sum(len(rows) for rows in self.groups.values()) != self.ops.n_nodes // 2 + 1:
+            return super().pole_directions(nodes, e)
+        return ModeDirections(self, nodes, e)
 
 
 def _scaled_dtn(ops: OperatorSet) -> np.ndarray:
@@ -488,6 +505,145 @@ def _branch_pair(g: np.ndarray, branch: int) -> tuple[float, np.ndarray]:
     return float(mu[0]), z[:, 0]
 
 
+class PoleDirections:
+    """The pole directions of the secular equation on the arc ``nodes``, whose
+    weights are e = 1 - steklov_fraction, formed from the decomposition's rows.
+
+    B = E^1/2 Q_m has one column per column of Q.  Within a pole group (equal
+    Steklov eigenvalues) the eigenvectors of the group's Gram B_g^T B_g turn
+    its columns into directions that each carry their own arc weight (Bunch,
+    Nielsen and Sorensen).  A direction whose arc norm is at most
+    ``_DEFLATION_TOL`` is deflated, and so is the constant mode, an
+    eigenpair of every mask.  ``values`` holds the directions' pole values
+    in secular order: the ``active`` ones ascending, then the deflated ones
+    ascending.  ``exact`` tells whether every member of a pole group
+    carries the group's value.
+    """
+
+    def __init__(self, spectrum: SteklovDecomposition, nodes: np.ndarray, e: np.ndarray):
+        b = np.sqrt(e)[:, None] * spectrum.rows(nodes)
+        # one pole direction per (group g, column q): sum_i rot[g, i, q] Q_rows[g, i],
+        # kept at the position of the group's column q
+        values = np.empty(len(spectrum.values))
+        cols = np.empty((len(values), len(nodes)))
+        rotations, self.exact = [], True
+        for p, rows in spectrum.groups.items():
+            bj = b[:, rows].transpose(1, 0, 2)                      # (G, m, p)
+            if p == 1:
+                rot = np.ones((len(rows), 1, 1))
+            else:  # orthogonal weight directions within each group
+                rot = np.linalg.eigh(np.einsum("gmi,gmj->gij", bj, bj))[1]
+            means = spectrum.values[rows].mean(axis=1)
+            self.exact &= bool(np.all(spectrum.values[rows] == means[:, None]))
+            values[rows] = means[:, None]
+            cols[rows] = (bj @ rot).transpose(0, 2, 1)
+            rotations.append((rows, rot))
+        order = self._arrange(values, np.linalg.norm(cols, axis=1))
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        self._cols = cols[order].T
+        # per group size: the rows, rotations and secular positions of the
+        # directions, to lift them to coefficients
+        self._rotations = [(rows, rot, rank[rows]) for rows, rot in rotations]
+
+    def _arrange(self, values: np.ndarray, norms: np.ndarray) -> np.ndarray:
+        """Set ``values`` and ``active`` from the directions' pole values and
+        arc norms, and return the secular order of the directions."""
+        # the constant mode (Lambda ~ 0) is an eigenpair of every mask, and
+        # lambda M(lambda) scales its pole by Lambda/(Lambda - lambda) ~ 0
+        active = ((norms > _DEFLATION_TOL)
+                  & (np.abs(values) > _ZERO_POLE_TOL * np.max(np.abs(values))))
+        order = np.concatenate([np.flatnonzero(sel)[np.argsort(values[sel], kind="stable")]
+                                for sel in (active, ~active)])
+        self.values, self.active = values[order], int(np.count_nonzero(active))
+        return order
+
+    def columns(self, positions) -> np.ndarray:
+        """The directions at the given secular positions, as m-vector columns."""
+        return self._cols[:, positions]
+
+    def project(self, z: np.ndarray, count: int | None = None) -> np.ndarray:
+        """The components of the m-vector z along the first ``count``
+        directions (all of them by default), in secular order."""
+        return kernels.product(z, self._cols[:, :count])
+
+    def lift(self, weights: np.ndarray) -> np.ndarray:
+        """Decomposition coefficients of direction weights (columns in
+        secular order): each group's directions turn back to its columns."""
+        coefficients = np.empty_like(weights)
+        for rows, rot, at in self._rotations:
+            coefficients[rows] = np.einsum("giq,gqr->gir", rot, weights[at])
+        return coefficients
+
+
+class ModeDirections(PoleDirections):
+    """:class:`PoleDirections` in closed form, on a rotation set whose pole
+    groups are each one mode's cos/sin pair (and the singletons 0 and N/2).
+
+    Over a pair of mode k the arc Gram is (1/N) [[S + a, b], [b, S - a]]
+    with S = sum e and a - ib = Ê(2k), the DFT of e scattered on the N nodes
+    at bin 2k mod N (beyond N/2 by conjugate symmetry): cos^2 and sin^2 are
+    (1 +- cos 2t)/2, and 2 sin t cos t = sin 2t (Gray, Toeplitz and
+    Circulant Matrices: A Review, 2006).  So the pair turns by
+    phi = -arg(Ê(2k))/2 into the directions cos(t - phi) and sin(t - phi),
+    t = 2 pi jk/N at node j, of weights (S + |Ê(2k)|)/N and
+    (S - |Ê(2k)|)/N; the singletons weigh S/N.  One ``rfft`` of e gives
+    all of them, and one ``rfft`` of E^1/2 z, turned by e^(i phi), the
+    components of z along every direction; no m x N array is formed.
+    """
+
+    def __init__(self, spectrum: CirculantDecomposition, nodes: np.ndarray, e: np.ndarray):
+        N, n = spectrum.ops.n_nodes, spectrum.ops.n_nodes // 2
+        self.exact, self._n_nodes = True, N
+        self._nodes, self._root_e = nodes, np.sqrt(e)
+        full = np.zeros(N)
+        full[nodes] = e
+        spec = np.fft.rfft(full)
+        bins = 2 * np.arange(n + 1) % N
+        hat = spec[np.minimum(bins, N - bins)]
+        hat.imag[bins > n] *= -1.0
+        self._phi = -0.5 * np.angle(hat)         # 0 at the modes 0 and N/2
+        self._turn = np.exp(1j * self._phi)
+        total, spread = float(np.sum(e)), np.abs(hat)
+        spread[[0, n]] = 0.0
+        # slot k: the larger weight of mode k; N/2 + 1 + k: the smaller one,
+        # which the cos column of 0 < k < N/2 (sorted before its sin) takes,
+        # as the first direction of an ascending eigh
+        weight = np.concatenate((total + spread, total - spread)) / N
+        slots = np.concatenate((np.arange(n + 1) + n + 1, np.arange(1, n)))
+        slots[[0, n]] = 0, n
+        slots = slots[spectrum._order]
+        order = self._arrange(spectrum.values, np.sqrt(np.maximum(weight[slots], 0.0)))
+        self._slots = slots[order]
+        # the column scale sqrt(2/N), and 1/sqrt(N) for the modes 0 and N/2
+        self._scale = spectrum._bin_scale / np.sqrt(N)
+        self._order = spectrum._order
+
+    def columns(self, positions) -> np.ndarray:
+        slots = self._slots[positions]
+        k = slots % len(self._phi)
+        t = (TWO_PI / self._n_nodes) * (np.multiply.outer(self._nodes, k) % self._n_nodes)
+        t -= self._phi[k]
+        return np.where(slots >= len(self._phi), np.sin(t), np.cos(t)) * np.multiply.outer(
+            self._root_e, self._scale[k])
+
+    def project(self, z: np.ndarray, count: int | None = None) -> np.ndarray:
+        full = np.zeros(self._n_nodes)
+        full[self._nodes] = self._root_e * z
+        turned = np.fft.rfft(full) * (self._turn * self._scale)
+        # along cos(t - phi): Re(e^(i phi) Z); along sin(t - phi): -Im(e^(i phi) Z)
+        return np.concatenate((turned.real, -turned.imag))[self._slots[:count]]
+
+    def lift(self, weights: np.ndarray) -> np.ndarray:
+        n = len(self._phi) - 1
+        slotted = np.zeros((2 * (n + 1), weights.shape[1]))
+        slotted[self._slots] = weights
+        # w cos(t - phi) + v sin(t - phi) has cos part Re((w + iv) e^(i phi))
+        # and sin part Im((w + iv) e^(i phi))
+        turned = (slotted[:n + 1] + 1j * slotted[n + 1:]) * self._turn[:, None]
+        return np.concatenate((turned.real, turned.imag[1:n]))[self._order]
+
+
 class ArcSpectrum:
     """Mixed spectrum of a mask from the secular equation on its arc nodes.
 
@@ -524,6 +680,11 @@ class ArcSpectrum:
     with their Steklov trace.  So is the constant mode, the eigenvalue 0
     of every mask.  Roots of the remaining *secular* problem are
     indexed from 0 upwards; the deflated values form a second sorted list.
+    The decomposition gives the directions (``pole_directions``), on the
+    disk in closed form (:class:`ModeDirections`) with no m x N array:
+    Newton's slope and the traces read B^T z through them, G forms as
+    m-vectors only the directions it sums (:attr:`cols`, or the deflated
+    ones on the symbol route), and only a source solve gathers B.
 
     The mixed eigenvalues are read by their index j in the whole spectrum
     (the constant mode is 0): :meth:`value` locates eigenvalue j among the
@@ -537,56 +698,40 @@ class ArcSpectrum:
     def __init__(self, spectrum: SteklovDecomposition, mask: PartitionMask):
         self.spectrum, self.mask = spectrum, mask
         frac = mask.steklov_fraction
-        nodes = np.flatnonzero(frac < 1.0)
+        self._nodes = nodes = np.flatnonzero(frac < 1.0)
         self.m = len(nodes)
         if self.m == 0:
             raise SecularBreakdown("a mask without Neumann nodes has no secular equation")
         self.fm = frac[nodes]
-        root_e = np.sqrt(1.0 - self.fm)
-        self._b = b = root_e[:, None] * spectrum.rows(nodes)
-        # one pole direction per (group g, column q): sum_i rot[g, i, q] Q_rows[g, i]
-        values, cols, rotations, exact = [], [], [], True
-        for p, rows in spectrum.groups.items():
-            bj = b[:, rows].transpose(1, 0, 2)                      # (G, m, p)
-            if p == 1:
-                rot = np.ones((len(rows), 1, 1))
-            else:  # orthogonal weight directions within each group
-                rot = np.linalg.eigh(np.einsum("gmi,gmj->gij", bj, bj))[1]
-            start = sum(len(v) for v in values)
-            means = spectrum.values[rows].mean(axis=1)
-            exact &= bool(np.all(spectrum.values[rows] == means[:, None]))
-            values.append(np.repeat(means, p))
-            cols.append((bj @ rot).transpose(0, 2, 1).reshape(-1, self.m))
-            rotations.append((rows, rot, start + np.arange(rows.size).reshape(-1, p)))
-        values, cols = np.concatenate(values), np.concatenate(cols)
-        # the constant mode (Lambda ~ 0) is an eigenpair of every mask, and
-        # lambda M(lambda) scales its pole by Lambda/(Lambda - lambda) ~ 0
-        active = ((np.linalg.norm(cols, axis=1) > _DEFLATION_TOL)
-                  & (np.abs(values) > _ZERO_POLE_TOL * np.max(np.abs(values))))
-        order = np.concatenate([np.flatnonzero(sel)[np.argsort(values[sel], kind="stable")]
-                                for sel in (active, ~active)])
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        # per group size: the rows, rotations and positions (active by pole,
-        # then deflated) of the directions, to lift them to coefficients
-        self._rotations = [(rows, rot, rank[at]) for rows, rot, at in rotations]
-        na = int(np.count_nonzero(active))
+        self._root_e = root_e = np.sqrt(1.0 - self.fm)
+        self._directions = directions = spectrum.pole_directions(nodes, 1.0 - self.fm)
         # deflation drops a direction from G and the count, not from the
         # traces of the secular roots, which use every direction
-        self._values, self._cols = values[order], cols[order].T
-        self.poles, self.cols = self._values[:na], self._cols[:, :na]
-        self.deflated = self._values[na:]
+        self._values = directions.values
+        self.poles = self._values[:directions.active]
+        self.deflated = self._values[directions.active:]
         # on a rotation set whose pole values are the symbol's, G is a Toeplitz
         # section of a circulant (:meth:`_matrix`); that sum holds the deflated
         # poles too, so a probe is moved off those as well
         self._symbol = None
-        if spectrum.ops.rotation and exact:
+        if spectrum.ops.rotation and directions.exact:
             self._symbol = spectrum.ops.scaled_dtn_symbol
             self._gaps = (nodes[:, None] - nodes) % spectrum.ops.n_nodes
             self._scale = np.outer(root_e, root_e)
+            self._deflated_cols = directions.columns(slice(directions.active, None))
         self._summed = self.poles if self._symbol is None else self._values
         self._probes: dict[float, int] = {}
         self._roots: dict[int, tuple[float, np.ndarray]] = {}
+
+    @cached_property
+    def cols(self) -> np.ndarray:
+        """The active directions, one m-vector column per pole."""
+        return self._directions.columns(slice(None, len(self.poles)))
+
+    @cached_property
+    def _b(self) -> np.ndarray:
+        """B = E^1/2 Q_m over all N decomposition columns."""
+        return self._root_e[:, None] * self.spectrum.rows(self._nodes)
 
     # -- the secular equation --------------------------------------------------
 
@@ -604,7 +749,7 @@ class ArcSpectrum:
             s = self._symbol / (self._symbol - lam)
             g = np.fft.irfft(s, self.spectrum.ops.n_nodes)[self._gaps]
             g *= self._scale
-            off = self._cols[:, len(self.poles):]
+            off = self._deflated_cols
             g -= np.einsum("id,jd->ij", off * (self.deflated / (self.deflated - lam)), off)
         g[np.diag_indices(self.m)] += self.fm
         return lam, g
@@ -739,7 +884,7 @@ class ArcSpectrum:
             if fresh:
                 phi, vec = _branch_pair(g, branch)
             lo, hi = (x, hi) if phi < 0.0 else (lo, x)
-            y = kernels.product(vec, self.cols)
+            y = self._directions.project(vec, len(poles))
             slope = float(np.sum(poles * (y / (poles - x)) ** 2))
             step = phi / slope if slope > 0.0 else np.inf
             tol = _NEWTON_TOL * max(abs(x), 1.0)
@@ -820,15 +965,12 @@ class ArcSpectrum:
             if kind == "s":
                 lam, z = self._root(i)
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    weights[:, j] = kernels.product(z, self._cols) / (self._values - lam)
+                    weights[:, j] = self._directions.project(z) / (self._values - lam)
             else:
                 weights[len(self.poles) + i, j] = 1.0
         if not np.all(np.isfinite(weights)):
             raise SecularBreakdown("a secular root sits on a deflated pole")
-        # each group's directions turn back to its decomposition columns
-        coefficients = np.empty_like(weights)
-        for rows, rot, at in self._rotations:
-            coefficients[rows] = np.einsum("giq,gqr->gir", rot, weights[at])
+        coefficients = self._directions.lift(weights)
         traces = self.spectrum.traces(coefficients)
         ops, b = self.spectrum.ops, self.mask.steklov_weights
         try:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from collections import Counter
 from contextlib import contextmanager
 from functools import lru_cache
@@ -23,8 +24,11 @@ from steklov.eigensolver import (
     ArcSpectrum,
     CirculantDecomposition,
     EigenPair,
+    ModeDirections,
+    PoleDirections,
     SecularBreakdown,
     SpectrumRequest,
+    SteklovDecomposition,
     _assign_clusters,
     cluster_members,
     decompose,
@@ -688,6 +692,121 @@ def test_pole_groups_of_several_modes_take_the_product_route(monkeypatch):
     spectrum = decompose(ops)
     assert max(spectrum.groups) > 2
     assert ArcSpectrum(spectrum, mask)._symbol is None
+
+
+def disk_nodes_setup(n, first, last):
+    # a Neumann arc from 0.4 of a cell before node ``first`` to 0.4 of a cell
+    # past node ``last``: it touches nodes first..last (mod n) and no other
+    h = TWO_PI / n
+    return neumann_setup(circle(), n, [((first - 0.4) * h, (last + 0.4) * h)])
+
+
+DIRECTION_CASES = {
+    **{name: setup for name, setup in SECULAR_CASES.items() if not name.startswith("kite")},
+    "disk-one-node-N96": lambda: disk_nodes_setup(96, 37, 37),
+    "disk-two-adjacent-nodes-N128": lambda: disk_nodes_setup(128, 10, 11),
+    "disk-across-node-0-N128": lambda: disk_nodes_setup(128, -3, 2),
+    "disk-all-but-one-node-N128": lambda: disk_nodes_setup(128, 1, 127),
+}
+
+
+@pytest.mark.parametrize("case", list(DIRECTION_CASES))
+def test_closed_form_pole_directions_match_the_gram_eigh(case, monkeypatch):
+    # on the disk the pole directions come from one FFT of the arc weights;
+    # they must be what each pole group's Gram and its eigh give
+    ops, mask = DIRECTION_CASES[case]()
+    spectrum = decompose(ops)
+    arc = ArcSpectrum(spectrum, mask)
+    directions = arc._directions
+    assert ops.rotation and isinstance(directions, ModeDirections)
+    nodes = np.flatnonzero(mask.steklov_fraction < 1.0)
+    b = np.sqrt(1.0 - mask.steklov_fraction[nodes])[:, None] * spectrum.rows(nodes)
+    # the directions in the decomposition's columns (one per secular
+    # position): an orthogonal turn within each pole group
+    n = ops.n_nodes
+    turn = directions.lift(np.eye(n))
+    assert np.max(np.abs(turn.T @ turn - np.eye(n))) <= 1e-14
+    d = b @ turn
+    assert np.max(np.abs(directions.columns(slice(None)) - d)) <= 1e-14
+    z = np.random.default_rng(n).standard_normal(arc.m)
+    assert np.max(np.abs(directions.project(z) - z @ d)) <= 1e-13 * np.max(np.abs(z @ d))
+    # the reference: eigh of each group's Gram, and the deflation rule
+    values, norms, active_in = [], [], {}
+    for p, rows in spectrum.groups.items():
+        for group in rows:
+            gram = b[:, group].T @ b[:, group]
+            weight, rot = np.linalg.eigh(gram)
+            values += [spectrum.values[group].mean()] * p
+            norms += list(np.linalg.norm(b[:, group] @ rot, axis=0))
+            # the group's directions: their Gram is diagonal, its diagonal the
+            # eigh weights, to 1e-14 of the trace
+            at = np.flatnonzero(np.any(turn[group] != 0.0, axis=0))
+            assert len(at) == p
+            assert np.all(arc._values[at] == spectrum.values[group])
+            turned = d[:, at].T @ d[:, at]
+            tol = 1e-14 * max(np.trace(gram), np.finfo(float).tiny)
+            assert np.max(np.abs(turned - np.diag(np.diag(turned)))) <= tol
+            assert np.max(np.abs(np.sort(np.diag(turned)) - weight)) <= tol
+            active_in[group[0]] = np.count_nonzero(at < len(arc.poles))
+    values, norms = np.array(values), np.array(norms)
+    active = ((norms > eigensolver._DEFLATION_TOL)
+              & (np.abs(values) > eigensolver._ZERO_POLE_TOL * np.max(np.abs(values))))
+    assert np.array_equal(arc.poles, np.sort(values[active]))
+    assert np.array_equal(arc.deflated, np.sort(values[~active]))
+    # the active sets agree group by group
+    sizes = [p for p, rows in spectrum.groups.items() for _ in rows]
+    firsts = [group[0] for rows in spectrum.groups.values() for group in rows]
+    counts = [np.count_nonzero(a) for a in np.split(active, np.cumsum(sizes)[:-1])]
+    assert dict(zip(firsts, counts)) == active_in
+    # the same mask through the rows (the product of Gram and eigh)
+    monkeypatch.setattr(CirculantDecomposition, "pole_directions",
+                        SteklovDecomposition.pole_directions)
+    gathered = ArcSpectrum(spectrum, mask)
+    assert type(gathered._directions) is PoleDirections
+    assert np.array_equal(gathered.poles, arc.poles)
+    assert np.array_equal(gathered.deflated, arc.deflated)
+    poles = np.unique(arc.poles)
+    for lam in 0.5 * (poles[:-1] + poles[1:])[:60]:
+        g, want = arc._matrix(lam)[1], gathered._matrix(lam)[1]
+        assert np.max(np.abs(g - want)) <= 1e-13 * np.max(np.abs(want))
+        assert arc.count_below(lam) == gathered.count_below(lam)
+
+
+def test_disk_secular_solve_gathers_no_rows(monkeypatch):
+    # a disk trial (the test_10 size, N=1536) builds its directions, finds a
+    # cluster and its pairs without gathering Q's rows at the arc nodes, and
+    # allocates less than one m x N array; a source solve gathers B, once.
+    # The kite's directions are formed from its rows.
+    ops, mask = neumann_setup(circle(), 1536, [(2.0, 2.2)])
+    spectrum = decompose(ops)
+    gather = spectrum.rows
+
+    def refuse(nodes):
+        raise AssertionError("the disk's rows were gathered")
+
+    monkeypatch.setattr(spectrum, "rows", refuse)
+    tracemalloc.start()
+    try:
+        arc = ArcSpectrum(spectrum, mask)
+        first, last = arc.cluster(arc.count_below(15.5))
+        pairs = arc.pairs(range(first, last + 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pairs) == last - first + 1 and arc.m > 40
+    assert peak < arc.m * ops.n_nodes * 8
+    calls = []
+    monkeypatch.setattr(spectrum, "rows", lambda nodes: calls.append(nodes) or gather(nodes))
+    for lam in (15.0, 15.2, 15.4):
+        arc.source_system(lam)
+    assert len(calls) == 1
+    kite_ops, kite_mask = SECULAR_CASES["kite-arc-N256"]()
+    kite_spectrum = decompose(kite_ops)
+    kite_gather = kite_spectrum.rows
+    monkeypatch.setattr(kite_spectrum, "rows",
+                        lambda nodes: calls.append(nodes) or kite_gather(nodes))
+    ArcSpectrum(kite_spectrum, kite_mask)
+    assert len(calls) == 2
 
 
 def test_count_beside_a_pole_narrows_no_bracket():

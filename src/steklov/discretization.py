@@ -241,20 +241,21 @@ class OperatorSet:
 
         On a rotation set it is one FFT solve with T's symbol.  On a mirror
         set the even part of u, (u_j + u_N-j)/2, and its odd part,
-        (u_j - u_N-j)/2, are solved in their blocks of T (half-size)."""
+        (u_j - u_N-j)/2, are solved in their blocks of T (half-size).  A u
+        that is not finite comes back so, on every route."""
         if self.rotation:
             return self._fft_apply(1.0 / self._trace_symbol, u)
         if not self.mirror:
-            return sla.lu_solve(self.trace_map_lu, u)
+            return sla.lu_solve(self.trace_map_lu, u, check_finite=False)
         n = self.n_nodes // 2
         even_lu, odd_lu = self._halves_lu
         rhs = np.array(u[:n + 1])
         rhs[1:n] += u[:n:-1]
         rhs[1:n] *= 0.5
-        even = sla.lu_solve(even_lu, rhs, trans=1, overwrite_b=True)
+        even = sla.lu_solve(even_lu, rhs, trans=1, overwrite_b=True, check_finite=False)
         # rows j and N - j, in the odd block's order j = N/2-1, ..., 1
         odd = sla.lu_solve(odd_lu, 0.5 * (u[n - 1:0:-1] - u[n + 1:]), trans=1,
-                           overwrite_b=True)
+                           overwrite_b=True, check_finite=False)
         x = np.empty(np.shape(u))
         x[:n + 1] = even
         x[n + 1:] = even[n - 1:0:-1]
@@ -553,9 +554,8 @@ class PartitionMask:
         (S - lam D)^-1 = Y diag(1 / (values - lam)) Y^T on the Steklov nodes,
         then u_n = H_nn^-1 r_n - coupling u_s.  ``condition`` estimates the
         2-norm condition number of W^-1/2 (H - lam diag(b)) W^-1/2: its
-        1-norm, an upper bound, times the norm of its inverse from three power
-        steps (a fixed pseudo-random start, so no mirror symmetry hides the
-        near-null direction)."""
+        1-norm, an upper bound, times the norm of its inverse
+        (:func:`inverse_norm`)."""
         values, y, on, factor, coupling, off_sums = self._spectrum
         shift = values - lam
 
@@ -569,10 +569,19 @@ class PartitionMask:
         w = 1.0 / np.sqrt(self.ops.weights)
         diagonal = np.diagonal(self.ops.weighted_dtn) * w * w
         norm = np.max(off_sums + np.abs(diagonal - lam * self.steklov_fraction))
-        x = np.random.default_rng(0).standard_normal(len(w))
-        for _ in range(3):
-            x = solve(x / (w * np.sqrt(np.sum(x * x)))) / w
-        return solve, float(norm * np.sqrt(np.sum(x * x)))
+        return solve, float(norm * inverse_norm(solve, self.ops.weights))
+
+
+def inverse_norm(solve, weights: np.ndarray) -> float:
+    """The 2-norm of the inverse of a scaled system W^-1/2 A W^-1/2, given
+    ``solve``: v -> A^-1 v and W = diag(weights), estimated from below by
+    three power steps on W^1/2 A^-1 W^1/2 from a fixed pseudo-random start
+    (so no mirror symmetry hides the near-null direction)."""
+    w = 1.0 / np.sqrt(weights)
+    x = np.random.default_rng(0).standard_normal(len(w))
+    for _ in range(3):
+        x = solve(x / (w * np.sqrt(np.sum(x * x)))) / w
+    return float(np.sqrt(np.sum(x * x)))
 
 
 def mask_from_partition(ops: OperatorSet, partition: BoundaryPartition) -> PartitionMask:

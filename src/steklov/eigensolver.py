@@ -33,9 +33,10 @@ L2(Gamma_S)-orthonormal basis of every cluster.
   m x m gather (O(N log N + m^2)), instead of an N x N eigensolve.  It is the exact
   form of the first-order arc formula the optimizer steps with.  Both own
   a tuning run's source solves: their counts guard them, and their
-  ``source_system`` solves them with no N x N factorization, diagonally on
-  the all-Steklov boundary (on the circle by the symbol) and by Woodbury
-  on an arc.  Any other mask owns its source solves (``PartitionMask``).
+  ``source_system`` solves them with no N x N factorization.  The
+  decomposition solves diagonally in its coefficients.  An arc adds a
+  rank-m Woodbury correction to that solve, through one LDL^T of the m x m
+  secular matrix.  Any other mask owns its source solves (``PartitionMask``).
 
 All dense algebra with an N-sized operand runs on scipy's OpenBLAS: the
 factorizations and eigensolves call scipy's LAPACK, and the products go
@@ -59,7 +60,7 @@ from scipy.linalg import lapack
 
 from . import kernels
 from .asymptotics import verify_orthonormal
-from .discretization import OperatorSet, PartitionMask, schur_complement
+from .discretization import OperatorSet, PartitionMask, inverse_norm, schur_complement
 from .errors import ClusterError, EigenSolveError, GeometryError
 from .geometry import TWO_PI
 
@@ -281,16 +282,14 @@ class SteklovDecomposition:
                              self._columns(members) / np.sqrt(self.ops.weights)[:, None], 0)
 
     def source_system(self, lam: float):
-        """``(solve, condition)`` of the all-Steklov source system H - lam W,
-        with no factorization; ``condition`` is the exact 2-norm condition
-        number of the scaled system W^-1/2 (H - lam W) W^-1/2."""
+        """``(solve, condition)`` of the all-Steklov source system H - lam W:
+        v -> W^-1/2 Q (Lambda - lam)^-1 Q^T W^-1/2 v, with no factorization;
+        ``condition`` is the exact 2-norm condition number of the scaled
+        system W^-1/2 (H - lam W) W^-1/2."""
         d = self.values - lam
-        return self.solver(lambda x: x / d), float(np.max(np.abs(d)) / np.min(np.abs(d)))
-
-    def solver(self, inverse):
-        """v -> W^-1/2 Q inverse(Q^T W^-1/2 v), ``inverse`` acting on coefficients."""
         scale = 1.0 / np.sqrt(self.ops.weights)
-        return lambda v: scale * self._synthesize(inverse(self._analyze(v * scale)))
+        return (lambda v: scale * self._synthesize(self._analyze(v * scale) / d),
+                float(np.max(np.abs(d)) / np.min(np.abs(d))))
 
     def pole_directions(self, nodes: np.ndarray, e: np.ndarray) -> PoleDirections:
         """The secular equation's pole directions on arc nodes of weights e."""
@@ -305,18 +304,16 @@ class CirculantDecomposition(SteklovDecomposition):
     sin(2 pi jk/N), each normalized, with the value of the symbol
     ``ops.scaled_dtn_symbol`` at k; the columns are sorted by value, the cos
     column of a mode first.  No N x N array is formed: Q and Q^T act by real
-    FFTs, O(N log N) per column, and the source system H - lam W, a
-    circulant, is solved by its symbol.  Q's entries at given rows or
-    columns (:meth:`rows`, :meth:`cluster_at`) are read from a table of the
-    scaled cos and sin of 2 pi m/N, m = 0..N-1, at m = jk mod N; the
+    FFTs, O(N log N) per column, and so does the source solve.  Q's
+    entries at given columns (:meth:`cluster_at`) are read from a table of
+    the scaled cos and sin of 2 pi m/N, m = 0..N-1, at m = jk mod N; the
     entries above m = N/2 mirror those below, so every column is exactly
     even or odd under j -> N - j.
     ``vectors`` gathers the whole of Q from that table, once, when first
     read; a tuning run never reads it.  The pole directions of an arc's
     secular equation (:meth:`pole_directions`) come in closed form from
-    one FFT of the arc weights (:class:`ModeDirections`) while each pole
-    group is one mode, so a trial gathers no rows either; only the final
-    mask's source solve does.
+    one FFT of the arc weights (:class:`ModeDirections`), so a tuning run
+    gathers no rows of Q.
     """
 
     def __init__(self, ops: OperatorSet):
@@ -364,9 +361,6 @@ class CirculantDecomposition(SteklovDecomposition):
         index += self._offset[columns]
         return self._table[index]
 
-    def rows(self, nodes: np.ndarray) -> np.ndarray:
-        return self._gather(nodes)
-
     def _columns(self, columns: np.ndarray) -> np.ndarray:
         return self._gather(np.arange(self.ops.n_nodes), columns)
 
@@ -386,22 +380,8 @@ class CirculantDecomposition(SteklovDecomposition):
         bins = np.fft.rfft(v, norm="ortho") * self._bin_scale
         return np.concatenate((bins.real, -bins.imag[1:-1]))[self._order]
 
-    def source_system(self, lam: float):
-        """As for any decomposition, but H - lam W is the circulant with
-        symbol w (symbol - lam), w the node weight, and one ``rfft`` and one
-        ``irfft`` solve it."""
-        condition = super().source_system(lam)[1]
-        ops = self.ops
-        symbol = ops.weights[0] * (ops.scaled_dtn_symbol - lam)
-        return lambda v: np.fft.irfft(np.fft.rfft(v) / symbol, ops.n_nodes), condition
-
     def pole_directions(self, nodes: np.ndarray, e: np.ndarray) -> PoleDirections:
-        """In closed form (:class:`ModeDirections`) when every pole group is
-        one mode; otherwise formed from the rows."""
-        # a mode's cos and sin columns share their value, so one group holds
-        # both: the groups are the modes exactly when there are N/2 + 1
-        if sum(len(rows) for rows in self.groups.values()) != self.ops.n_nodes // 2 + 1:
-            return super().pole_directions(nodes, e)
+        """In closed form (:class:`ModeDirections`)."""
         return ModeDirections(self, nodes, e)
 
 
@@ -516,8 +496,7 @@ class PoleDirections:
     ``_DEFLATION_TOL`` is deflated, and so is the constant mode, an
     eigenpair of every mask.  ``values`` holds the directions' pole values
     in secular order: the ``active`` ones ascending, then the deflated ones
-    ascending.  ``exact`` tells whether every member of a pole group
-    carries the group's value.
+    ascending.
     """
 
     def __init__(self, spectrum: SteklovDecomposition, nodes: np.ndarray, e: np.ndarray):
@@ -526,16 +505,14 @@ class PoleDirections:
         # kept at the position of the group's column q
         values = np.empty(len(spectrum.values))
         cols = np.empty((len(values), len(nodes)))
-        rotations, self.exact = [], True
+        rotations = []
         for p, rows in spectrum.groups.items():
             bj = b[:, rows].transpose(1, 0, 2)                      # (G, m, p)
             if p == 1:
                 rot = np.ones((len(rows), 1, 1))
             else:  # orthogonal weight directions within each group
                 rot = np.linalg.eigh(np.einsum("gmi,gmj->gij", bj, bj))[1]
-            means = spectrum.values[rows].mean(axis=1)
-            self.exact &= bool(np.all(spectrum.values[rows] == means[:, None]))
-            values[rows] = means[:, None]
+            values[rows] = spectrum.values[rows].mean(axis=1)[:, None]
             cols[rows] = (bj @ rot).transpose(0, 2, 1)
             rotations.append((rows, rot))
         order = self._arrange(values, np.linalg.norm(cols, axis=1))
@@ -577,8 +554,9 @@ class PoleDirections:
 
 
 class ModeDirections(PoleDirections):
-    """:class:`PoleDirections` in closed form, on a rotation set whose pole
-    groups are each one mode's cos/sin pair (and the singletons 0 and N/2).
+    """:class:`PoleDirections` in closed form on a rotation set: each mode's
+    cos/sin pair (and the singletons 0 and N/2) turns within itself, and
+    every direction keeps its own column's symbol value.
 
     Over a pair of mode k the arc Gram is (1/N) [[S + a, b], [b, S - a]]
     with S = sum e and a - ib = Ê(2k), the DFT of e scattered on the N nodes
@@ -594,7 +572,7 @@ class ModeDirections(PoleDirections):
 
     def __init__(self, spectrum: CirculantDecomposition, nodes: np.ndarray, e: np.ndarray):
         N, n = spectrum.ops.n_nodes, spectrum.ops.n_nodes // 2
-        self.exact, self._n_nodes = True, N
+        self._n_nodes = N
         self._nodes, self._root_e = nodes, np.sqrt(e)
         full = np.zeros(N)
         full[nodes] = e
@@ -663,17 +641,6 @@ class ArcSpectrum:
     the LDL^T factors of each step.  The root's trace is
     W^-1/2 Q diag(1/(Lambda - lambda)) B^T z with z the null vector of G.
 
-    G is formed as the m x N by N x m product of that formula, except on a
-    rotation set (``ops.rotation``: the circle), where Q's columns are the
-    cos and sin modes and Q_m diag(s) Q_m^T is an m x m section of the
-    circulant with symbol s: one ``irfft`` of s = Lambda/(Lambda - lambda)
-    on the modes, gathered at the node gaps (i - j) mod N, gives it
-    (Gray, Toeplitz and Circulant Matrices: A Review, 2006), at
-    O(N log N + m^2) per evaluation.  It needs each pole to carry its
-    mode's symbol value exactly, so every member of a pole group must share
-    the group's value (on the disk each group is one cos/sin pair);
-    otherwise the product route is taken.
-
     Equal Steklov eigenvalues are rotated so that each pole direction
     carries its own arc weight, and directions of negligible weight are
     deflated (Bunch, Nielsen and Sorensen): they stay mixed eigenvalues
@@ -682,9 +649,19 @@ class ArcSpectrum:
     indexed from 0 upwards; the deflated values form a second sorted list.
     The decomposition gives the directions (``pole_directions``), on the
     disk in closed form (:class:`ModeDirections`) with no m x N array:
-    Newton's slope and the traces read B^T z through them, G forms as
-    m-vectors only the directions it sums (:attr:`cols`, or the deflated
-    ones on the symbol route), and only a source solve gathers B.
+    Newton's slope and the traces read B^T z through them.
+
+    G is formed over every direction (:meth:`_every`), less the deflated
+    directions' rank-one terms.  Off a rotation set that sum is the m x N by
+    N x m product of the formula.  On a rotation set (``ops.rotation``: the
+    circle) Q's columns are the cos and sin modes, and Q_m diag(s) Q_m^T is
+    an m x m section of the circulant with symbol s: one ``irfft`` of
+    s = Lambda/(Lambda - lambda) on the modes, gathered at the node gaps
+    (i - j) mod N, gives it (Gray, Toeplitz and Circulant Matrices: A
+    Review, 2006), at O(N log N + m^2) per evaluation.  The same sum over
+    every direction is I + lambda U^T K U, the capacitance matrix of the
+    source solve (:meth:`source_system`), so no route gathers Q's rows
+    to solve a source.
 
     The mixed eigenvalues are read by their index j in the whole spectrum
     (the constant mode is 0): :meth:`value` locates eigenvalue j among the
@@ -710,48 +687,42 @@ class ArcSpectrum:
         self._values = directions.values
         self.poles = self._values[:directions.active]
         self.deflated = self._values[directions.active:]
-        # on a rotation set whose pole values are the symbol's, G is a Toeplitz
-        # section of a circulant (:meth:`_matrix`); that sum holds the deflated
-        # poles too, so a probe is moved off those as well
+        self._deflated_cols = directions.columns(slice(directions.active, None))
+        # on a rotation set the sum over every direction is a Toeplitz
+        # section of a circulant (:meth:`_every`)
         self._symbol = None
-        if spectrum.ops.rotation and directions.exact:
+        if spectrum.ops.rotation:
             self._symbol = spectrum.ops.scaled_dtn_symbol
             self._gaps = (nodes[:, None] - nodes) % spectrum.ops.n_nodes
             self._scale = np.outer(root_e, root_e)
-            self._deflated_cols = directions.columns(slice(directions.active, None))
-        self._summed = self.poles if self._symbol is None else self._values
         self._probes: dict[float, int] = {}
         self._roots: dict[int, tuple[float, np.ndarray]] = {}
 
-    @cached_property
-    def cols(self) -> np.ndarray:
-        """The active directions, one m-vector column per pole."""
-        return self._directions.columns(slice(None, len(self.poles)))
-
-    @cached_property
-    def _b(self) -> np.ndarray:
-        """B = E^1/2 Q_m over all N decomposition columns."""
-        return self._root_e[:, None] * self.spectrum.rows(self._nodes)
-
     # -- the secular equation --------------------------------------------------
 
-    def _matrix(self, lam: float) -> tuple[float, np.ndarray]:
-        """(lam, G(lam)), with lam moved one ulp up when it sits on a pole.
-
-        On a rotation set G is read from the symbol (see the class
-        docstring); that circulant sums every direction, so the deflated
-        directions' rank-one terms come off again."""
-        if np.any(self._summed == lam):
-            lam = float(np.nextafter(lam, np.inf))
+    def _every(self, lam: float) -> np.ndarray:
+        """F_m + B diag(Lambda/(Lambda - lam)) B^T over every direction,
+        deflated or not: from the symbol on a rotation set, otherwise the
+        directions' product (see the class docstring)."""
         if self._symbol is None:
-            g = kernels.product(self.cols * (self.poles / (self.poles - lam)), self.cols.T)
+            cols = self._directions.columns(slice(None))
+            g = kernels.product(cols * (self._values / (self._values - lam)), cols.T)
         else:
             s = self._symbol / (self._symbol - lam)
             g = np.fft.irfft(s, self.spectrum.ops.n_nodes)[self._gaps]
             g *= self._scale
-            off = self._deflated_cols
-            g -= np.einsum("id,jd->ij", off * (self.deflated / (self.deflated - lam)), off)
         g[np.diag_indices(self.m)] += self.fm
+        return g
+
+    def _matrix(self, lam: float) -> tuple[float, np.ndarray]:
+        """(lam, G(lam)), with lam moved one ulp up when it sits on a pole,
+        deflated or not: :meth:`_every` less the deflated directions'
+        rank-one terms."""
+        if np.any(self._values == lam):
+            lam = float(np.nextafter(lam, np.inf))
+        g = self._every(lam)
+        off = self._deflated_cols
+        g -= np.einsum("id,jd->ij", off * (self.deflated / (self.deflated - lam)), off)
         return lam, g
 
     def _record(self, lam: float, negative: int) -> int:
@@ -987,24 +958,27 @@ class ArcSpectrum:
     def source_system(self, lam: float):
         """``(solve, condition)`` of the mask's source system H - lam diag(b).
 
-        In decomposition coefficients the scaled system is (Lambda - lam) +
-        lam B^T B, B over all N directions (no deflation, no rotation), so
-        Woodbury solves it with one LDL^T of G = I + lam B (Lambda - lam)^-1
-        B^T = lam M(lam).  ``condition``: max|Lambda - lam| times the 2-norm
-        of the inverse, estimated from below by three power steps."""
-        spectrum, b = self.spectrum, self._b
-        d = spectrum.values - lam
-        bd = b / d
-        ldu, ipiv, _ = ldl_inertia(np.eye(self.m) + lam * kernels.product(bd, b.T))
+        It is the all-Steklov system H - lam W, which the decomposition's
+        ``source_system`` solves (K, its inverse), plus lam U U^T with
+        U = W^1/2 E^1/2 on the m arc nodes.  So Woodbury (Hager, SIAM Rev.
+        31, 1989) solves it as K v - lam K U C^-1 U^T K v, with one LDL^T of
+        C = I + lam U^T K U.  U^T K U = B diag(1/(Lambda - lam)) B^T and
+        B B^T = E, so C is :meth:`_every` at lam.  ``condition``:
+        max|Lambda - lam| times the 2-norm of the inverse
+        (:func:`~steklov.discretization.inverse_norm`)."""
+        ops, nodes = self.spectrum.ops, self._nodes
+        solve = self.spectrum.source_system(lam)[0]
+        u = np.sqrt(ops.weights[nodes]) * self._root_e
+        ldu, ipiv, _ = ldl_inertia(self._every(lam))
 
-        def inverse(x):
-            t = lapack.dsytrs(ldu, ipiv, kernels.product(bd, x), lower=1)[0]
-            return (x - lam * kernels.product(t, b)) / d
+        def arc_solve(v):
+            x = solve(v)
+            t = np.zeros(len(v))
+            t[nodes] = lam * u * lapack.dsytrs(ldu, ipiv, u * x[nodes], lower=1)[0]
+            return x - solve(t)
 
-        x = np.ones(len(d))
-        for _ in range(3):
-            x = inverse(x / np.sqrt(np.sum(x * x)))
-        return spectrum.solver(inverse), float(np.max(np.abs(d)) * np.sqrt(np.sum(x * x)))
+        norm = np.max(np.abs(self.spectrum.values - lam))
+        return arc_solve, float(norm * inverse_norm(arc_solve, ops.weights))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,10 @@ offset to the arclength boundary mean on curves of logarithmic capacity one
 :func:`solve_greens` refuses a spectral parameter near an eigenvalue.  The
 owner of the mask's spectrum guards by its counts and solves by its
 ``source_system``: a tuning run's decomposition or final ``ArcSpectrum``,
-or else the :class:`~steklov.discretization.PartitionMask` itself.
+or else the :class:`~steklov.discretization.PartitionMask` itself.  The
+``ArcSpectrum`` solves by a Woodbury correction of the decomposition's
+solve; where that misses the residual gate (beside an all-Steklov
+eigenvalue, which is no eigenvalue of the mask), the mask solves instead.
 """
 
 from __future__ import annotations
@@ -160,14 +163,9 @@ def solve_greens(ops: OperatorSet, mask: PartitionMask, source, lam: float,
 
     owner = spectrum or mask
     _guard(mask, lam, owner)
-    solve, cond = owner.source_system(lam)
     g0 = kernels.gamma0(ops.points, source)
     steklov_lam = lam * mask.steklov_fraction
     rhs = steklov_lam * g0 - kernels.gamma0_dnu(ops.points, ops.normals, source)
-
-    def density(r):
-        # (H - lam diag(b)) u = W r in the trace, then rho = T^-1 u
-        return ops.trace_solve(solve(ops.weights * r))
 
     def density_residual(rho):
         # rhs - ((-I/2 + K') rho - lam frac (T rho)), the conditions on rho,
@@ -175,11 +173,21 @@ def solve_greens(ops: OperatorSet, mask: PartitionMask, source, lam: float,
         return rhs - (ops.product("adjoint_double_layer", rho) - 0.5 * rho
                       - steklov_lam * (ops.product("single_layer", rho) + ops.weights @ rho))
 
-    rho = density(rhs)
-    rho += density(density_residual(rho))        # one refinement pass
-    residual = float(np.max(np.abs(density_residual(rho)))
-                     / (1.0 + np.max(np.abs(rhs))))
-    if residual > RESIDUAL_TOL:
+    # an owner's solve that misses the residual gate hands over to the mask's
+    # own, as a rank-m correction of the all-Steklov solve does on or beside
+    # an all-Steklov eigenvalue; a solve that divides by zero shows as a
+    # residual that is not finite, which the gate refuses too
+    for solver in dict.fromkeys((owner, mask)):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            solve, cond = solver.source_system(lam)
+            # (H - lam diag(b)) u = W r in the trace, then rho = T^-1 u
+            rho = ops.trace_solve(solve(ops.weights * rhs))
+            rho += ops.trace_solve(solve(ops.weights * density_residual(rho)))  # refinement
+            residual = float(np.max(np.abs(density_residual(rho)))
+                             / (1.0 + np.max(np.abs(rhs))))
+        if residual <= RESIDUAL_TOL:
+            break
+    else:
         raise ConvergenceError(
             "source solve stalled at relative residual %.3e "
             "(condition estimate %.3e)" % (residual, cond))

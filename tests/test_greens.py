@@ -589,6 +589,13 @@ def decomposition_routes():
     final = mask_from_partition(kite_ops, trace.final_partition)
     two_arcs = BoundaryPartition.from_neumann_intervals(disk.curve, [(1.0, 1.6), (3.5, 4.4)])
     two_arc_spectrum = ArcSpectrum(disk_spectrum, mask_from_partition(disk, two_arcs))
+    kite_arcs = BoundaryPartition.from_neumann_intervals(kite_ops.curve,
+                                                         [(0.5, 1.3), (3.8, 4.6)])
+    kite_arc_spectrum = ArcSpectrum(kite_spectrum, mask_from_partition(kite_ops, kite_arcs))
+    oval = assemble(ellipse(1.0, 0.5), 256)
+    oval_spectrum = decompose(oval)
+    oval_arc = BoundaryPartition.from_neumann_intervals(oval.curve, [(1.2, 2.4)])
+    oval_arc_spectrum = ArcSpectrum(oval_spectrum, mask_from_partition(oval, oval_arc))
     return {
         "disk": (disk, BoundaryPartition.all_steklov(disk.curve), disk_spectrum,
                  disk_spectrum.values[5], disk_spectrum.values[7], XS),
@@ -598,6 +605,10 @@ def decomposition_routes():
                           trace.final_eigenvalue, trace.initial_eigenvalue, (-1.25, 1.25)),
         "disk-two-arcs": (disk, two_arcs, two_arc_spectrum, two_arc_spectrum.value(5),
                           disk_spectrum.values[5], XS),
+        "kite-two-arcs": (kite_ops, kite_arcs, kite_arc_spectrum, kite_arc_spectrum.value(5),
+                          kite_spectrum.values[5], (-0.5, 0.3)),
+        "ellipse-arc": (oval, oval_arc, oval_arc_spectrum, oval_arc_spectrum.value(5),
+                        oval_spectrum.values[5], (0.3, -0.2)),
     }
 
 
@@ -613,7 +624,8 @@ class DenseOwner:
         return partial(sla.lu_solve, sla.lu_factor(self.h - lam * np.diag(self.b))), 1.0
 
 
-@pytest.mark.parametrize("case", ["disk", "kite", "test_11-final", "disk-two-arcs"])
+@pytest.mark.parametrize("case", ["disk", "kite", "test_11-final", "disk-two-arcs",
+                                  "kite-two-arcs", "ellipse-arc"])
 def test_decomposition_source_solve_matches_lu(decomposition_routes, case):
     # the owner's route and the mask's own against a dense LU solve
     ops, partition, owner, mixed, pole, source = decomposition_routes[case]
@@ -635,6 +647,27 @@ def test_decomposition_source_solve_matches_lu(decomposition_routes, case):
             assert 1.0 <= field.condition_estimate < np.inf
             assert (np.max(np.abs(field.boundary_values - lu.boundary_values))
                     <= 1e-12 * max(1.0, 1e-3 / detuning) * scale)
+
+
+@pytest.mark.parametrize("curve", [circle, kite])
+@pytest.mark.parametrize("delta", [0.0, 1e-12, 1e-14])
+def test_arc_source_solve_on_an_all_steklov_eigenvalue(curve, delta):
+    # Lambda_7 is no eigenvalue of the arc's mask (the nearest lies 0.147
+    # away on the disk and 0.078 on the kite), but the Woodbury correction
+    # of the all-Steklov solve divides by Lambda_7 - lam there: the mask
+    # solves instead, and the field is the mask owner's
+    ops = assemble(curve(), 256)
+    partition = BoundaryPartition.from_neumann_intervals(ops.curve, [(1.0, 1.6)])
+    spectrum = decompose(ops)
+    lam = spectrum.values[7] * (1.0 + delta)
+    mask = mask_from_partition(ops, partition)
+    field = greens.solve_greens(ops, mask, (0.3, -0.2), lam,
+                                spectrum=ArcSpectrum(spectrum, mask))
+    own = greens.solve_greens(ops, mask_from_partition(ops, partition), (0.3, -0.2), lam)
+    assert np.all(np.isfinite(field.boundary_values))
+    assert field.residual <= greens.RESIDUAL_TOL
+    assert (np.max(np.abs(field.boundary_values - own.boundary_values))
+            <= 1e-12 * np.max(np.abs(own.boundary_values)))
 
 
 def test_guard_counts_on_the_spectrum_owner(decomposition_routes, monkeypatch):

@@ -53,15 +53,13 @@ On a curve with x(-t) the mirror image of x(t) (every catalog curve) the
 node reversal j -> N - j maps the nodes, normals, speeds and curvatures
 onto themselves by a reflection, so S, K' and T commute with it.
 :func:`assemble` decides this once, from the nodes (``OperatorSet.mirror``).
-Each operator then acts on the reversal's even vectors (node values j and
-N - j equal) and odd ones (opposite) separately, through two half-size
-blocks read from its rows 0..N/2: the even block of rows and columns
-0..N/2, with columns k and N - k summed, and the odd block of rows and
-columns N/2-1..1, with them subtracted.  The rank-one part 1 w^T of T is
-even, so it enters the even block only.  T is factored in these two blocks
-instead of whole, and H and its scaled form are built from them (Allgower,
-Boehmer, Georg and Miranda, SIAM J. Numer. Anal. 29, 1992).  Any other
-curve factors the N x N trace map.
+Each operator acts on the reversal's even vectors (node values j and N - j
+equal) and odd ones separately, through two half-size blocks read from its
+rows 0..N/2: rows and columns 0..N/2 with columns k and N - k summed, and
+rows and columns N/2-1..1 with them subtracted (1 w^T, even, enters the
+even block only).  T is factored and the scaled H built in these blocks
+(Allgower, Boehmer, Georg and Miranda, SIAM J. Numer. Anal. 29, 1992).  Any
+other curve factors the N x N trace map.
 
 Circulant on the circle
 -----------------------
@@ -73,11 +71,8 @@ matrices: a review", 2006).  :func:`assemble` fills row 0 of S and K' only.
 The mirror makes each row even, a_k = a_N-k, so its DFT is real: the
 operator's values on the modes cos kt and sin kt, k = 0..N/2, its symbol.
 T^-1 u is an FFT solve with the symbol of T's row S_0j + w_j, and S rho and
-K' rho are FFT products (:meth:`OperatorSet.product`).  The N x N arrays
-``single_layer``, ``adjoint_double_layer`` and ``weighted_dtn`` are built
-from the rows and symbols only for the routes that ask for a whole array:
-a mask's Schur complement (:func:`schur_complement`) and the mirror blocks
-(:meth:`OperatorSet.scaled_dtn_halves`), which no route takes on a circle.
+K' rho are FFT products (:meth:`OperatorSet.product`).  No route on a
+circle asks for an N x N operator; each is built from its row on request.
 
 Partition masks additionally carry a per-node *Steklov coverage fraction*:
 the fraction of the node's quadrature cell [t_i - h/2, t_i + h/2) covered by
@@ -93,7 +88,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import kernels
-from .errors import EigenSolveError, GeometryError, MaskError
+from .errors import GeometryError, MaskError
 from .geometry import (
     STEKLOV,
     TWO_PI,
@@ -126,13 +121,11 @@ class OperatorSet:
     the nodes (module docstring, "Mirror halves"), ``rotation`` whether the
     rotation j -> j + 1 is one too ("Circulant on the circle").  A rotation
     set keeps row 0 of S and K' and the symbols of S, K' and T, solves and
-    multiplies by FFT, factors nothing, and builds each N x N operator once,
-    on request.  Any other set is the one owner of the factorization of the
-    completed trace map T, computed lazily and cached: the LU factors of T's
-    even and odd blocks on a mirror set, of the N x N map (``trace_map_lu``)
-    otherwise.  :meth:`trace_solve` solves with them.  The weighted
-    Dirichlet-to-Neumann matrix and the Robin constant are cached too; the
-    trace map itself is not kept.
+    multiplies by FFT, factors nothing, and builds each N x N operator on
+    request.  Any other set factors the completed trace map T on first use:
+    in its even and odd blocks on a mirror set, whole (``trace_map_lu``)
+    otherwise; :meth:`trace_solve` solves with them.  H, the Robin constant
+    and the all-Steklov :attr:`decomposition` are cached too.
     """
 
     def __init__(self, curve: BoundaryCurve, params, points, normals, speeds,
@@ -157,7 +150,6 @@ class OperatorSet:
         else:
             self.single_layer = single_layer
             self.adjoint_double_layer = adjoint_double_layer
-        self._weighted_dtn: np.ndarray | None = None
 
     @property
     def n_nodes(self) -> int:
@@ -178,10 +170,10 @@ class OperatorSet:
         a rotation set, by :func:`kernels.product` with the N x N array
         otherwise."""
         if self.rotation:
-            return self._fft_apply(self._symbols[name], x)
+            return self.fft_apply(self._symbols[name], x)
         return kernels.product(getattr(self, name), x)
 
-    def _fft_apply(self, symbol: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def fft_apply(self, symbol: np.ndarray, x: np.ndarray) -> np.ndarray:
         """The circulant with the real ``symbol`` applied to x along axis 0."""
         symbol = symbol.reshape((-1,) + (1,) * (np.ndim(x) - 1))
         return np.fft.irfft(symbol * np.fft.rfft(x, axis=0), self.n_nodes, axis=0)
@@ -244,7 +236,7 @@ class OperatorSet:
         (u_j - u_N-j)/2, are solved in their blocks of T (half-size).  A u
         that is not finite comes back so, on every route."""
         if self.rotation:
-            return self._fft_apply(1.0 / self._trace_symbol, u)
+            return self.fft_apply(1.0 / self._trace_symbol, u)
         if not self.mirror:
             return sla.lu_solve(self.trace_map_lu, u, check_finite=False)
         n = self.n_nodes // 2
@@ -294,52 +286,28 @@ class OperatorSet:
             blocks.append(x)
         return tuple(blocks)
 
-    @property
+    @cached_property
     def weighted_dtn(self) -> np.ndarray:
-        """Weighted Dirichlet-to-Neumann matrix H = W (-I/2 + K') T^-1.
-
-        Symmetric to the quadrature's accuracy (to 3e-14 of max|H| on the
-        catalog curves at N = 256-512, 7e-7 on the kite at N = 64); stored
-        exactly symmetric: the circulant of an exactly even row, from
-        :attr:`scaled_dtn_symbol` with no factorization, on a rotation set;
-        assembled from :meth:`scaled_dtn_halves` on a mirror set;
-        symmetrized otherwise."""
-        if self._weighted_dtn is None:
-            if self.rotation:
-                row = self.weights[0] * np.fft.irfft(self.scaled_dtn_symbol, self.n_nodes)
-                h = _circulant(0.5 * (row + row[-np.arange(self.n_nodes)]))
-            elif self.mirror:
-                h = self._dtn_from_halves()
-            else:
-                a = np.array(self.adjoint_double_layer)
-                a[np.diag_indices_from(a)] -= 0.5
-                # a.T is Fortran-ordered, so LAPACK solves T^T X = (-I/2 + K')^T in it
-                h = sla.lu_solve(self.trace_map_lu, a.T, trans=1, overwrite_b=True).T
-                h *= self.weights[:, None]
-                h = h + h.T
-                h *= 0.5
-            h.setflags(write=False)
-            self._weighted_dtn = h
-        return self._weighted_dtn
-
-    def _dtn_from_halves(self) -> np.ndarray:
-        """W^1/2 M blockdiag(X_e, X_o) M W^1/2, M the orthonormal basis of
-        :meth:`scaled_dtn_halves`, entry by entry."""
-        N, n = self.n_nodes, self.n_nodes // 2
-        root = np.sqrt(self.weights)
-        even, odd = self.scaled_dtn_halves()
-        even *= np.outer(root[:n + 1], root[:n + 1])
-        odd *= np.outer(root[n - 1:0:-1], root[n - 1:0:-1])
-        odd = odd[::-1, ::-1]                      # rows and columns 1..N/2-1
-        mid, rev, ends = slice(1, n), slice(N - 1, n, -1), [0, n]
-        h = np.empty((N, N))
-        h[mid, mid] = h[rev, rev] = 0.5 * (even[mid, mid] + odd)
-        h[mid, rev] = h[rev, mid] = 0.5 * (even[mid, mid] - odd)
-        h[np.ix_(ends, ends)] = even[np.ix_(ends, ends)]
-        edge = np.sqrt(0.5) * even[ends, mid]
-        h[ends, mid] = h[ends, rev] = edge
-        h[mid, ends] = h[rev, ends] = edge.T
+        """Weighted Dirichlet-to-Neumann matrix H = W (-I/2 + K') T^-1 from
+        the LU of the N x N trace map, read-only: the decomposition of a set
+        without ``mirror`` reads it.  Symmetric to the quadrature's accuracy
+        (to 3e-14 of max|H| on the catalog curves at N = 256-512, 7e-7 on
+        the kite at N = 64); stored exactly symmetric."""
+        a = np.array(self.adjoint_double_layer)
+        a[np.diag_indices_from(a)] -= 0.5
+        # a.T is Fortran-ordered, so LAPACK solves T^T X = (-I/2 + K')^T in it
+        h = sla.lu_solve(self.trace_map_lu, a.T, trans=1, overwrite_b=True).T
+        h *= self.weights[:, None]
+        h = h + h.T
+        h *= 0.5
+        h.setflags(write=False)
         return h
+
+    @cached_property
+    def decomposition(self):
+        """The all-Steklov decomposition (:func:`~steklov.eigensolver.decompose`)."""
+        from .eigensolver import _decompose  # the eigensolver imports this module
+        return _decompose(self)
 
     @cached_property
     def robin_constant(self) -> float:
@@ -475,16 +443,6 @@ def assemble(curve: BoundaryCurve, n_nodes: int) -> OperatorSet:
 # partition masks
 # ---------------------------------------------------------------------------
 
-def schur_complement(h: np.ndarray, b: np.ndarray) -> tuple:
-    """``(on, factor, coupling, S)`` of H u = lambda diag(b) u: the Steklov
-    nodes b > 0, the Cholesky factor of H_nn on the others, whose rows give
-    u_n = -coupling u_s = -H_nn^-1 H_ns u_s, and S = H_ss - H_sn coupling."""
-    on, off = b > 0, b <= 0
-    factor = sla.cho_factor(h[np.ix_(off, off)])
-    coupling = sla.cho_solve(factor, h[np.ix_(off, on)])
-    return on, factor, coupling, h[np.ix_(on, on)] - kernels.product(h[np.ix_(on, off)], coupling)
-
-
 class PartitionMask:
     """Node labels and Steklov coverage fractions induced by a partition.
 
@@ -493,9 +451,10 @@ class PartitionMask:
     fraction of each node's quadrature cell and drives all quadrature-level
     restrictions (the Steklov weights of the eigen and source systems,
     Green's right-hand sides, inner products).
-    Both are immutable.  The mask owns its spectrum with the interface of
-    the decomposition and ``ArcSpectrum``: :meth:`count_below`, :meth:`value`
-    and :meth:`source_system` read one decomposition, built on first use.
+    Both are immutable.  :meth:`count_below` (eigenvalues strictly below
+    x), :meth:`value` (eigenvalue j, from 0) and :meth:`source_system`
+    (``(solve, condition)`` of H - lam diag(b)) read the owner of the mask's
+    spectrum on the decomposition that ``ops`` keeps, built on first use.
     """
 
     def __init__(self, ops: OperatorSet, partition: BoundaryPartition,
@@ -513,63 +472,19 @@ class PartitionMask:
         return self.ops.weights * self.steklov_fraction
 
     @cached_property
-    def _spectrum(self) -> tuple:
-        """Read-only ``(values, vectors, on, factor, coupling, off_sums)``:
-        one ``eigh`` (driver evd) of D^-1/2 S D^-1/2 (:func:`schur_complement`,
-        D = diag(b) on the Steklov nodes ``on``), its D-unit vectors
-        y = D^-1/2 v ascending by their Rayleigh quotients y^T S y, the values
-        (the scaled ones lose eps/b_min: 1.9e-8 relative at a Steklov fraction
-        of 1e-8, the quotients 2.4e-14); and the column sums of |X| off its
-        diagonal, X = W^-1/2 H W^-1/2, from row blocks of H."""
-        h, b = self.ops.weighted_dtn, self.steklov_weights
-        try:
-            on, factor, coupling, schur = schur_complement(h, b)
-            scale = 1.0 / np.sqrt(b[on])
-            vectors = sla.eigh(schur * np.outer(scale, scale), driver="evd",
-                               overwrite_a=True, check_finite=False)[1]
-        except np.linalg.LinAlgError as exc:
-            raise EigenSolveError(f"self-adjoint eigensolve failed: {exc}") from exc
-        vectors *= scale[:, None]
-        values = np.sum(vectors * kernels.product(schur, vectors), axis=0)
-        order = np.argsort(values, kind="stable")
-        w = 1.0 / np.sqrt(self.ops.weights)
-        off_sums = w * np.concatenate([kernels.product(np.abs(h[rows]), w) for rows
-                                       in kernels.row_blocks(len(w), len(w))])
-        off_sums -= np.abs(np.diagonal(h)) * w * w
-        values, vectors = values[order], vectors[:, order]
-        for arr in (values, vectors, on, factor[0], coupling, off_sums):
-            arr.setflags(write=False)
-        return values, vectors, on, factor, coupling, off_sums
+    def _spectrum(self):
+        """The :class:`~steklov.eigensolver.MaskSpectrum` of the mask."""
+        from .eigensolver import MaskSpectrum  # the eigensolver imports this module
+        return MaskSpectrum(self.ops.decomposition, self)
 
     def count_below(self, x: float) -> int:
-        """Number of the mask's eigenvalues strictly below x; 0 for x <= 0."""
-        return int(np.searchsorted(self._spectrum[0], x)) if x > 0.0 else 0
+        return self._spectrum.count_below(x)
 
     def value(self, j: int) -> float:
-        """The mask's eigenvalue j (ascending from 0, the constant mode first)."""
-        return float(self._spectrum[0][j])
+        return self._spectrum.value(j)
 
     def source_system(self, lam: float):
-        """``(solve, condition)`` of the source system H - lam diag(b):
-        (S - lam D)^-1 = Y diag(1 / (values - lam)) Y^T on the Steklov nodes,
-        then u_n = H_nn^-1 r_n - coupling u_s.  ``condition`` estimates the
-        2-norm condition number of W^-1/2 (H - lam diag(b)) W^-1/2: its
-        1-norm, an upper bound, times the norm of its inverse
-        (:func:`inverse_norm`)."""
-        values, y, on, factor, coupling, off_sums = self._spectrum
-        shift = values - lam
-
-        def solve(r):
-            u = np.empty(len(r))
-            u[on] = kernels.product(y, kernels.product(r[on] - kernels.product(r[~on], coupling),
-                                                       y) / shift)
-            u[~on] = sla.cho_solve(factor, r[~on]) - kernels.product(coupling, u[on])
-            return u
-
-        w = 1.0 / np.sqrt(self.ops.weights)
-        diagonal = np.diagonal(self.ops.weighted_dtn) * w * w
-        norm = np.max(off_sums + np.abs(diagonal - lam * self.steklov_fraction))
-        return solve, float(norm * inverse_norm(solve, self.ops.weights))
+        return self._spectrum.source_system(lam)
 
 
 def inverse_norm(solve, weights: np.ndarray) -> float:

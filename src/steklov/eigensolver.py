@@ -2,50 +2,30 @@
 
 With u = T phi the completed boundary trace of a single-layer density phi,
 the mixed problem reads H u = lambda diag(b) u: H is the weighted
-Dirichlet-to-Neumann matrix ``OperatorSet.weighted_dtn`` (symmetric) and b
-the Steklov weights, zero on Neumann nodes.  One self-adjoint solve of this
-form returns real eigenvalues, no spurious modes and an
-L2(Gamma_S)-orthonormal basis of every cluster.
+Dirichlet-to-Neumann matrix (symmetric) and b the Steklov weights, zero on
+Neumann nodes.  Every solve reads one decomposition of the all-Steklov
+problem, X = W^-1/2 H W^-1/2 = Q diag(Lambda) Q^T, which the operator set
+keeps (:func:`decompose`).  A mask changes that problem, and is solved on
+either side of its partition:
 
-* :func:`solve_spectrum_near` -- the eigenpairs nearest a target.  The
-  optimizer falls back to it when the secular solve breaks down.
-* :func:`solve_spectrum` -- the lowest eigenpairs: the spectrum is
-  nonnegative, so these are the ones nearest 0.
-* :func:`decompose` and :class:`ArcSpectrum` -- the tuning run's trial
-  solve.  The all-Steklov problem is decomposed once, W^-1/2 H W^-1/2 =
-  Q diag(Lambda) Q^T: on the circle, whose operators are circulant, Q is
-  the cos and sin modes, kept as their mode numbers and applied by real
-  FFTs, and Lambda is the FFT symbol; otherwise in the two half-size
-  blocks of its mirror symmetry when the curve has one (every catalog
-  curve does; ``discretization`` decides both).  The blocks come from the
-  half-size factors of the trace map, so a run on such a curve forms
-  neither H nor an N x N factorization, and a run on the circle factors
-  nothing and forms no N x N array: its Rayleigh-Ritz passes work in
-  decomposition coefficients.  A mask whose
-  Neumann part touches m nodes differs from it by a rank-m change, so its
-  eigenvalues are the roots of an m x m secular equation (Golub, SIAM Rev.
-  15, 1973; Bunch, Nielsen and Sorensen, Numer. Math. 31, 1978).
-  The roots are counted exactly by the inertia of one Bunch-Kaufman LDL^T
-  factorization of the m x m matrix (Haynsworth additivity,
-  :func:`ldl_inertia`) and polished by Newton steps that solve with that
-  factorization instead of an m x m eigensolve: an evaluation costs an
-  O(m^2 N) product, or on the circle one inverse FFT of the symbol and an
-  m x m gather (O(N log N + m^2)), instead of an N x N eigensolve.  It is the exact
-  form of the first-order arc formula the optimizer steps with.  Both own
-  a tuning run's source solves: their counts guard them, and their
-  ``source_system`` solves them with no N x N factorization.  The
-  decomposition solves diagonally in its coefficients.  An arc adds a
-  rank-m Woodbury correction to that solve, through one LDL^T of the m x m
-  secular matrix.  Any other mask owns its source solves (``PartitionMask``).
+* :class:`ArcSpectrum`, the tuning run's trial solve: a mask whose Neumann
+  part touches m nodes is a rank-m change, so its eigenvalues are the roots
+  of an m x m secular equation (Golub, SIAM Rev. 15, 1973), counted by the
+  inertia of one LDL^T factorization (:func:`ldl_inertia`).  It is the
+  exact form of the first-order arc formula the optimizer steps with.
+* :class:`MaskSpectrum`, any mask: its nonzero eigenvalues are the
+  reciprocals of those of an N_s x N_s section of X^+ on its N_s Steklov
+  nodes, one linear eigenproblem.  :func:`solve_spectrum`,
+  :func:`solve_spectrum_near` (the optimizer's fallback when the secular
+  solve breaks down) and the mask itself read it.
 
-All dense algebra with an N-sized operand runs on scipy's OpenBLAS: the
-factorizations and eigensolves call scipy's LAPACK, and the products go
-through :func:`kernels.product` instead of numpy's ``@``.  numpy and scipy
-each bundle their own OpenBLAS with its own thread pool; after a threaded
-call one pool's threads keep spinning, and the other pool's next threaded
-call has to share the cores with them (an N=768 LU after a numpy ``eigh``
-took 0.09-0.21 s instead of 0.013 s on two cores).  Kept on one library,
-the trial loop never wakes the second pool.
+The decomposition and both owners guard a source solve by their counts and
+solve it by their ``source_system``, with no N x N factorization.
+
+All dense algebra with an N-sized operand runs on scipy's OpenBLAS
+(LAPACK, and :func:`kernels.product` instead of numpy's ``@``): numpy's own
+pool, once woken, keeps spinning beside scipy's (an N=768 LU after a numpy
+``eigh`` took 0.09-0.21 s instead of 0.013 s on two cores).
 """
 
 from __future__ import annotations
@@ -60,7 +40,7 @@ from scipy.linalg import lapack
 
 from . import kernels
 from .asymptotics import verify_orthonormal
-from .discretization import OperatorSet, PartitionMask, inverse_norm, schur_complement
+from .discretization import OperatorSet, PartitionMask, inverse_norm
 from .errors import ClusterError, EigenSolveError, GeometryError
 from .geometry import TWO_PI
 
@@ -127,41 +107,11 @@ def solve_spectrum(ops: OperatorSet, mask: PartitionMask,
 
 def solve_spectrum_near(ops: OperatorSet, mask: PartitionMask, sigma: float,
                         count: int = 6) -> list[EigenPair]:
-    """The ``count`` eigenpairs nearest sigma, from the self-adjoint form.
-
-    ``scipy.linalg.eigh`` solves D^-1/2 S D^-1/2 (D = diag(b)), S the Schur
-    complement of the Neumann nodes (b = 0) of H u = lambda diag(b) u
-    (:func:`~steklov.discretization.schur_complement`), in a window around
-    sigma.  The scaling loses eps/b_min at nodes of small Steklov fraction
-    (1e-6 at 1e-8), which a Rayleigh-Ritz pass of (H, diag(b)) on the traces
-    restores.  Traces come back L2(Gamma_S)-orthonormal; densities are
-    T^-1 u.  A failed factorization or eigensolve raises EigenSolveError.
+    """The ``count`` eigenpairs nearest sigma, from the mask's
+    :class:`MaskSpectrum` (``ops`` is the mask's own): traces
+    L2(Gamma_S)-orthonormal, densities T^-1 u.  EigenSolveError on failure.
     """
-    h = ops.weighted_dtn
-    b = mask.steklov_weights
-    # Weyl: about |Gamma_S|/pi eigenvalues per unit of lambda, so ~2*count in
-    # the window; none lie below 0, so near 0 it reaches up to 2*half instead
-    half = count * np.pi / float(np.sum(b))
-    top = half + max(sigma, half)
-    try:
-        on, _, coupling, scaled = schur_complement(h, b)
-        scale = 1.0 / np.sqrt(b[on])
-        scaled *= np.outer(scale, scale)
-        k = min(count, len(scale))
-        # a request for every pair skips the window: it would hold too few
-        window = None if count >= len(scale) else (sigma - half, top)
-        values, vecs = sla.eigh(scaled, subset_by_value=window)
-        if len(values) < k:
-            values, vecs = sla.eigh(scaled)
-        nearest = np.sort(np.argsort(np.abs(values - sigma), kind="stable")[:k])
-        traces = np.empty((ops.n_nodes, k))
-        traces[on] = scale[:, None] * vecs[:, nearest]
-        traces[~on] = -kernels.product(coupling, traces[on])
-        values, traces = _rayleigh_ritz(
-            kernels.product(traces.T, kernels.product(h, traces)), b, traces)
-    except np.linalg.LinAlgError as exc:
-        raise EigenSolveError(f"self-adjoint eigensolve failed: {exc}") from exc
-    return _signed_pairs(ops, values, traces, _assign_clusters(values))
+    return mask._spectrum.pairs(sigma, count)
 
 
 def cluster_members(pairs: list[EigenPair], cluster_id: int) -> list[EigenPair]:
@@ -295,6 +245,22 @@ class SteklovDecomposition:
         """The secular equation's pole directions on arc nodes of weights e."""
         return PoleDirections(self, nodes, e)
 
+    @cached_property
+    def pseudo_inverse(self) -> np.ndarray:
+        """X^+ = Q diag(1/Lambda) Q^T, 0 on the constant mode (Lambda_0), as
+        one read-only N x N array from one product."""
+        x = kernels.product(self.vectors * _inverse(self.values), self.vectors.T)
+        x.setflags(write=False)
+        return x
+
+    def pseudo_inverse_block(self, nodes: np.ndarray) -> np.ndarray:
+        """X^+ on the given rows and columns, in a new array."""
+        return self.pseudo_inverse[np.ix_(nodes, nodes)]
+
+    def apply_pseudo_inverse(self, g: np.ndarray) -> np.ndarray:
+        """X^+ g for a vector g or each column of a matrix g."""
+        return kernels.product(self.pseudo_inverse, g)
+
 
 class CirculantDecomposition(SteklovDecomposition):
     """The decomposition of a rotation set (``ops.rotation``: the circle),
@@ -303,17 +269,14 @@ class CirculantDecomposition(SteklovDecomposition):
     Mode k = 0..N/2 gives the column cos(2 pi jk/N), and k = 1..N/2-1 also
     sin(2 pi jk/N), each normalized, with the value of the symbol
     ``ops.scaled_dtn_symbol`` at k; the columns are sorted by value, the cos
-    column of a mode first.  No N x N array is formed: Q and Q^T act by real
-    FFTs, O(N log N) per column, and so does the source solve.  Q's
-    entries at given columns (:meth:`cluster_at`) are read from a table of
-    the scaled cos and sin of 2 pi m/N, m = 0..N-1, at m = jk mod N; the
-    entries above m = N/2 mirror those below, so every column is exactly
-    even or odd under j -> N - j.
-    ``vectors`` gathers the whole of Q from that table, once, when first
-    read; a tuning run never reads it.  The pole directions of an arc's
-    secular equation (:meth:`pole_directions`) come in closed form from
-    one FFT of the arc weights (:class:`ModeDirections`), so a tuning run
-    gathers no rows of Q.
+    column of a mode first.  No N x N array is formed: Q, Q^T, the source
+    solve and X^+ act by real FFTs.  Q's entries at given columns
+    (:meth:`cluster_at`) are read from a table of the scaled cos and sin of
+    2 pi m/N at m = jk mod N, whose entries above m = N/2 mirror those
+    below, so every column is exactly even or odd under j -> N - j;
+    ``vectors`` gathers the whole of Q from it, once, when first read.  The
+    pole directions of an arc come in closed form from one FFT of the arc
+    weights (:class:`ModeDirections`), so a tuning run gathers no rows of Q.
     """
 
     def __init__(self, ops: OperatorSet):
@@ -384,6 +347,21 @@ class CirculantDecomposition(SteklovDecomposition):
         """In closed form (:class:`ModeDirections`)."""
         return ModeDirections(self, nodes, e)
 
+    def pseudo_inverse_block(self, nodes: np.ndarray) -> np.ndarray:
+        """A section of the circulant X^+: one ``irfft`` of its symbol,
+        gathered at the node gaps (i - j) mod N, as ``ArcSpectrum._every``."""
+        N = self.ops.n_nodes
+        return np.fft.irfft(_inverse(self.ops.scaled_dtn_symbol), N)[(nodes[:, None] - nodes) % N]
+
+    def apply_pseudo_inverse(self, g: np.ndarray) -> np.ndarray:
+        """X^+ g by FFT, with the symbol of X^+."""
+        return self.ops.fft_apply(_inverse(self.ops.scaled_dtn_symbol), g)
+
+
+def _inverse(values: np.ndarray) -> np.ndarray:
+    """1/values, and 0 for the constant mode, values[0]."""
+    return np.concatenate(([0.0], 1.0 / values[1:]))
+
 
 def _scaled_dtn(ops: OperatorSet) -> np.ndarray:
     """W^-1/2 H W^-1/2 in a new Fortran-ordered array."""
@@ -421,23 +399,24 @@ def _mirror_eigh(even: np.ndarray, odd: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def decompose(ops: OperatorSet) -> SteklovDecomposition:
+    """The all-Steklov decomposition that ``ops`` keeps: built on first use
+    by :func:`_decompose`, then shared by every caller and every mask."""
+    return ops.decomposition
+
+
+def _decompose(ops: OperatorSet) -> SteklovDecomposition:
     """Decompose the all-Steklov problem of ``ops``.
 
     On a rotation set (``ops.rotation``: the circle) X = W^-1/2 H W^-1/2 is
-    circulant and even, so the normalized cos and sin modes are its
-    eigenvectors and its real symbol (``ops.scaled_dtn_symbol``) gives their
-    values, a cos and a sin mode sharing one.  The decomposition keeps
-    those modes (:class:`CirculantDecomposition`): Q acts by FFTs, and no
-    N x N array is formed.  On any other
-    mirror set (``ops.mirror``: a curve with x(-t) the mirror image of x(t),
-    as every catalog curve) X commutes with the node reversal j -> N - j
-    and splits in the reversal's even and odd subspaces.
-    Its two half-size blocks come straight from the half-size factors of the
-    trace map (``ops.scaled_dtn_halves``), and one ``eigh`` (driver evd) of
-    each, at a quarter of the flops of the whole, gives its eigenpairs
-    (Allgower, Boehmer, Georg and Miranda, SIAM J. Numer. Anal. 29, 1992):
-    every vector is exactly even or odd, and neither H nor an N x N
-    factorization is formed.  Otherwise one ``eigh`` of X decomposes it.
+    circulant and even: its cos and sin modes and its real symbol
+    (``ops.scaled_dtn_symbol``) decompose it (:class:`CirculantDecomposition`).
+    On any other mirror set (``ops.mirror``: every catalog curve) X splits
+    in the even and odd subspaces of the node reversal j -> N - j: one
+    ``eigh`` (driver evd) of each half-size block (``ops.scaled_dtn_halves``,
+    from the half-size factors of the trace map), at a quarter of the flops
+    of the whole, gives vectors exactly even or odd, and neither H nor an
+    N x N factorization is formed (Allgower, Boehmer, Georg and Miranda,
+    SIAM J. Numer. Anal. 29, 1992).  Otherwise one ``eigh`` of X does.
     """
     if ops.rotation:
         return CirculantDecomposition(ops)
@@ -634,34 +613,28 @@ class ArcSpectrum:
     is singular (M(lambda) = I/lambda + B diag(1/(Lambda - lambda)) B^T).
     G is nondecreasing between poles, and Haynsworth inertia additivity
     counts the mixed eigenvalues below lambda as #{Lambda_j < lambda} minus
-    the number of negative eigenvalues of G(lambda), read from an LDL^T
-    factorization.  The count brackets each root and orders roots without
-    solving them; safeguarded Newton on the matching eigenvalue of G
-    polishes a root only when its pair is needed, by inverse iteration on
-    the LDL^T factors of each step.  The root's trace is
-    W^-1/2 Q diag(1/(Lambda - lambda)) B^T z with z the null vector of G.
+    the negative eigenvalues of G(lambda), read from an LDL^T factorization.
+    The count brackets and orders roots without solving them; safeguarded
+    Newton polishes a root only when its pair is needed, by inverse
+    iteration on the LDL^T factors of each step.  The root's trace is
+    W^-1/2 Q diag(1/(Lambda - lambda)) B^T z, z the null vector of G.
 
     Equal Steklov eigenvalues are rotated so that each pole direction
     carries its own arc weight, and directions of negligible weight are
-    deflated (Bunch, Nielsen and Sorensen): they stay mixed eigenvalues
-    with their Steklov trace.  So is the constant mode, the eigenvalue 0
-    of every mask.  Roots of the remaining *secular* problem are
-    indexed from 0 upwards; the deflated values form a second sorted list.
-    The decomposition gives the directions (``pole_directions``), on the
-    disk in closed form (:class:`ModeDirections`) with no m x N array:
-    Newton's slope and the traces read B^T z through them.
+    deflated (Bunch, Nielsen and Sorensen, Numer. Math. 31, 1978): they
+    stay mixed eigenvalues with their Steklov trace, as the constant mode
+    does.  Roots of the remaining *secular* problem are indexed from 0
+    upwards; the deflated values form a second sorted list.  The
+    decomposition gives the directions (``pole_directions``; on the disk in
+    closed form, :class:`ModeDirections`).
 
     G is formed over every direction (:meth:`_every`), less the deflated
-    directions' rank-one terms.  Off a rotation set that sum is the m x N by
-    N x m product of the formula.  On a rotation set (``ops.rotation``: the
-    circle) Q's columns are the cos and sin modes, and Q_m diag(s) Q_m^T is
-    an m x m section of the circulant with symbol s: one ``irfft`` of
-    s = Lambda/(Lambda - lambda) on the modes, gathered at the node gaps
-    (i - j) mod N, gives it (Gray, Toeplitz and Circulant Matrices: A
-    Review, 2006), at O(N log N + m^2) per evaluation.  The same sum over
-    every direction is I + lambda U^T K U, the capacitance matrix of the
-    source solve (:meth:`source_system`), so no route gathers Q's rows
-    to solve a source.
+    directions' rank-one terms: off a rotation set as the m x N by N x m
+    product of the formula, on the circle as an m x m section of the
+    circulant with symbol Lambda/(Lambda - lambda), one ``irfft`` gathered
+    at the node gaps (i - j) mod N (Gray, Toeplitz and Circulant Matrices:
+    A Review, 2006).  That sum is also I + lambda U^T K U, the capacitance
+    matrix of the source solve (:meth:`source_system`).
 
     The mixed eigenvalues are read by their index j in the whole spectrum
     (the constant mode is 0): :meth:`value` locates eigenvalue j among the
@@ -979,6 +952,117 @@ class ArcSpectrum:
 
         norm = np.max(np.abs(self.spectrum.values - lam))
         return arc_solve, float(norm * inverse_norm(arc_solve, ops.weights))
+
+
+class MaskSpectrum:
+    """Mixed spectrum of any mask from the Steklov side of the decomposition.
+
+    With X^+ the decomposition's pseudo-inverse (0 on the constant mode),
+    n0 = W^1/2 1 / |W^1/2 1| its null vector, F = diag(sqrt(fraction)) on
+    the N_s nodes of positive Steklov fraction, p = F n0/|F n0| and
+    P = I - p p^T, the mixed problem reads X v = lam F F^T v (v = W^1/2 u).
+    Its Steklov side s = F^T v is orthogonal to p, v = lam X^+ F s + c n0,
+    and s is an eigenvector of P M P, M = F X^+ F, of eigenvalue mu = 1/lam,
+    with c = -lam p^T M s / |F n0|.  Pair 0 is the constant mode; p is no
+    eigenvalue.  F^T v = s, so the traces are Steklov-orthonormal, and no
+    step divides by a Steklov fraction.  The lowest pairs are the top of
+    mu, from an ``eigh`` windowed by index; any other request, the guard's
+    counts and values and the source solve read one full ``eigh``, made on
+    first use.
+    """
+
+    def __init__(self, spectrum: SteklovDecomposition, mask: PartitionMask):
+        values = spectrum.values
+        if not (values[1] > 0.0 and abs(values[0]) <= _ZERO_POLE_TOL * values[-1]):
+            raise EigenSolveError("the all-Steklov problem is not positive semidefinite")
+        # no reference to the mask, which caches this owner
+        self.spectrum, weights = spectrum, spectrum.ops.weights
+        self._nodes = nodes = np.flatnonzero(mask.steklov_fraction > 0.0)
+        self._f = f = np.sqrt(mask.steklov_fraction[nodes])
+        self._n0 = n0 = np.sqrt(weights / np.sum(weights))
+        self._fn0 = float(np.sqrt(np.sum(mask.steklov_weights) / np.sum(weights)))
+        self._p = p = f * n0[nodes] / self._fn0
+        m = spectrum.pseudo_inverse_block(nodes)
+        m *= np.outer(f, f)
+        self._mp = mp = kernels.product(m, p)
+        # P M P = M - p q^T - q p^T with q = M p - (p^T M p / 2) p
+        q = mp - 0.5 * np.sum(p * mp) * p
+        m -= np.outer(p, q)
+        m -= np.outer(q, p)
+        self._pmp = m
+
+    def _eigh(self, **window) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenpairs of P M P, mu descending, the vectors made orthogonal to
+        p: beside p's 0 a small mu (lam ~ 1/fraction) keeps a p-component of
+        about eps/mu, which lam would amplify in its trace."""
+        try:
+            mu, z = sla.eigh(self._pmp, check_finite=False, **window)
+        except np.linalg.LinAlgError as exc:
+            raise EigenSolveError(f"self-adjoint eigensolve failed: {exc}") from exc
+        z -= np.outer(self._p, kernels.product(self._p, z))
+        return mu[::-1], np.asfortranarray(z[:, ::-1])
+
+    @cached_property
+    def _full(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every eigenvalue ascending, and the pairs of P M P less p's."""
+        mu, z = self._eigh(driver="evd")
+        return np.concatenate(([0.0], 1.0 / mu[:-1])), mu[:-1], z[:, :-1]
+
+    def pairs(self, sigma: float, count: int) -> list[EigenPair]:
+        """The ``count`` eigenpairs nearest sigma, ascending and clustered."""
+        n = len(self._nodes)
+        if sigma > 0.0 or count >= n:
+            values, mu, z = self._full
+            nearest = np.sort(np.argsort(np.abs(values - sigma), kind="stable")[:count])
+            chosen = nearest[nearest > 0] - 1
+        else:       # the constant mode and the top count - 1 of mu
+            nearest, chosen = [0], slice(count - 1)
+            mu, z = self._eigh(subset_by_index=(min(n - count + 1, n - 1), n - 1))
+        mu, z = mu[chosen], z[:, chosen]
+        ops, lam = self.spectrum.ops, 1.0 / mu
+        fz = np.zeros((ops.n_nodes, len(mu)))
+        fz[self._nodes] = self._f[:, None] * z
+        c = -lam * kernels.product(self._mp, z) / self._fn0
+        traces = self.spectrum.apply_pseudo_inverse(fz) * lam + np.outer(self._n0, c)
+        traces /= np.sqrt(ops.weights)[:, None]
+        if nearest[0] == 0:
+            lam = np.concatenate(([0.0], lam))
+            level = 1.0 / (self._fn0 * np.sqrt(np.sum(ops.weights)))
+            traces = np.column_stack((np.full(ops.n_nodes, level), traces))
+        return _signed_pairs(ops, lam, traces, _assign_clusters(lam))
+
+    def count_below(self, x: float) -> int:
+        """Number of the mask's eigenvalues strictly below x; 0 for x <= 0."""
+        return int(np.searchsorted(self._full[0], x)) if x > 0.0 else 0
+
+    def value(self, j: int) -> float:
+        """The mask's eigenvalue j (ascending from 0, the constant mode first)."""
+        return float(self._full[0][j])
+
+    def source_system(self, lam: float):
+        """``(solve, condition)`` of H - lam diag(b): with g = W^-1/2 r it is
+        (X - lam F F^T) v = g.  s = F^T v has the p-component alpha =
+        -n0^T g / (lam |F n0|); P s solves (I - lam P M P) P s =
+        P (F^T X^+ g + lam alpha M p) in the eigenbasis; c = (alpha -
+        p^T F^T X^+ g - lam p^T M s) / |F n0|; v = X^+ (g + lam F s) + c n0.
+        ``condition``: max(Lambda_max, lam), which bounds |X - lam F F^T|
+        (both terms are positive semidefinite), times :func:`inverse_norm`."""
+        _, mu, z = self._full
+        spectrum, nodes, f, p, mp = self.spectrum, self._nodes, self._f, self._p, self._mp
+        root, shift = np.sqrt(spectrum.ops.weights), 1.0 / (1.0 - lam * mu)
+
+        def solve(r):
+            g = r / root
+            fxg = f * spectrum.apply_pseudo_inverse(g)[nodes]
+            alpha = -np.sum(self._n0 * g) / (lam * self._fn0)
+            s = kernels.product(z, shift * kernels.product(fxg + lam * alpha * mp, z))
+            s += alpha * p
+            c = (alpha - np.sum(p * fxg) - lam * np.sum(mp * s)) / self._fn0
+            g[nodes] += lam * f * s
+            return (spectrum.apply_pseudo_inverse(g) + c * self._n0) / root
+
+        norm = max(spectrum.values[-1], lam)
+        return solve, float(norm * inverse_norm(solve, spectrum.ops.weights))
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,10 @@ offset to the arclength boundary mean on curves of logarithmic capacity one
 :func:`solve_greens` refuses a spectral parameter near an eigenvalue.  The
 owner of the mask's spectrum guards by its counts and solves by its
 ``source_system``: a tuning run's decomposition or final ``ArcSpectrum``,
-or else the :class:`~steklov.discretization.PartitionMask` itself.  The
-``ArcSpectrum`` solves by a Woodbury correction of the decomposition's
-solve; where that misses the residual gate (beside an all-Steklov
-eigenvalue, which is no eigenvalue of the mask), the mask solves instead.
+or else the mask (its ``MaskSpectrum``).  The ``ArcSpectrum`` solves by a
+Woodbury correction of the decomposition's solve; where that misses the
+residual gate (beside an all-Steklov eigenvalue, which is no eigenvalue of
+the mask), the mask solves instead.
 """
 
 from __future__ import annotations

@@ -29,8 +29,8 @@ cluster and the spectrum the first source solves check against all come
 from that decomposition.  Every trial is solved on the nodes its arc
 touches (:class:`~steklov.eigensolver.ArcSpectrum`), which locates
 eigenvalue j by counts, starting its root search at the first-order
-prediction.  A root the secular count cannot certify falls back to a
-windowed eigensolve of the candidate mask, which reads pair j.
+prediction.  A root the secular count cannot certify falls back to the
+candidate mask's own spectrum (:class:`~steklov.eigensolver.MaskSpectrum`).
 
 Source fields enter twice: the insertion point comes from the boundary
 profile of the two fields solved at lambda_star on the uncovered boundary,
@@ -321,8 +321,8 @@ def _tracked_cluster(spectrum: SteklovDecomposition, mask: PartitionMask, j: int
     """Cluster of eigenvalue j on the candidate mask, its value, and the secular solve.
 
     The root search starts at the ``predicted`` value.  When the secular
-    solve breaks down, the lowest j + ``_WINDOWED_PAIRS`` pairs of a
-    windowed eigensolve give pair j and its cluster; the third item is then
+    solve breaks down, the lowest j + ``_WINDOWED_PAIRS`` pairs of the
+    mask's own spectrum give pair j and its cluster; the third item is then
     None.
     """
     try:

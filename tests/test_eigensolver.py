@@ -254,68 +254,63 @@ def test_solve_spectrum_matches_qz_reference(case):
     assert_allclose(gram, np.eye(12), atol=1e-8)
 
 
-def test_lowest_spectrum_window_holds_count_values(monkeypatch):
-    # a window of half-width count*pi/|Gamma_S| around 0 holds only about
-    # count values (none lie below 0); on the kite it held fewer for several
-    # counts, and the solve fell back to a second, full eigh
+def counting_eigh(monkeypatch) -> list:
+    """The keyword arguments of every ``scipy.linalg.eigh`` call from now on."""
     calls = []
     true_eigh = sla.eigh
 
-    def counting_eigh(*args, **kwargs):
+    def counting(*args, **kwargs):
         calls.append(kwargs)
         return true_eigh(*args, **kwargs)
 
-    monkeypatch.setattr(sla, "eigh", counting_eigh)
+    monkeypatch.setattr(sla, "eigh", counting)
+    return calls
+
+
+def test_lowest_spectrum_window_holds_count_values(monkeypatch):
+    # the lowest pairs are the top of the mask's section eigenvalues mu =
+    # 1/lambda: one eigh windowed by index per request, holding count - 1
+    # values (the constant mode is known), and no second solve
     ops, mask = steklov_setup(kite(), 128)
+    decompose(ops)
+    calls = counting_eigh(monkeypatch)
     for count in range(2, 16):
         calls.clear()
         pairs = solve_spectrum(ops, mask, SpectrumRequest(count=count))
         assert len(pairs) == count
-        # the windowed solve plus the Rayleigh-Ritz pass
-        assert len(calls) == 2 and "subset_by_value" in calls[0]
-
-
-def windowed_values(ops, mask, sigma, count):
-    """Reference: the values of the windowed solve, with the library's
-    products (``kernels.product``), which falls back to a full eigh when its
-    window holds fewer than ``count`` values."""
-    h = ops.weighted_dtn
-    b = mask.steklov_weights
-    on, off = b > 0, b <= 0
-    k = min(count, int(np.sum(on)))
-    half = count * np.pi / float(np.sum(b))
-    coupling = sla.solve(h[np.ix_(off, off)], h[np.ix_(off, on)], assume_a="pos")
-    scaled = h[np.ix_(on, on)] - kernels.product(h[np.ix_(on, off)], coupling)
-    scale = 1.0 / np.sqrt(b[on])
-    scaled *= np.outer(scale, scale)
-    values, vecs = sla.eigh(scaled, subset_by_value=(sigma - half, half + max(sigma, half)))
-    if len(values) < k:
-        values, vecs = sla.eigh(scaled)
-    nearest = np.sort(np.argsort(np.abs(values - sigma), kind="stable")[:k])
-    traces = np.empty((ops.n_nodes, k))
-    traces[on] = scale[:, None] * vecs[:, nearest]
-    traces[off] = -kernels.product(coupling, traces[on])
-    return sla.eigh(kernels.product(traces.T, kernels.product(h, traces)),
-                    kernels.product(traces.T * b, traces))[0]
+        assert len(calls) == 1 and calls[0]["subset_by_index"] == (129 - count, 127)
 
 
 def test_full_spectrum_request_skips_the_window(monkeypatch):
-    # asking for every pair of a mask: a window sized by Weyl's law holds
-    # too few of them, so the solve goes straight to the full eigh
+    # asking for every pair of a mask: the solve goes straight to the full
+    # eigh of the mask's section, and every value matches QZ
     ops, mask = neumann_setup(kite(), 128, [(0.5, 0.9)])
-    expected = windowed_values(ops, mask, 0.0, 128)
-    calls = []
-    true_eigh = sla.eigh
-
-    def counting_eigh(*args, **kwargs):
-        calls.append(kwargs)
-        return true_eigh(*args, **kwargs)
-
-    monkeypatch.setattr(sla, "eigh", counting_eigh)
+    expected = qz_reference(ops, mask)
+    decompose(ops)
+    calls = counting_eigh(monkeypatch)
     pairs = solve_spectrum(ops, mask, SpectrumRequest(count=128))
-    # the full solve plus the Rayleigh-Ritz pass
-    assert len(calls) == 2 and calls[0].get("subset_by_value") is None
-    assert np.array_equal([p.value for p in pairs], expected)
+    assert len(calls) == 1 and "subset_by_index" not in calls[0]
+    assert_allclose([p.value for p in pairs], expected, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("n", [128, 256])
+@pytest.mark.parametrize("curve", [circle, kite], ids=["circle", "kite"])
+def test_full_spectrum_at_a_small_steklov_fraction_matches_qz_reference(curve, n):
+    # a node at Steklov fraction 1e-8 and a request for every pair, the mode
+    # of about 1/fraction included: the lowest values and the guard's hold
+    # full accuracy
+    ops = assemble(curve(), n)
+    h = TWO_PI / n
+    end = ops.params[n // 4] + h / 2 - 1e-8 * h
+    mask = mask_from_partition(ops, BoundaryPartition.from_neumann_intervals(
+        ops.curve, [(0.3, end)]))
+    assert np.min(mask.steklov_fraction[mask.steklov_fraction > 0]) < 2e-8
+    expected = qz_reference(ops, mask)[:12]
+    pairs = solve_spectrum(ops, mask, SpectrumRequest(count=n))
+    assert len(pairs) == np.count_nonzero(mask.steklov_fraction)
+    tol = 1e-12 * expected[11]
+    assert_allclose([p.value for p in pairs[:12]], expected, rtol=0, atol=tol)
+    assert_allclose([mask.value(j) for j in range(12)], expected, rtol=0, atol=tol)
 
 
 def shifted(curve, by=0.3):
@@ -455,8 +450,8 @@ def test_circulant_decomposition_acts_as_its_table(n):
 
 
 def test_indefinite_neumann_block_raises_eigensolve_error(monkeypatch):
-    # a flipped free-space kernel makes H_nn indefinite, so the Cholesky
-    # of the Neumann-block elimination fails
+    # a flipped free-space kernel makes the all-Steklov problem indefinite,
+    # which the mask's owner refuses
     true_gamma0 = kernels.gamma0
     monkeypatch.setattr(kernels, "gamma0", lambda x, y: -true_gamma0(x, y))
     ops, mask = half_neumann_setup(64)
@@ -561,7 +556,7 @@ def test_secular_solve_of_a_mask_without_neumann_nodes_breaks_down():
 @pytest.mark.parametrize("case", ["disk-two-arcs-N256", "kite-two-arcs-N512",
                                   "steklov-fraction-1e-8", "disk-deflated-N128"])
 def test_secular_count_matches_the_eigensolver(case):
-    # the secular count and the mask's own, from its Schur complement
+    # the secular count and the mask's own, from its Steklov-side owner
     ops, mask = SECULAR_CASES[case]()
     reference = secular_reference(case)
     arc = ArcSpectrum(decompose(ops), mask)
@@ -590,21 +585,6 @@ def test_count_reads_the_solved_roots(case):
     assert work["ldl"] == 0
     counts = [arc._count(probes[0])] + counts + [arc._count(probes[-1])]
     assert counts == [ArcSpectrum(spectrum, mask)._factor(lam)[-1] for lam in probes]
-
-
-@pytest.mark.parametrize("curve", [circle, kite], ids=["circle", "kite"])
-def test_mask_values_are_polished_at_a_small_steklov_fraction(curve):
-    # a node at Steklov fraction 1e-8: the scaled Schur complement's own
-    # eigenvalues are off by 1.9e-8 (circle) and 6.8e-9 (kite) relative, their
-    # Rayleigh quotients with the unscaled one by 2.4e-14 at most
-    ops = assemble(curve(), 256)
-    h = TWO_PI / 256
-    end = ops.params[32] + h / 2 - 1e-8 * h
-    mask = mask_from_partition(ops, BoundaryPartition.from_neumann_intervals(
-        ops.curve, [(0.3, end)]))
-    assert np.min(mask.steklov_fraction[mask.steklov_fraction > 0]) < 2e-8
-    values = [p.value for p in solve_spectrum(ops, mask, SpectrumRequest(count=12))]
-    assert_allclose([mask.value(j) for j in range(12)], values, rtol=1e-12, atol=1e-12)
 
 
 def test_inertia_count_reads_two_by_two_pivots():

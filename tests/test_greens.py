@@ -3,7 +3,6 @@
 import inspect
 import tracemalloc
 import warnings
-from functools import partial
 
 import numpy as np
 import pytest
@@ -533,7 +532,8 @@ def test_factorization_shared_across_sources(disk_ops, monkeypatch):
 
 def test_guard_reads_the_spectrum_on_the_mask(disk_ops, monkeypatch):
     # the guard depends on the mask and lambda only: a mask whose spectrum
-    # was solved near 2 and near 40 before refuses and accepts as a fresh one
+    # was solved near 2 and near 40 before (which builds the mask's owner,
+    # shared with its source solves) refuses and accepts as a fresh one
     calls = []
     monkeypatch.setattr(greens, "solve_spectrum_near",
                         lambda *a, **k: calls.append(a) or solve_spectrum_near(*a, **k))
@@ -552,12 +552,28 @@ def test_guard_reads_the_spectrum_on_the_mask(disk_ops, monkeypatch):
     solved = mask_from_partition(disk_ops, BoundaryPartition.all_steklov(disk_ops.curve))
     for sigma in (2.0, 40.0):
         solve_spectrum_near(disk_ops, solved, sigma, count=12)
-    assert not built(solved)
     for mask in (solved, fresh):
         again, again_fields = outcomes(mask)
         assert again == named
         assert all(np.array_equal(a, b) for a, b in zip(again_fields, fields))
     assert calls == []
+
+
+def test_solved_mask_shares_one_eigh_with_its_source_solves(monkeypatch):
+    # a two-arc kite mask solved near 2, then source-solved at two lambdas:
+    # the solve, the guards and the source solves read one full eigh of the
+    # mask's section, after the decomposition
+    ops = assemble(kite(), 256)
+    mask = mask_from_partition(ops, BoundaryPartition.from_neumann_intervals(
+        ops.curve, [(0.5, 1.3), (3.8, 4.6)]))
+    decompose(ops)
+    calls = []
+    original = sla.eigh
+    monkeypatch.setattr(sla, "eigh", lambda *a, **k: calls.append(k) or original(*a, **k))
+    values = [p.value for p in solve_spectrum_near(ops, mask, 2.0, count=12)]
+    for lam in (2.0, 0.5 * (values[3] + values[4])):
+        assert greens.solve_greens(ops, mask, (-0.5, 0.3), lam).residual <= greens.RESIDUAL_TOL
+    assert len(calls) == 1 and "subset_by_index" not in calls[0]
 
 
 def test_repeat_solve_is_deterministic(disk_mixed):
@@ -596,6 +612,8 @@ def decomposition_routes():
     oval_spectrum = decompose(oval)
     oval_arc = BoundaryPartition.from_neumann_intervals(oval.curve, [(1.2, 2.4)])
     oval_arc_spectrum = ArcSpectrum(oval_spectrum, mask_from_partition(oval, oval_arc))
+    short_arc = BoundaryPartition.from_neumann_intervals(disk.curve, [(2.0, 2.1)])
+    short_arc_spectrum = ArcSpectrum(disk_spectrum, mask_from_partition(disk, short_arc))
     return {
         "disk": (disk, BoundaryPartition.all_steklov(disk.curve), disk_spectrum,
                  disk_spectrum.values[5], disk_spectrum.values[7], XS),
@@ -609,43 +627,53 @@ def decomposition_routes():
                           kite_spectrum.values[5], (-0.5, 0.3)),
         "ellipse-arc": (oval, oval_arc, oval_arc_spectrum, oval_arc_spectrum.value(5),
                         oval_spectrum.values[5], (0.3, -0.2)),
+        "disk-short-arc": (disk, short_arc, short_arc_spectrum, short_arc_spectrum.value(5),
+                           disk_spectrum.values[7], (0.3, -0.2)),
     }
 
 
-class DenseOwner:
-    """The mask's counts and values, and an LU solve of the dense
-    H - lam diag(b): a reference owner for :func:`greens.solve_greens`."""
-
-    def __init__(self, ops, mask):
-        self.count_below, self.value = mask.count_below, mask.value
-        self.h, self.b = ops.weighted_dtn, mask.steklov_weights
-
-    def source_system(self, lam):
-        return partial(sla.lu_solve, sla.lu_factor(self.h - lam * np.diag(self.b))), 1.0
+def refined_field(ops, mask, source, lam):
+    """Reference boundary values: the density conditions (A - lam B) rho =
+    lam frac gamma0 - d gamma0/dnu (A = -I/2 + K', row i of B the completed
+    trace scaled by the node's Steklov fraction) solved by an LU and
+    refined on residuals taken in extended precision: its own error stays
+    near 1e-3 of the test's bound or below, and does not move with the BLAS
+    thread count."""
+    ld, source = np.longdouble, np.asarray(source, float)
+    g0 = kernels.gamma0(ops.points, source)
+    rhs = (lam * mask.steklov_fraction) * g0 - kernels.gamma0_dnu(ops.points, ops.normals, source)
+    trace = ops.single_layer.astype(ld) + ops.weights
+    a = ops.adjoint_double_layer - ld(0.5) * np.eye(ops.n_nodes, dtype=ld)
+    a -= (lam * mask.steklov_fraction.astype(ld))[:, None] * trace
+    lu = sla.lu_factor(a.astype(float))
+    rho = np.zeros(ops.n_nodes, dtype=ld)
+    for _ in range(4):
+        rho += sla.lu_solve(lu, (rhs - a @ rho).astype(float))
+    return (g0 + trace @ rho).astype(float)
 
 
 @pytest.mark.parametrize("case", ["disk", "kite", "test_11-final", "disk-two-arcs",
-                                  "kite-two-arcs", "ellipse-arc"])
+                                  "kite-two-arcs", "ellipse-arc", "disk-short-arc"])
 def test_decomposition_source_solve_matches_lu(decomposition_routes, case):
-    # the owner's route and the mask's own against a dense LU solve
+    # the owner's route and the mask's own against a refined dense solve
     ops, partition, owner, mixed, pole, source = decomposition_routes[case]
     guard = greens.RESONANCE_GUARD
     lams = [mixed + d for d in (1e-1, -1e-2, 1e-3, -1e-4, 1e-5)]
     lams.append(pole + 5.0 * guard * (1.0 + pole))      # inside 10x the guard band
     for lam in lams:
         mask = mask_from_partition(ops, partition)
-        lu = greens.solve_greens(ops, mask, source, lam, spectrum=DenseOwner(ops, mask))
+        reference = refined_field(ops, mask, source, lam)
         # 1e-12 of max|value|, down to the double-precision floor: closer than
-        # 1e-3 to a mixed eigenvalue it grows like 1/detuning (at 1e-5 the LU
-        # route differs from a dense density solve by 4e-11)
+        # 1e-3 to a mixed eigenvalue it grows like 1/detuning (the rounding of
+        # the density residual that refines every route)
         j = mask.count_below(lam)
         detuning = min(abs(lam - mask.value(i)) for i in (j - 1, j))
-        scale = np.max(np.abs(lu.boundary_values))
+        scale = np.max(np.abs(reference))
         for spectrum in (owner, None):
             field = greens.solve_greens(ops, mask, source, lam, spectrum=spectrum)
             assert field.residual <= greens.RESIDUAL_TOL
             assert 1.0 <= field.condition_estimate < np.inf
-            assert (np.max(np.abs(field.boundary_values - lu.boundary_values))
+            assert (np.max(np.abs(field.boundary_values - reference))
                     <= 1e-12 * max(1.0, 1e-3 / detuning) * scale)
 
 

@@ -13,14 +13,16 @@ either side of its partition:
   of an m x m secular equation (Golub, SIAM Rev. 15, 1973), counted by the
   inertia of one LDL^T factorization (:func:`ldl_inertia`).  It is the
   exact form of the first-order arc formula the optimizer steps with.
+  Where the secular solve cannot answer, it hands over to the mask's own
+  spectrum.
 * :class:`MaskSpectrum`, any mask: its nonzero eigenvalues are the
   reciprocals of those of an N_s x N_s section of X^+ on its N_s Steklov
   nodes, one linear eigenproblem.  :func:`solve_spectrum`,
-  :func:`solve_spectrum_near` (the optimizer's fallback when the secular
-  solve breaks down) and the mask itself read it.
+  :func:`solve_spectrum_near` and the mask itself read it.
 
-The decomposition and both owners guard a source solve by their counts and
-solve it by their ``source_system``, with no N x N factorization.
+The decomposition and both owners answer alike: ``count_below``, ``value``,
+``cluster``, ``pairs`` and ``source_system``, the last with no N x N
+factorization.
 
 All dense algebra with an N-sized operand runs on scipy's OpenBLAS
 (LAPACK, and :func:`kernels.product` instead of numpy's ``@``): numpy's own
@@ -61,6 +63,9 @@ class EigenPair:
 
 # neighbouring eigenvalues this close (relatively) share a cluster id
 CLUSTER_TOL = 1e-6
+# a source solve is refused when lambda is this close (relatively) to an
+# eigenvalue
+RESONANCE_GUARD = 1e-6
 
 
 @dataclass(frozen=True)
@@ -79,15 +84,37 @@ def _assign_clusters(values: np.ndarray) -> np.ndarray:
     return ids
 
 
-def _signed_pairs(ops: OperatorSet, values: np.ndarray, traces: np.ndarray,
-                  cluster_ids) -> list[EigenPair]:
-    """Every solver's finish: sign the trace columns (largest entry positive)
-    and recover their densities T^-1 u."""
+def _signed_pairs(ops: OperatorSet, values: np.ndarray, traces: np.ndarray) -> list[EigenPair]:
+    """Every solver's finish: sign the trace columns (largest entry positive),
+    recover their densities T^-1 u and cluster the ascending values."""
     k = traces.shape[1]
     traces = traces * np.copysign(1.0, traces[np.argmax(np.abs(traces), axis=0), np.arange(k)])
     densities = ops.trace_solve(traces)
     return [EigenPair(float(lam), d, t, int(c)) for lam, d, t, c
-            in zip(values, densities.T, traces.T, np.broadcast_to(cluster_ids, k))]
+            in zip(values, densities.T, traces.T, _assign_clusters(values))]
+
+
+class _Owner:
+    """What every owner of a spectrum shares: :meth:`cluster`, read from its
+    ``count_below`` and ``value``."""
+
+    def cluster(self, j: int, near: float | None = None) -> tuple[int, int]:
+        """First and last index of the multiplicity cluster of eigenvalue j.
+
+        Neighbours chain as in :func:`_assign_clusters`; whether the next
+        eigenvalue out lies within CLUSTER_TOL is read from one count at
+        the bound.  ``near`` is passed on to the search of eigenvalue j.
+        """
+        tol = CLUSTER_TOL
+        first = last = j
+        top = bottom = self.value(j, near)
+        while self.count_below(np.nextafter((top + tol) / (1.0 - tol), np.inf)) > last + 1:
+            last += 1
+            top = self.value(last)
+        while first > 0 and self.count_below(bottom - tol * (1.0 + abs(bottom))) < first:
+            first -= 1
+            bottom = self.value(first)
+        return first, last
 
 
 def _rayleigh_ritz(projected: np.ndarray, b: np.ndarray, traces: np.ndarray
@@ -107,11 +134,16 @@ def solve_spectrum(ops: OperatorSet, mask: PartitionMask,
 
 def solve_spectrum_near(ops: OperatorSet, mask: PartitionMask, sigma: float,
                         count: int = 6) -> list[EigenPair]:
-    """The ``count`` eigenpairs nearest sigma, from the mask's
+    """The ``count`` eigenpairs nearest sigma, ascending, from the mask's
     :class:`MaskSpectrum` (``ops`` is the mask's own): traces
     L2(Gamma_S)-orthonormal, densities T^-1 u.  EigenSolveError on failure.
+    For sigma <= 0 they are the lowest ``count``.
     """
-    return mask._spectrum.pairs(sigma, count)
+    spectrum = mask._spectrum
+    if sigma > 0.0:
+        values = spectrum._full[0]
+        return spectrum.pairs(np.sort(np.argsort(np.abs(values - sigma), kind="stable")[:count]))
+    return spectrum.pairs(range(min(count, len(spectrum._nodes))))
 
 
 def cluster_members(pairs: list[EigenPair], cluster_id: int) -> list[EigenPair]:
@@ -159,10 +191,10 @@ _NEWTON_TOL = 4.0 * np.finfo(float).eps
 
 
 class SecularBreakdown(EigenSolveError):
-    """The secular solve could not certify a root; solve the mask directly."""
+    """The secular solve could not certify a root; the mask's own spectrum answers."""
 
 
-class SteklovDecomposition:
+class SteklovDecomposition(_Owner):
     """The all-Steklov problem in orthonormal form, decomposed once.
 
     W^-1/2 H W^-1/2 = Q diag(values) Q^T with W = diag(weights), so the
@@ -171,7 +203,7 @@ class SteklovDecomposition:
     (``ops.mirror``), the circle's included, every column of Q is exactly
     even or odd under the node reversal j -> N - j (:func:`decompose`).
     ``groups`` lists, per group size, the index rows of values equal within
-    ``_POLE_MERGE_TOL``; ``cluster_ids`` the ids of :func:`_assign_clusters`.
+    ``_POLE_MERGE_TOL``.
     """
 
     def __init__(self, ops: OperatorSet, values: np.ndarray, vectors: np.ndarray):
@@ -190,12 +222,6 @@ class SteklovDecomposition:
         for rows in groups.values():
             rows.setflags(write=False)
         return groups
-
-    @cached_property
-    def cluster_ids(self) -> np.ndarray:
-        ids = _assign_clusters(self.values)
-        ids.setflags(write=False)
-        return ids
 
     def rows(self, nodes: np.ndarray) -> np.ndarray:
         """Q's rows at the given nodes."""
@@ -221,15 +247,15 @@ class SteklovDecomposition:
         """Number of all-Steklov eigenvalues strictly below x; 0 for x <= 0."""
         return int(np.searchsorted(self.values, x)) if x > 0.0 else 0
 
-    def value(self, j: int) -> float:
+    def value(self, j: int, near: float | None = None) -> float:
         """All-Steklov eigenvalue j (ascending from 0, the constant mode first)."""
         return float(self.values[j])
 
-    def cluster_at(self, j: int) -> list[EigenPair]:
-        """All-Steklov pairs of the multiplicity cluster holding value j."""
-        members = np.flatnonzero(self.cluster_ids == self.cluster_ids[j])
-        return _signed_pairs(self.ops, self.values[members],
-                             self._columns(members) / np.sqrt(self.ops.weights)[:, None], 0)
+    def pairs(self, indices) -> list[EigenPair]:
+        """All-Steklov eigenpairs of the given indices."""
+        indices = np.asarray(indices)
+        return _signed_pairs(self.ops, self.values[indices],
+                             self._columns(indices) / np.sqrt(self.ops.weights)[:, None])
 
     def source_system(self, lam: float):
         """``(solve, condition)`` of the all-Steklov source system H - lam W:
@@ -271,7 +297,7 @@ class CirculantDecomposition(SteklovDecomposition):
     ``ops.scaled_dtn_symbol`` at k; the columns are sorted by value, the cos
     column of a mode first.  No N x N array is formed: Q, Q^T, the source
     solve and X^+ act by real FFTs.  Q's entries at given columns
-    (:meth:`cluster_at`) are read from a table of the scaled cos and sin of
+    (:meth:`pairs`) are read from a table of the scaled cos and sin of
     2 pi m/N at m = jk mod N, whose entries above m = N/2 mirror those
     below, so every column is exactly even or odd under j -> N - j;
     ``vectors`` gathers the whole of Q from it, once, when first read.  The
@@ -601,7 +627,7 @@ class ModeDirections(PoleDirections):
         return np.concatenate((turned.real, turned.imag[1:n]))[self._order]
 
 
-class ArcSpectrum:
+class ArcSpectrum(_Owner):
     """Mixed spectrum of a mask from the secular equation on its arc nodes.
 
     Let e = 1 - steklov_fraction on the m nodes the Neumann part touches,
@@ -638,11 +664,13 @@ class ArcSpectrum:
 
     The mixed eigenvalues are read by their index j in the whole spectrum
     (the constant mode is 0): :meth:`value` locates eigenvalue j among the
-    secular roots and deflated values by counts, :meth:`cluster` gives the
-    first and last index of its multiplicity cluster, :meth:`pairs` the
+    secular roots and deflated values by counts, :meth:`pairs` gives the
     eigenpairs of given indices; a source solve's guard reads
-    :meth:`count_below` and :meth:`value`.  Any root the count cannot
-    certify raises SecularBreakdown, and so does a mask with no Neumann node.
+    :meth:`count_below` and :meth:`value`.  Where a root cannot be
+    certified (SecularBreakdown), :meth:`value` and :meth:`pairs` answer
+    from the mask's own :class:`MaskSpectrum`, and so does
+    :meth:`source_system` beside an all-Steklov eigenvalue.  A mask with no
+    Neumann node has no secular equation and raises SecularBreakdown.
     """
 
     def __init__(self, spectrum: SteklovDecomposition, mask: PartitionMask):
@@ -874,26 +902,11 @@ class ArcSpectrum:
 
     def value(self, j: int, near: float | None = None) -> float:
         """Mixed eigenvalue j (ascending from 0, the constant mode first)."""
-        kind, i = self._locate(j)
-        return self._root(i, near)[0] if kind == "s" else float(self.deflated[i])
-
-    def cluster(self, j: int, near: float | None = None) -> tuple[int, int]:
-        """First and last index of the multiplicity cluster of eigenvalue j.
-
-        Neighbours chain as in :func:`_assign_clusters`; whether the next
-        eigenvalue out lies within CLUSTER_TOL is read from one count at
-        the bound.  ``near`` is passed on to the root search of eigenvalue j.
-        """
-        tol = CLUSTER_TOL
-        first = last = j
-        top = bottom = self.value(j, near)
-        while self.count_below(np.nextafter((top + tol) / (1.0 - tol), np.inf)) > last + 1:
-            last += 1
-            top = self.value(last)
-        while first > 0 and self.count_below(bottom - tol * (1.0 + abs(bottom))) < first:
-            first -= 1
-            bottom = self.value(first)
-        return first, last
+        try:
+            kind, i = self._locate(j)
+            return self._root(i, near)[0] if kind == "s" else float(self.deflated[i])
+        except SecularBreakdown:
+            return self.mask._spectrum.value(j)
 
     def pairs(self, indices) -> list[EigenPair]:
         """Eigenpairs of the given mixed eigenvalues, one cluster, Steklov-orthonormal.
@@ -903,6 +916,12 @@ class ArcSpectrum:
         traces are U = W^-1/2 Q C for decomposition coefficients C, so
         U^T H U = C^T diag(Lambda) C comes with no N x N product.
         """
+        try:
+            return self._secular_pairs(indices)
+        except SecularBreakdown:
+            return self.mask._spectrum.pairs(indices)
+
+    def _secular_pairs(self, indices) -> list[EigenPair]:
         roots = [self._locate(j) for j in indices]
         weights = np.zeros((len(self._values), len(roots)))
         for j, (kind, i) in enumerate(roots):
@@ -926,7 +945,7 @@ class ArcSpectrum:
         roots_v = np.array([self.value(j) for j in indices])
         if np.any(np.abs(values - roots_v) > _RITZ_AGREEMENT * (1.0 + np.abs(roots_v))):
             raise SecularBreakdown("secular roots and Rayleigh-Ritz values disagree")
-        return _signed_pairs(ops, values, traces, 0)
+        return _signed_pairs(ops, values, traces)
 
     def source_system(self, lam: float):
         """``(solve, condition)`` of the mask's source system H - lam diag(b).
@@ -938,7 +957,13 @@ class ArcSpectrum:
         C = I + lam U^T K U.  U^T K U = B diag(1/(Lambda - lam)) B^T and
         B B^T = E, so C is :meth:`_every` at lam.  ``condition``:
         max|Lambda - lam| times the 2-norm of the inverse
-        (:func:`~steklov.discretization.inverse_norm`)."""
+        (:func:`~steklov.discretization.inverse_norm`).
+
+        Within ``RESONANCE_GUARD`` of an all-Steklov eigenvalue, where the
+        correction cancels the pole of K, the mask's own system answers."""
+        band = RESONANCE_GUARD * (1.0 + abs(lam))
+        if self.spectrum.count_below(lam + band) > self.spectrum.count_below(lam - band):
+            return self.mask.source_system(lam)
         ops, nodes = self.spectrum.ops, self._nodes
         solve = self.spectrum.source_system(lam)[0]
         u = np.sqrt(ops.weights[nodes]) * self._root_e
@@ -954,7 +979,7 @@ class ArcSpectrum:
         return arc_solve, float(norm * inverse_norm(arc_solve, ops.weights))
 
 
-class MaskSpectrum:
+class MaskSpectrum(_Owner):
     """Mixed spectrum of any mask from the Steklov side of the decomposition.
 
     With X^+ the decomposition's pseudo-inverse (0 on the constant mode),
@@ -965,10 +990,10 @@ class MaskSpectrum:
     and s is an eigenvector of P M P, M = F X^+ F, of eigenvalue mu = 1/lam,
     with c = -lam p^T M s / |F n0|.  Pair 0 is the constant mode; p is no
     eigenvalue.  F^T v = s, so the traces are Steklov-orthonormal, and no
-    step divides by a Steklov fraction.  The lowest pairs are the top of
-    mu, from an ``eigh`` windowed by index; any other request, the guard's
-    counts and values and the source solve read one full ``eigh``, made on
-    first use.
+    step divides by a Steklov fraction.  A run of the lowest pairs, asked
+    for before anything else, is the top of mu, from an ``eigh`` windowed by
+    index; any other request, the counts and values and the source solve
+    read one full ``eigh``, made on first use.
     """
 
     def __init__(self, spectrum: SteklovDecomposition, mask: PartitionMask):
@@ -1008,16 +1033,17 @@ class MaskSpectrum:
         mu, z = self._eigh(driver="evd")
         return np.concatenate(([0.0], 1.0 / mu[:-1])), mu[:-1], z[:, :-1]
 
-    def pairs(self, sigma: float, count: int) -> list[EigenPair]:
-        """The ``count`` eigenpairs nearest sigma, ascending and clustered."""
-        n = len(self._nodes)
-        if sigma > 0.0 or count >= n:
-            values, mu, z = self._full
-            nearest = np.sort(np.argsort(np.abs(values - sigma), kind="stable")[:count])
-            chosen = nearest[nearest > 0] - 1
-        else:       # the constant mode and the top count - 1 of mu
-            nearest, chosen = [0], slice(count - 1)
+    def pairs(self, indices) -> list[EigenPair]:
+        """Eigenpairs of the given ascending indices, clustered."""
+        n, indices = len(self._nodes), np.asarray(indices)
+        count = len(indices)
+        if count < n and "_full" not in vars(self) and np.array_equal(indices, np.arange(count)):
+            # the constant mode and the top count - 1 of mu
+            chosen = slice(count - 1)
             mu, z = self._eigh(subset_by_index=(min(n - count + 1, n - 1), n - 1))
+        else:
+            _, mu, z = self._full
+            chosen = indices[indices > 0] - 1
         mu, z = mu[chosen], z[:, chosen]
         ops, lam = self.spectrum.ops, 1.0 / mu
         fz = np.zeros((ops.n_nodes, len(mu)))
@@ -1025,19 +1051,22 @@ class MaskSpectrum:
         c = -lam * kernels.product(self._mp, z) / self._fn0
         traces = self.spectrum.apply_pseudo_inverse(fz) * lam + np.outer(self._n0, c)
         traces /= np.sqrt(ops.weights)[:, None]
-        if nearest[0] == 0:
+        if indices[0] == 0:
             lam = np.concatenate(([0.0], lam))
             level = 1.0 / (self._fn0 * np.sqrt(np.sum(ops.weights)))
             traces = np.column_stack((np.full(ops.n_nodes, level), traces))
-        return _signed_pairs(ops, lam, traces, _assign_clusters(lam))
+        return _signed_pairs(ops, lam, traces)
 
     def count_below(self, x: float) -> int:
         """Number of the mask's eigenvalues strictly below x; 0 for x <= 0."""
         return int(np.searchsorted(self._full[0], x)) if x > 0.0 else 0
 
-    def value(self, j: int) -> float:
+    def value(self, j: int, near: float | None = None) -> float:
         """The mask's eigenvalue j (ascending from 0, the constant mode first)."""
-        return float(self._full[0][j])
+        values = self._full[0]
+        if not 0 <= j < len(values):
+            raise EigenSolveError(f"the mask has no eigenvalue of index {j}")
+        return float(values[j])
 
     def source_system(self, lam: float):
         """``(solve, condition)`` of H - lam diag(b): with g = W^-1/2 r it is

@@ -15,13 +15,10 @@ Reported values are ``value - field.offset``; :func:`solve_greens` sets the
 offset to the arclength boundary mean on curves of logarithmic capacity one
 (|Robin constant| < 1e-8) and to zero elsewhere.
 
-:func:`solve_greens` refuses a spectral parameter near an eigenvalue.  The
+:func:`solve_greens` refuses a spectral parameter near an eigenvalue.  One
 owner of the mask's spectrum guards by its counts and solves by its
 ``source_system``: a tuning run's decomposition or final ``ArcSpectrum``,
-or else the mask (its ``MaskSpectrum``).  The ``ArcSpectrum`` solves by a
-Woodbury correction of the decomposition's solve; where that misses the
-residual gate (beside an all-Steklov eigenvalue, which is no eigenvalue of
-the mask), the mask solves instead.
+or else the mask (its ``MaskSpectrum``).
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ import numpy as np
 
 from . import kernels
 from .discretization import OperatorSet, PartitionMask
-from .eigensolver import AccuracyWarning, SecularBreakdown, layer_pass
+from .eigensolver import RESONANCE_GUARD, AccuracyWarning, layer_pass
 # kept only as a name the benchmark's traced pass patches (perfbench/spans.py)
 from .eigensolver import solve_spectrum_near  # noqa: F401
 from .errors import (
@@ -44,8 +41,6 @@ from .errors import (
     SingularityError,
 )
 
-# refuse to solve when lambda is this close (relatively) to an eigenvalue
-RESONANCE_GUARD = 1e-6
 # relative linear-system residual accepted after one refinement pass
 RESIDUAL_TOL = 1e-10
 
@@ -96,19 +91,12 @@ class GreensField:
     offset: float
 
 
-def _guard(mask: PartitionMask, lam: float, owner) -> None:
+def _guard(lam: float, owner) -> None:
     """ResonanceError when the owner's counts at both ends of lam's guard
-    band differ, naming the in-band eigenvalue nearest lam; the mask's own
-    counts and values name it when the secular solve cannot certify it."""
+    band differ, naming the in-band eigenvalue nearest lam."""
     band = RESONANCE_GUARD * (1.0 + abs(lam))
-    for spectrum in (owner, mask):
-        inside = range(spectrum.count_below(lam - band), spectrum.count_below(lam + band))
-        try:
-            near = min((spectrum.value(i) for i in inside), key=lambda v: abs(v - lam),
-                       default=None)
-            break
-        except SecularBreakdown:
-            pass
+    inside = range(owner.count_below(lam - band), owner.count_below(lam + band))
+    near = min((owner.value(i) for i in inside), key=lambda v: abs(v - lam), default=None)
     if near is not None:
         raise ResonanceError(
             "spectral parameter %.12g is within the guard band of the "
@@ -131,8 +119,9 @@ def solve_greens(ops: OperatorSet, mask: PartitionMask, source, lam: float,
         Spectral parameter; must keep a relative distance of at least
         ``RESONANCE_GUARD`` from every eigenvalue of the partition.
     spectrum : SteklovDecomposition, ArcSpectrum or PartitionMask, optional
-        Owner of the mask's spectrum, whose counts guard ``lam`` and whose
-        ``source_system`` solves; by default the mask itself.
+        The one owner of the mask's spectrum, whose counts guard ``lam``
+        and whose ``source_system`` solves (an ``ArcSpectrum`` answers from
+        the mask where its own solve cannot); by default the mask itself.
 
     Raises
     ------
@@ -162,7 +151,7 @@ def solve_greens(ops: OperatorSet, mask: PartitionMask, source, lam: float,
             "the corrected field loses accuracy there", AccuracyWarning)
 
     owner = spectrum or mask
-    _guard(mask, lam, owner)
+    _guard(lam, owner)
     g0 = kernels.gamma0(ops.points, source)
     steklov_lam = lam * mask.steklov_fraction
     rhs = steklov_lam * g0 - kernels.gamma0_dnu(ops.points, ops.normals, source)
@@ -173,21 +162,12 @@ def solve_greens(ops: OperatorSet, mask: PartitionMask, source, lam: float,
         return rhs - (ops.product("adjoint_double_layer", rho) - 0.5 * rho
                       - steklov_lam * (ops.product("single_layer", rho) + ops.weights @ rho))
 
-    # an owner's solve that misses the residual gate hands over to the mask's
-    # own, as a rank-m correction of the all-Steklov solve does on or beside
-    # an all-Steklov eigenvalue; a solve that divides by zero shows as a
-    # residual that is not finite, which the gate refuses too
-    for solver in dict.fromkeys((owner, mask)):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            solve, cond = solver.source_system(lam)
-            # (H - lam diag(b)) u = W r in the trace, then rho = T^-1 u
-            rho = ops.trace_solve(solve(ops.weights * rhs))
-            rho += ops.trace_solve(solve(ops.weights * density_residual(rho)))  # refinement
-            residual = float(np.max(np.abs(density_residual(rho)))
-                             / (1.0 + np.max(np.abs(rhs))))
-        if residual <= RESIDUAL_TOL:
-            break
-    else:
+    solve, cond = owner.source_system(lam)
+    # (H - lam diag(b)) u = W r in the trace, then rho = T^-1 u
+    rho = ops.trace_solve(solve(ops.weights * rhs))
+    rho += ops.trace_solve(solve(ops.weights * density_residual(rho)))  # refinement
+    residual = float(np.max(np.abs(density_residual(rho))) / (1.0 + np.max(np.abs(rhs))))
+    if not residual <= RESIDUAL_TOL:
         raise ConvergenceError(
             "source solve stalled at relative residual %.3e "
             "(condition estimate %.3e)" % (residual, cond))

@@ -29,8 +29,8 @@ cluster and the spectrum the first source solves check against all come
 from that decomposition.  Every trial is solved on the nodes its arc
 touches (:class:`~steklov.eigensolver.ArcSpectrum`), which locates
 eigenvalue j by counts, starting its root search at the first-order
-prediction.  A root the secular count cannot certify falls back to the
-candidate mask's own spectrum (:class:`~steklov.eigensolver.MaskSpectrum`).
+prediction, and answers from the candidate mask's own spectrum where the
+secular count cannot certify a root.
 
 Source fields enter twice: the insertion point comes from the boundary
 profile of the two fields solved at lambda_star on the uncovered boundary,
@@ -38,8 +38,7 @@ and the final report compares the field value at the receiver before and
 after covering (both less the field's ``offset``, the reporting convention
 :func:`~steklov.greens.solve_greens` decides).  The owner of each mask's
 spectrum, the decomposition and the final trial's ``ArcSpectrum``, guards
-them by its counts and solves them with no N x N factorization; after a
-windowed final trial the mask answers for its own spectrum.
+them by its counts and solves them with no N x N factorization.
 """
 
 from __future__ import annotations
@@ -53,20 +52,18 @@ from .asymptotics import predict_eigenvalue_shift
 from .discretization import (
     DEFAULT_NODES,
     OperatorSet,
-    PartitionMask,
     assemble,
     mask_from_partition,
 )
 from .eigensolver import (
     ArcSpectrum,
     EigenPair,
-    SecularBreakdown,
     SteklovDecomposition,
-    cluster_members,
     decompose,
     orthonormalize_cluster,
-    solve_spectrum_near,
 )
+# kept only as a name the benchmark's traced pass patches (perfbench/spans.py)
+from .eigensolver import solve_spectrum_near  # noqa: F401
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -98,8 +95,6 @@ _WEIGHT_FLOOR = 1e-12
 # nodes where the start cluster's weight is below this fraction of its largest
 # are no insertion candidates: its eigenfunctions vanish there
 _INSERTION_FLOOR = 1e-8
-# pairs above the tracked index that the windowed fallback solves
-_WINDOWED_PAIRS = 24
 # factor f shrinks by after a rejected trial
 _SHRINK = 0.8
 # eigenvalues below this are treated as the constant mode
@@ -268,7 +263,8 @@ def next_lower_steklov_eigenvalue(
         ops = assemble(curve, n_nodes)
     spectrum = decompose(ops)
     j = _largest_at_or_below(spectrum, lambda_star)
-    return float(spectrum.values[j]), spectrum.cluster_at(j)
+    first, last = spectrum.cluster(j)
+    return spectrum.value(j), spectrum.pairs(range(first, last + 1))
 
 
 def _cluster_weight(at_node: np.ndarray) -> float:
@@ -316,27 +312,6 @@ def select_insertion_point(field_x: GreensField, field_y: GreensField,
 # the growth loop
 # ---------------------------------------------------------------------------
 
-def _tracked_cluster(spectrum: SteklovDecomposition, mask: PartitionMask, j: int,
-                     predicted: float) -> tuple[list[EigenPair], float, ArcSpectrum | None]:
-    """Cluster of eigenvalue j on the candidate mask, its value, and the secular solve.
-
-    The root search starts at the ``predicted`` value.  When the secular
-    solve breaks down, the lowest j + ``_WINDOWED_PAIRS`` pairs of the
-    mask's own spectrum give pair j and its cluster; the third item is then
-    None.
-    """
-    try:
-        arc = ArcSpectrum(spectrum, mask)
-        first, last = arc.cluster(j, near=predicted)
-        members = arc.pairs(range(first, last + 1))
-        return members, members[j - first].value, arc
-    except SecularBreakdown:
-        pairs = solve_spectrum_near(spectrum.ops, mask, 0.0, count=j + _WINDOWED_PAIRS)
-        if j >= len(pairs):
-            raise EigenSolveError(f"the candidate mask has no eigenvalue of index {j}")
-        return cluster_members(pairs, pairs[j].cluster_id), pairs[j].value, None
-
-
 def run(config: OptimizerConfig,
         observer: Callable[[IterationRecord], None] | None = None
         ) -> OptimizerTrace:
@@ -365,10 +340,10 @@ def run(config: OptimizerConfig,
     mask0 = mask_from_partition(ops, uncovered)
     spectrum = decompose(ops)
     start = _largest_at_or_below(spectrum, config.lambda_star)
-    lam0, cluster = float(spectrum.values[start]), spectrum.cluster_at(start)
-    # the tracked index: the cluster splits as the arc grows, and the member
-    # that moves at first order rises to its top
-    j = int(np.flatnonzero(spectrum.cluster_ids == spectrum.cluster_ids[start])[-1])
+    # the tracked index j: the cluster splits as the arc grows, and the
+    # member that moves at first order rises to its top
+    first, j = spectrum.cluster(start)
+    lam0, cluster = spectrum.value(start), spectrum.pairs(range(first, j + 1))
 
     field_x = solve_greens(ops, mask0, config.source, config.lambda_star, spectrum)
     field_y = solve_greens(ops, mask0, config.receiver, config.lambda_star, spectrum)
@@ -402,8 +377,12 @@ def run(config: OptimizerConfig,
             continue
         candidate_mask = mask_from_partition(ops, candidate)
 
-        predicted = predict_eigenvalue_shift(lam0, at_node, eps)
-        members, lam, arc = _tracked_cluster(spectrum, candidate_mask, j, predicted)
+        # the cluster of eigenvalue j on the candidate, its root search
+        # starting at the first-order prediction
+        arc = ArcSpectrum(spectrum, candidate_mask)
+        first, last = arc.cluster(j, near=predict_eigenvalue_shift(lam0, at_node, eps))
+        members = arc.pairs(range(first, last + 1))
+        lam = members[j - first].value
 
         t_lo, t_hi = candidate.neumann_intervals()[0]
         done = abs(lam - config.lambda_star) <= config.C_tol

@@ -9,7 +9,8 @@ the bounding box of the curve's 128 nodes until they lie inside, at least
 Tier-1 runs the first configurations at N=128 and holds a floor on the
 number that converge.  The full census prints one row per outcome, then
 the secular solve's work over all runs: ``eigh`` calls on G and LDL^T
-factorizations per solved secular root.
+factorizations per solved secular root, and how many trials and source
+solves an ``ArcSpectrum`` handed to its mask's own spectrum.
 
     PYTHONPATH=src python tests/test_census.py [count]
 """
@@ -17,11 +18,12 @@ factorizations per solved secular root.
 import sys
 import warnings
 from collections import Counter
+from contextlib import contextmanager
 
 import numpy as np
 
-from steklov.discretization import assemble
-from steklov.eigensolver import AccuracyWarning, interiority
+from steklov.discretization import PartitionMask, assemble
+from steklov.eigensolver import AccuracyWarning, MaskSpectrum, interiority
 from steklov.errors import SteklovError
 from steklov.geometry import circle, ellipse, flower, kite
 from steklov.optimizer import OptimizerConfig, run
@@ -68,6 +70,35 @@ def outcome(config):
         return type(exc).__name__, None
 
 
+@contextmanager
+def handovers():
+    """Count, while the block runs, the trials whose eigenvalues an
+    ``ArcSpectrum`` read from its mask's :class:`MaskSpectrum` ("trials":
+    the masks whose owner answered ``value`` or ``pairs``) and the source
+    solves it handed to its mask ("source solves")."""
+    work, owners = Counter(), {}
+    value, pairs, system = MaskSpectrum.value, MaskSpectrum.pairs, PartitionMask.source_system
+
+    def read(f):
+        def call(self, *args):
+            # the owner is kept, so that its id names it until the block ends
+            owners[id(self)] = self
+            work["trials"] = len(owners)
+            return f(self, *args)
+        return call
+
+    def solve(self, lam):
+        work["source solves"] += 1
+        return system(self, lam)
+
+    MaskSpectrum.value, MaskSpectrum.pairs = read(value), read(pairs)
+    PartitionMask.source_system = solve
+    try:
+        yield work
+    finally:
+        MaskSpectrum.value, MaskSpectrum.pairs, PartitionMask.source_system = value, pairs, system
+
+
 def test_census_subset_converges_on_target():
     converged = 0
     for config in configurations(12, n_nodes=128):
@@ -89,7 +120,7 @@ if __name__ == "__main__":
 
     count = int(sys.argv[1]) if len(sys.argv) > 1 else 40
     rows: dict[str, list[str]] = {}
-    with secular_work() as work:
+    with secular_work() as work, handovers() as handed:
         for i, config in enumerate(configurations(count)):
             result, _ = outcome(config)
             rows.setdefault(result, []).append(
@@ -99,3 +130,4 @@ if __name__ == "__main__":
     roots = max(work["roots"], 1)
     print(f"secular roots {work['roots']}: {work['eigh'] / roots:.2f} eigh(G) and "
           f"{work['ldl'] / roots:.2f} LDL^T per root ({work['eigh']} and {work['ldl']} in all)")
+    print(f"handed to the mask: {handed['trials']} trials, {handed['source solves']} source solves")

@@ -141,7 +141,7 @@ def test_cluster_ids_match_the_neighbour_walk():
     assert 40 < expected[-1] < 79
     # the decomposition's clusters: the disk's double eigenvalues
     spectrum = decompose(assemble(circle(), 64))
-    assert [len(spectrum.cluster_at(j)) for j in range(5)] == [1, 2, 2, 2, 2]
+    assert [spectrum.cluster(j) for j in range(5)] == [(0, 0), (1, 2), (1, 2), (3, 4), (3, 4)]
 
 
 def test_scaled_disk_spectrum():
@@ -367,8 +367,9 @@ def test_mirror_split_matches_a_plain_eigh(name, n):
     # every column is exactly even or odd under the node reversal j -> N - j
     mirrored = q[-np.arange(n)]
     assert np.all(np.all(mirrored == q, axis=0) | np.all(mirrored == -q, axis=0))
-    for c in np.unique(spectrum.cluster_ids):
-        members = spectrum.cluster_ids == c
+    ids = _assign_clusters(spectrum.values)
+    for c in np.unique(ids):
+        members = ids == c
         assert np.array_equal(members, _assign_clusters(values) == c)
         split, plain = q[:, members], vectors[:, members]
         assert np.max(np.abs(split @ split.T - plain @ plain.T)) <= 1e-10
@@ -405,10 +406,11 @@ def test_circulant_and_mirror_routes_decompose_the_disk_alike(n, monkeypatch):
     assert ops.mirror and not ops.rotation
     split = decompose(ops)
     assert np.all(np.abs(circulant.values - split.values) <= 1e-12 * (1.0 + np.abs(split.values)))
-    assert np.array_equal(circulant.cluster_ids, split.cluster_ids)
-    for c in np.unique(split.cluster_ids):
-        a = circulant.vectors[:, circulant.cluster_ids == c]
-        b = split.vectors[:, split.cluster_ids == c]
+    ids = _assign_clusters(split.values)
+    assert np.array_equal(_assign_clusters(circulant.values), ids)
+    for c in np.unique(ids):
+        a = circulant.vectors[:, ids == c]
+        b = split.vectors[:, ids == c]
         # the 2-norm of the difference of the two cluster projectors
         assert np.linalg.norm(b - a @ (a.T @ b), 2) <= 1e-10
 
@@ -427,7 +429,8 @@ def test_circulant_decomposition_acts_as_its_table(n):
     v = rng.standard_normal(n)
     lam = 0.5 * (spectrum.values[5] + spectrum.values[7])
     source = spectrum.source_system(lam)[0](v)
-    clusters = [spectrum.cluster_at(j) for j in (0, 1, 6, n // 3, n - 1)]
+    clusters = [spectrum.pairs(range(first, last + 1))
+                for first, last in map(spectrum.cluster, (0, 1, 6, n // 3, n - 1))]
     assert "vectors" not in vars(spectrum)
     q = spectrum.vectors
     assert spectrum.vectors is q and not q.flags.writeable
@@ -440,8 +443,9 @@ def test_circulant_decomposition_acts_as_its_table(n):
     # H - lam W = W^1/2 Q (Lambda - lam) Q^T W^1/2
     want = scale * (q @ (((scale * v) @ q) / (spectrum.values - lam)))
     assert relative(source, want) <= 1e-13
+    ids = _assign_clusters(spectrum.values)
     for j, pairs in zip((0, 1, 6, n // 3, n - 1), clusters):
-        members = spectrum.cluster_ids == spectrum.cluster_ids[j]
+        members = ids == ids[j]
         assert len(pairs) == np.count_nonzero(members) == (1 if j in (0, n - 1) else 2)
         want = q[:, members] * scale[:, None]
         got = np.array([p.trace for p in pairs]).T
@@ -551,6 +555,18 @@ def test_secular_solve_of_a_mask_without_neumann_nodes_breaks_down():
     ops, mask = steklov_setup(circle(), 64)
     with pytest.raises(SecularBreakdown, match="no secular equation"):
         ArcSpectrum(decompose(ops), mask)
+
+
+def test_arc_past_the_mask_spectrum_names_the_missing_index():
+    # N_s Steklov nodes carry N_s eigenvalues: past them the secular root has
+    # no bracket, and the mask's own spectrum, which answers instead, refuses
+    # the index
+    ops, mask = neumann_setup(circle(), 64, [(0.3, TWO_PI - 0.3)])
+    n_s = np.count_nonzero(mask.steklov_fraction > 0)
+    arc = ArcSpectrum(decompose(ops), mask)
+    assert arc.count_below(1e9) == n_s
+    with pytest.raises(EigenSolveError, match=f"no eigenvalue of index {n_s}"):
+        arc.value(n_s)
 
 
 @pytest.mark.parametrize("case", ["disk-two-arcs-N256", "kite-two-arcs-N512",

@@ -14,7 +14,7 @@ import scipy.linalg as sla
 from numpy.testing import assert_allclose
 
 import steklov
-from steklov import discretization, greens, kernels, optimizer
+from steklov import discretization, kernels, optimizer
 from steklov.discretization import (
     OperatorSet,
     PartitionMask,
@@ -68,6 +68,21 @@ def disk_config(**kw):
                 C_tol=1e-3, n_nodes=128)
     base.update(kw)
     return OptimizerConfig(**base)
+
+
+def run_masks(monkeypatch) -> list:
+    """Every mask the optimizer builds from now on: the uncovered one, then
+    the inserted marker and each trial's candidate."""
+    masks = []
+    original = optimizer.mask_from_partition
+    monkeypatch.setattr(optimizer, "mask_from_partition",
+                        lambda *a: masks.append(original(*a)) or masks[-1])
+    return masks
+
+
+def owns_spectrum(mask) -> bool:
+    """Whether the mask built its own spectrum (a hand-over from ArcSpectrum)."""
+    return "_spectrum" in vars(mask)
 
 
 @pytest.fixture(scope="module")
@@ -422,36 +437,12 @@ def test_run_does_not_depend_on_the_blas_thread_count():
     OptimizerConfig(curve=kite(), source=(-1.25, 1.25), receiver=(-1.25, -1.25),
                     lambda_star=2.5, n_nodes=128),
 ], ids=["disk", "kite"])
-def test_run_guard_reads_the_solved_spectrum(config, monkeypatch):
-    # the counts of the decomposition and of the final ArcSpectrum guard both
-    # source solves, so the guard solves no eigenvalue on a mask
-    calls = []
-    original = greens.solve_spectrum_near
-    monkeypatch.setattr(greens, "solve_spectrum_near",
-                        lambda *a, **k: calls.append(a) or original(*a, **k))
-    assert run(config).converged
-    assert calls == []
-
-
-@pytest.mark.parametrize("config", [
-    disk_config(),
-    OptimizerConfig(curve=kite(), source=(-1.25, 1.25), receiver=(-1.25, -1.25),
-                    lambda_star=2.5, n_nodes=128),
-], ids=["disk", "kite"])
 def test_run_guards_by_counts_and_writes_no_mask(config, monkeypatch):
     # the decomposition and the final ArcSpectrum guard the source solves by
-    # their counts: no mask's eigenvalues are solved, and no mask builds its
-    # own decomposition
-    masks, solved = [], []
-    original_mask = optimizer.mask_from_partition
-    monkeypatch.setattr(optimizer, "mask_from_partition",
-                        lambda *a: masks.append(original_mask(*a)) or masks[-1])
-    original_near = greens.solve_spectrum_near
-    monkeypatch.setattr(greens, "solve_spectrum_near",
-                        lambda *a, **k: solved.append(a) or original_near(*a, **k))
+    # their counts: no mask builds its own spectrum
+    masks = run_masks(monkeypatch)
     assert run(config).converged
-    assert solved == []
-    assert len(masks) > 2 and all("_spectrum" not in vars(m) for m in masks)
+    assert len(masks) > 2 and not any(map(owns_spectrum, masks))
 
 
 @pytest.mark.parametrize("config", [THREAD_RUNS[0], disk_config(n_nodes=256)],
@@ -547,28 +538,29 @@ def test_disk_run_builds_no_n_by_n_array(monkeypatch):
 
 
 def _secular_breakdown(*args):
-    raise SecularBreakdown("windowed route forced")
+    raise SecularBreakdown("hand-over forced")
 
 
 @pytest.mark.parametrize("name", list(SECULAR_RUNS))
 def test_small_arc_run_makes_no_windowed_solve(name, monkeypatch):
     # the trials solve the secular equation whatever the arc size, and the
-    # final source solve reads the run the converged trial left
-    calls = []
-    for module in (optimizer, greens):
-        original = module.solve_spectrum_near
-        monkeypatch.setattr(module, "solve_spectrum_near",
-                            lambda *a, _f=original, **k: calls.append(a) or _f(*a, **k))
+    # final source solve reads the run the converged trial left: no
+    # candidate mask is handed over to its own spectrum
+    masks = run_masks(monkeypatch)
     trace = run(SECULAR_RUNS[name])
     assert trace.converged and trace.trials > 2
-    assert calls == []
+    assert len(masks) > 2 and not any(map(owns_spectrum, masks))
 
 
 @pytest.mark.parametrize("name", list(SECULAR_RUNS))
 def test_windowed_fallback_gives_the_same_records(name, monkeypatch):
+    # a secular solve that certifies no root hands every trial over to the
+    # candidate mask's own spectrum, with the same records
     secular = run(SECULAR_RUNS[name])
-    monkeypatch.setattr(optimizer, "ArcSpectrum", _secular_breakdown)
+    masks = run_masks(monkeypatch)
+    monkeypatch.setattr(ArcSpectrum, "_locate", _secular_breakdown)
     windowed = run(SECULAR_RUNS[name])
+    assert len(masks) > 2 and all(map(owns_spectrum, masks[2:]))
     assert len(windowed.records) == len(secular.records)
     for a, b in zip(secular.records, windowed.records):
         assert (a.index, a.f, a.accepted) == (b.index, b.f, b.accepted)
@@ -593,13 +585,10 @@ AMBIGUOUS_RUNS = {
                                                  ("kite", 12, 10.950494)],
                          ids=["ellipse", "kite"])
 def test_ambiguous_runs_converge_without_windowed_solve(name, trials, final, monkeypatch):
-    calls = []
-    original = optimizer.solve_spectrum_near
-    monkeypatch.setattr(optimizer, "solve_spectrum_near",
-                        lambda *a, **k: calls.append(a) or original(*a, **k))
+    masks = run_masks(monkeypatch)
     config = AMBIGUOUS_RUNS[name]
     trace = run(config)
-    assert calls == []
+    assert not any(map(owns_spectrum, masks))
     assert trace.converged and trace.trials == trials
     assert abs(trace.final_eigenvalue - config.lambda_star) <= config.C_tol
     assert trace.final_eigenvalue == pytest.approx(final, abs=1e-6)

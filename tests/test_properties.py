@@ -105,3 +105,29 @@ def test_growing_the_arc_raises_every_eigenvalue(curve, n, center, half, grow):
         ops, mask_from_partition(ops, p), SpectrumRequest(count=8))])
         for p in (smaller, grown))
     assert np.all(large >= small - 1e-9 * (1.0 + small))
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(curve=st.sampled_from(sorted(CURVES)), n=st.sampled_from([64, 128]),
+       center=st.floats(0.0, TWO_PI), length=st.floats(1e-3, 3.0), j=st.integers(0, 8))
+def test_arc_and_mask_owners_answer_alike(curve, n, center, length, j):
+    # the secular equation on the arc nodes and the Steklov side of the
+    # decomposition are two exact forms of one mask's spectrum: they give
+    # eigenvalue j the same cluster, the same values and the same span
+    ops, spectrum = decomposed(curve, n)
+    partition = BoundaryPartition.from_neumann_intervals(
+        ops.curve, [(center - 0.5 * length, center + 0.5 * length)])
+    arc_mask, mask = (mask_from_partition(ops, partition) for _ in range(2))
+    arc, own = ArcSpectrum(spectrum, arc_mask), mask._spectrum
+    first, last = arc.cluster(j)
+    assert own.cluster(j) == (first, last)
+    indices = range(first, last + 1)
+    a, b = arc.pairs(indices), own.pairs(indices)
+    # the arc answered by itself, without handing over to its mask
+    assert "_spectrum" not in vars(arc_mask)
+    va, vb = (np.array([p.value for p in pairs]) for pairs in (a, b))
+    assert np.all(np.abs(va - vb) <= 1e-10 * (1.0 + np.abs(vb)))
+    # the Steklov-orthonormal traces span the same space
+    root = np.sqrt(mask.steklov_weights)[:, None]
+    ua, ub = (root * np.array([p.trace for p in pairs]).T for pairs in (a, b))
+    assert np.linalg.norm(ua @ ua.T - ub @ ub.T, 2) <= 1e-8
